@@ -55,25 +55,10 @@ func BenchmarkFigure19ProfilingError(b *testing.B) { benchFigure(b, experiments.
 func BenchmarkSSDLifetime(b *testing.B)            { benchFigure(b, experiments.SSDLifetime) }
 
 // --- component benchmarks ---
-
-// BenchmarkPlannerAlgorithm1 measures the smart eviction scheduler alone on
-// the heaviest workload (SENet154 at the paper's batch size).
-func BenchmarkPlannerAlgorithm1(b *testing.B) {
-	spec, err := models.ByName("SENet154")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := spec.Build(spec.PaperBatch)
-	tr := profile.Profile(g, profile.A100(spec.TimeScale))
-	a := vitality.MustAnalyze(g, tr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan := planner.New(a, planner.Default())
-		if len(plan.Decisions) == 0 {
-			b.Fatal("no decisions")
-		}
-	}
-}
+//
+// The planner's per-model benchmarks (BenchmarkPlanner/<model>/{paper,short})
+// live in internal/experiments, next to the figure configurations they plan
+// against.
 
 // BenchmarkVitalityAnalysis measures §4.2 alone.
 func BenchmarkVitalityAnalysis(b *testing.B) {

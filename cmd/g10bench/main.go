@@ -287,7 +287,7 @@ func runGate(cur benchReport, baselinePath, outPath string, tolerance float64) e
 
 func main() {
 	var (
-		fig        = flag.String("fig", "11", "figure to regenerate: 2,3,4,11..19,lifetime,multigpu,colocate,fleet,adapt,scaling,maxminfill, or 'all'")
+		fig        = flag.String("fig", "11", "figure to regenerate: 2,3,4,11..19,lifetime,multigpu,colocate,fleet,adapt,scaling,maxminfill,inference,faults, or 'all'")
 		bench      = flag.Bool("bench", false, "run the headline benchmark figures ("+headlineFigures+") once each, with a machine-speed calibration, and emit the timing JSON the CI gate consumes (see -json/-gate)")
 		short      = flag.Bool("short", false, "shrunken workloads for a fast pass")
 		models     = flag.String("models", "", "comma-separated model subset (default: all five)")

@@ -151,11 +151,13 @@ type programKey struct {
 
 // cachedProgramPolicy wraps a planning policy (a G10 variant) so its
 // instrumented program is computed once per (analysis, config, policy)
-// across a whole cluster — a 64-tenant fleet cell re-plans each distinct
-// job once instead of once per tenant, and identical jobs across cluster
-// configurations share the warm program. The planner is deterministic, so
-// the shared *planner.Program is bit-identical to a per-tenant build; it is
-// read-only during simulation.
+// across the whole session. Within one cluster run the engine already plans
+// each distinct job once (gpu.Machine.Plan); this cache spans runs, so
+// identical jobs across figure cells, cluster configurations, and policy
+// rows share the warm program (dropping it adds seconds of planning to this
+// package's tests; DESIGN.md §16). The planner is deterministic, so the shared
+// *planner.Program is bit-identical to a per-tenant build; it is read-only
+// during simulation.
 type cachedProgramPolicy struct {
 	gpu.Policy
 	s *Session

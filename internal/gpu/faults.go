@@ -343,7 +343,7 @@ func (r *runner) crash(permanent bool) bool {
 			m.dev.Free(r.ckptRng)
 			r.hasCkptRng = false
 		}
-		m.fail("server crashed with no repair scheduled")
+		m.failf("server crashed with no repair scheduled")
 		r.finish()
 		return true
 	}

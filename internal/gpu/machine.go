@@ -6,6 +6,7 @@ import (
 
 	"g10sim/internal/dnn"
 	"g10sim/internal/flownet"
+	"g10sim/internal/planner"
 	"g10sim/internal/ssd"
 	"g10sim/internal/units"
 	"g10sim/internal/uvm"
@@ -51,6 +52,17 @@ type Shared struct {
 
 	ssdRead, ssdWrite     *flownet.Resource
 	hostBusIn, hostBusOut *flownet.Resource
+
+	// plans memoises the migration planner per distinct job of this run
+	// (see Machine.Plan).
+	plans map[planKey]*planner.Plan
+}
+
+// planKey identifies one planning problem: the analysis (pointer identity)
+// and the effective planner configuration.
+type planKey struct {
+	a   *vitality.Analysis
+	cfg planner.Config
 }
 
 // NewShared builds the shared substrate from cfg's cross-tenant fields
@@ -64,7 +76,7 @@ func NewShared(net *flownet.Network, cfg Config) (*Shared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gpu: %w", err)
 	}
-	sh := &Shared{net: net, dev: dev, host: uvm.NewMemPool(cfg.HostCapacity)}
+	sh := &Shared{net: net, dev: dev, host: uvm.NewMemPool(cfg.HostCapacity), plans: make(map[planKey]*planner.Plan)}
 	sh.ssdRead = net.AddResource("ssd-read", dev.EffectiveReadBandwidth())
 	sh.ssdWrite = net.AddResource("ssd-write", dev.EffectiveWriteBandwidth())
 	sh.hostBusIn = net.AddResource("hostmem-in", cfg.HostDRAMBandwidth)
@@ -391,6 +403,24 @@ func (m *Machine) Graph() *dnn.Graph { return m.g }
 // Analysis returns the vitality analysis the run was set up with.
 func (m *Machine) Analysis() *vitality.Analysis { return m.a }
 
+// Plan returns the migration plan for the machine's analysis under pcfg. It
+// is computed once per distinct (analysis, config) per substrate, so every
+// tenant of a co-simulation running the same job on the same effective
+// configuration shares one *planner.Plan — the plan is a compile-time
+// artefact of the job, not of the tenant. Shared plans and their programs
+// are read-only (Program.Retime copies). Programs are built in RunCluster's
+// setup loop before any driver starts, so the memo needs no lock; it lives
+// and dies with the run.
+func (m *Machine) Plan(pcfg planner.Config) *planner.Plan {
+	k := planKey{a: m.a, cfg: pcfg}
+	p, ok := m.sh.plans[k]
+	if !ok {
+		p = planner.New(m.a, pcfg)
+		m.sh.plans[k] = p
+	}
+	return p
+}
+
 // Now returns the simulation clock.
 func (m *Machine) Now() units.Time { return m.net.Now() }
 
@@ -697,7 +727,7 @@ func (m *Machine) beginMigration(r *uvm.Request, st *tensorState) (*migration, b
 			if !st.hasRng {
 				rng, err := m.dev.Alloc(m.dev.PagesFor(size))
 				if err != nil {
-					m.fail(fmt.Sprintf("ssd alloc: %v", err))
+					m.failf("ssd alloc: %v", err)
 					m.putMigration(mig)
 					return nil, false
 				}
@@ -720,7 +750,7 @@ func (m *Machine) beginMigration(r *uvm.Request, st *tensorState) (*migration, b
 				mig.inflate = 1 / m.cfg.HostMediationEfficiency
 			}
 			if err := m.dev.Read(st.flash); err != nil {
-				m.fail(fmt.Sprintf("ssd read: %v", err))
+				m.failf("ssd read: %v", err)
 				m.putMigration(mig)
 				return nil, false
 			}
@@ -845,10 +875,13 @@ func (m *Machine) refreshSSDWrite() {
 	m.net.SetCapacity(m.sh.ssdWrite, m.dev.EffectiveWriteBandwidth())
 }
 
-func (m *Machine) fail(reason string) {
+// failf records the machine's first failure. Only the first reason is kept,
+// so later ones are never formatted: a tenant in a failure storm hits the
+// ssd failure sites on every migration attempt.
+func (m *Machine) failf(format string, args ...any) {
 	if !m.failed {
 		m.failed = true
-		m.failReason = reason
+		m.failReason = fmt.Sprintf(format, args...)
 	}
 }
 
@@ -934,7 +967,7 @@ func (m *Machine) onComplete(f *flownet.Flow) {
 		st.loc = mig.dst
 		if mig.dst == uvm.InFlash {
 			if _, err := m.dev.Write(st.flash); err != nil {
-				m.fail(fmt.Sprintf("ssd write: %v", err))
+				m.failf("ssd write: %v", err)
 				m.track(st)
 				m.putMigration(mig)
 				return

@@ -480,8 +480,8 @@ func (r *runner) startExec(kern *dnn.Kernel, penalty units.Duration) {
 func (r *runner) streamOverflow(kern *dnn.Kernel, pinned map[int]bool) (units.Duration, error) {
 	m := r.m
 	if !m.pol.UsesUVM() {
-		m.fail(fmt.Sprintf("kernel %s working set %v exceeds GPU memory %v",
-			kern.Name, kern.WorkingSet(), m.cfg.GPUCapacity))
+		m.failf("kernel %s working set %v exceeds GPU memory %v",
+			kern.Name, kern.WorkingSet(), m.cfg.GPUCapacity)
 		return 0, nil
 	}
 
