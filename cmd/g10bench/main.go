@@ -19,6 +19,7 @@
 //	                                 # headline figures once, compare against
 //	                                 # the committed baseline (scaled by a
 //	                                 # machine-speed calibration), fail >20%
+//	                                 # or on any engine work-counter change
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -81,7 +83,6 @@ type benchReport struct {
 	Suite      string        `json:"suite"`
 	Short      bool          `json:"short"`
 	Workers    int           `json:"workers"`
-	Shards     int           `json:"shards,omitempty"`
 	Models     []string      `json:"models,omitempty"`
 	Benchmarks []benchRecord `json:"benchmarks"`
 	TotalNs    int64         `json:"total_ns"`
@@ -107,10 +108,13 @@ type trajectoryFile struct {
 	Entries []trajectoryEntry `json:"entries"`
 }
 
+// trajectoryEntry keeps its report as raw JSON, so historical entries
+// round-trip with every key they were recorded with — including fields
+// benchReport no longer has.
 type trajectoryEntry struct {
-	Label  string      `json:"label"`
-	Note   string      `json:"note,omitempty"`
-	Report benchReport `json:"report"`
+	Label  string          `json:"label"`
+	Note   string          `json:"note,omitempty"`
+	Report json.RawMessage `json:"report"`
 }
 
 // appendTrajectory folds rep into the trajectory file under label.
@@ -126,7 +130,11 @@ func appendTrajectory(path, label, note string, rep benchReport) error {
 	if tf.Format == 0 {
 		tf.Format = 1
 	}
-	entry := trajectoryEntry{Label: label, Note: note, Report: rep}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		return fmt.Errorf("encoding report: %w", err)
+	}
+	entry := trajectoryEntry{Label: label, Note: note, Report: raw}
 	replaced := false
 	for i := range tf.Entries {
 		if tf.Entries[i].Label == label {
@@ -195,17 +203,50 @@ type gateDelta struct {
 	Regressed        bool    `json:"regressed"`
 }
 
+// counterDelta is one engine work counter whose value differs from the
+// baseline's.
+type counterDelta struct {
+	Name     string `json:"name"`
+	Baseline int64  `json:"baseline"`
+	Current  int64  `json:"current"`
+}
+
 type gateReport struct {
-	Tolerance   float64     `json:"tolerance"`
-	CalibScale  float64     `json:"calibration_scale"`
-	Deltas      []gateDelta `json:"deltas"`
-	Regressions int         `json:"regressions"`
+	Tolerance   float64        `json:"tolerance"`
+	CalibScale  float64        `json:"calibration_scale"`
+	Deltas      []gateDelta    `json:"deltas"`
+	Regressions int            `json:"regressions"`
+	EngineDrift []counterDelta `json:"engine_drift,omitempty"`
+}
+
+// engineDrift lists the engine counters whose values differ between base
+// and cur, in engineRecord field order. A nil base skips the check; a nil
+// cur reads as all zeros.
+func engineDrift(base, cur *engineRecord) []counterDelta {
+	if base == nil {
+		return nil
+	}
+	if cur == nil {
+		cur = &engineRecord{}
+	}
+	bv, cv := reflect.ValueOf(*base), reflect.ValueOf(*cur)
+	var out []counterDelta
+	for i := 0; i < bv.NumField(); i++ {
+		if b, c := bv.Field(i).Int(), cv.Field(i).Int(); b != c {
+			name, _, _ := strings.Cut(bv.Type().Field(i).Tag.Get("json"), ",")
+			out = append(out, counterDelta{Name: name, Baseline: b, Current: c})
+		}
+	}
+	return out
 }
 
 // runGate compares the current report against a committed baseline: each
 // figure's wall time may exceed the (machine-speed-scaled) baseline by at
-// most the tolerance factor. The full comparison is written to outPath as
-// the CI artifact; any regression is an error.
+// most the tolerance factor, and every engine work counter must equal the
+// baseline's exactly (a baseline without engine_stats skips that check).
+// Work counts are noise-free, so a change that alters engine work has to
+// refresh the baseline on purpose. The full comparison is written to
+// outPath as the CI artifact; any regression or counter drift is an error.
 func runGate(cur benchReport, baselinePath, outPath string, tolerance float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -220,9 +261,6 @@ func runGate(cur benchReport, baselinePath, outPath string, tolerance float64) e
 	}
 	if base.Workers != cur.Workers {
 		return fmt.Errorf("baseline workers=%d but this run workers=%d; compare like with like", base.Workers, cur.Workers)
-	}
-	if base.Shards != cur.Shards {
-		return fmt.Errorf("baseline shards=%d but this run shards=%d; compare like with like", base.Shards, cur.Shards)
 	}
 	if fmt.Sprint(base.Models) != fmt.Sprint(cur.Models) {
 		return fmt.Errorf("baseline models=%v but this run models=%v; compare like with like", base.Models, cur.Models)
@@ -260,6 +298,7 @@ func runGate(cur benchReport, baselinePath, outPath string, tolerance float64) e
 			d.Name, float64(bn)/1e6, float64(scaled)/1e6, float64(b.Ns)/1e6, d.Ratio,
 			map[bool]string{true: "  REGRESSED", false: ""}[d.Regressed])
 	}
+	rep.EngineDrift = engineDrift(base.Engine, cur.Engine)
 	if outPath != "" {
 		out, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -282,6 +321,14 @@ func runGate(cur benchReport, baselinePath, outPath string, tolerance float64) e
 		return fmt.Errorf("%d of %d figures regressed beyond %.0f%% of the scaled baseline",
 			rep.Regressions, len(rep.Deltas), (tolerance-1)*100)
 	}
+	if len(rep.EngineDrift) > 0 {
+		var diffs []string
+		for _, d := range rep.EngineDrift {
+			diffs = append(diffs, fmt.Sprintf("%s %d -> %d", d.Name, d.Baseline, d.Current))
+		}
+		return fmt.Errorf("engine work counters differ from %s (%s); refresh the baseline if the change is intended",
+			baselinePath, strings.Join(diffs, ", "))
+	}
 	return nil
 }
 
@@ -292,9 +339,8 @@ func main() {
 		short      = flag.Bool("short", false, "shrunken workloads for a fast pass")
 		models     = flag.String("models", "", "comma-separated model subset (default: all five)")
 		workers    = flag.Int("workers", 0, "simulation worker pool size (0 = all cores, 1 = serial)")
-		shards     = flag.Int("shards", 0, "split every cluster co-simulation across this many shard workers (results are byte-identical at any setting; <= 1 runs the sequential driver)")
 		jsonPath   = flag.String("json", "", "write per-figure timings as JSON (BENCH_*.json perf-trajectory format) to this path")
-		gatePath   = flag.String("gate", "", "compare this run's timings against the baseline JSON at this path; exit nonzero on regression")
+		gatePath   = flag.String("gate", "", "compare this run's timings and engine work counters against the baseline JSON at this path; exit nonzero on a timing regression or any counter change")
 		gateOut    = flag.String("gateout", "BENCH_delta.json", "write the gate's per-figure delta report to this path (with -gate)")
 		gateTol    = flag.Float64("gatetol", 1.20, "regression tolerance: a figure fails the gate above this multiple of its scaled baseline")
 		trajPath   = flag.String("trajectory", "", "append this run's report to the per-PR bench history JSON at this path (BENCH_trajectory.json format; see BENCH.md)")
@@ -348,14 +394,14 @@ func main() {
 		}()
 	}
 
-	if err := run(*fig, *short, *models, *workers, *shards, *jsonPath, *bench, *gatePath, *gateOut, *gateTol, *trajPath, *trajLabel, *trajNote); err != nil {
+	if err := run(*fig, *short, *models, *workers, *jsonPath, *bench, *gatePath, *gateOut, *gateTol, *trajPath, *trajLabel, *trajNote); err != nil {
 		fmt.Fprintf(os.Stderr, "g10bench: %v\n", err)
 		failed = true
 	}
 }
 
-func run(fig string, short bool, models string, workers, shards int, jsonPath string, bench bool, gatePath, gateOut string, gateTol float64, trajPath, trajLabel, trajNote string) error {
-	opt := experiments.Options{Short: short, W: os.Stdout, Perf: os.Stdout, Workers: workers, Shards: shards}
+func run(fig string, short bool, models string, workers int, jsonPath string, bench bool, gatePath, gateOut string, gateTol float64, trajPath, trajLabel, trajNote string) error {
+	opt := experiments.Options{Short: short, W: os.Stdout, Perf: os.Stdout, Workers: workers}
 	if models != "" {
 		opt.Models = strings.Split(models, ",")
 	}
@@ -372,7 +418,7 @@ func run(fig string, short bool, models string, workers, shards int, jsonPath st
 		}
 	}
 
-	report := benchReport{Suite: "g10bench-figures", Short: short, Workers: workers, Shards: shards, Models: opt.Models}
+	report := benchReport{Suite: "g10bench-figures", Short: short, Workers: workers, Models: opt.Models}
 	if bench || gatePath != "" {
 		report.CalibrationNs = calibrate()
 	}

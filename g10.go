@@ -275,10 +275,6 @@ type ClusterConfig struct {
 	// SSDs is the number of drives in the shared array (default 1); the
 	// array's bandwidth and capacity scale linearly with it.
 	SSDs int
-	// Shards splits the co-simulation across that many shard workers,
-	// advancing independent scheduler state concurrently. The report is
-	// byte-identical at any shard count; <= 1 runs sequentially.
-	Shards int
 	// Faults injects a deterministic fault schedule — server crashes, PCIe
 	// link degradation windows, flash die failures. nil injects nothing.
 	Faults *FaultPlan
@@ -412,8 +408,7 @@ func SimulateCluster(jobs []ClusterJob, ccfg ClusterConfig) (ClusterReport, erro
 		}
 	}
 	cres, err := gpu.RunCluster(gpu.ClusterParams{
-		Tenants: tenants, Shared: shared, Shards: ccfg.Shards,
-		Faults: ccfg.Faults.toInternal(),
+		Tenants: tenants, Shared: shared, Faults: ccfg.Faults.toInternal(),
 	})
 	if err != nil {
 		return ClusterReport{}, err
@@ -462,10 +457,6 @@ type InferenceConfig struct {
 	// offloads proactively while admissions queue (default 0.8).
 	Tiered           bool
 	OffloadThreshold float64
-
-	// Shards splits the simulation across shard workers; the report is
-	// byte-identical at any shard count.
-	Shards int
 }
 
 // InferenceRequestStat is one request's simulated timeline.
@@ -523,7 +514,6 @@ func SimulateInference(reqs []InferenceRequest, cfg InferenceConfig) (InferenceR
 		HostBlocks:  cfg.HostBlocks,
 		BlockTokens: cfg.BlockTokens,
 		BlockBytes:  units.Bytes(cfg.BlockMB * float64(units.MB)),
-		Shards:      cfg.Shards,
 	})
 	if err != nil {
 		return InferenceReport{}, err

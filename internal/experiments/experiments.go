@@ -75,11 +75,6 @@ type Options struct {
 	// serial). Results are identical at any setting: runs are pure and the
 	// session cache is single-flight.
 	Workers int
-	// Shards splits every cluster co-simulation across that many shard
-	// workers (<= 1 runs the sequential driver). The sharded driver is
-	// byte-identical to the sequential one, so figures are unchanged at any
-	// setting.
-	Shards int
 }
 
 func (o Options) writer() io.Writer {
@@ -321,9 +316,6 @@ func (s *Session) RunCluster(key string, build func() (gpu.ClusterParams, error)
 		if err != nil {
 			return gpu.ClusterResult{}, err
 		}
-		if p.Shards == 0 {
-			p.Shards = s.opt.Shards
-		}
 		var es gpu.EngineStats
 		if p.Engine == nil {
 			p.Engine = &es
@@ -361,9 +353,6 @@ func (s *Session) RunInference(key string, build func() (gpu.InferenceParams, er
 		p, err := build()
 		if err != nil {
 			return inferenceCell{}, err
-		}
-		if p.Shards == 0 {
-			p.Shards = s.opt.Shards
 		}
 		var es gpu.EngineStats
 		if p.Engine == nil {

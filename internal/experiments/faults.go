@@ -7,8 +7,8 @@
 // fault-free baseline, wasted (re-executed) work, restarts, checkpoint
 // flash traffic with per-model wear attribution, and goodput — the fraction
 // of occupied span that was useful. Every cell is byte-identical across
-// drivers and shard counts: fault events are applied at the drivers' common
-// pump point (see internal/gpu/faults.go).
+// drivers: fault events are applied at the drivers' common pump point (see
+// internal/gpu/faults.go).
 package experiments
 
 import (

@@ -8,25 +8,21 @@ import (
 
 // TestFaultsFigureDeterministic is the acceptance differential for the
 // fault study: the printed figure must be byte-identical across prewarm
-// worker counts and shard counts — fault injection rides the drivers'
-// common pump point, so the parallelism knobs change wall time only.
+// worker counts — the worker pool changes wall time only.
 func TestFaultsFigureDeterministic(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 3} {
-			var buf bytes.Buffer
-			s := NewSession(Options{Short: true, W: &buf, Workers: workers, Shards: shards})
-			if _, err := Faults(s); err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = buf.Bytes()
-				continue
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("workers=%d shards=%d drifted%s", workers, shards,
-					goldenDiff(want, buf.Bytes()))
-			}
+		var buf bytes.Buffer
+		s := NewSession(Options{Short: true, W: &buf, Workers: workers})
+		if _, err := Faults(s); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("workers=%d drifted%s", workers, goldenDiff(want, buf.Bytes()))
 		}
 	}
 }

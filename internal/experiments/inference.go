@@ -148,7 +148,7 @@ func (s *Session) inferenceCell(pol gpu.KVPolicy, n int) (gpu.InferenceResult, t
 }
 
 // Inference runs the serving study and prints per-policy rows at each trace
-// scale. The table is deterministic at any Options.Workers/Shards setting;
+// scale. The table is deterministic at any Options.Workers setting;
 // the per-cell simulated-requests-per-wall-second lines go to Options.Perf.
 func Inference(s *Session) ([]InferenceRow, error) {
 	w := s.opt.writer()

@@ -10,54 +10,45 @@ import (
 
 // TestInferenceFigureDeterministic is the experiments-level serving
 // differential: the printed inference figure must be byte-identical across
-// prewarm worker counts and shard counts — the parallelism knobs change
-// wall time only, never a number. Each combination runs a fresh session so
-// the single-flight caches cannot mask a divergence.
+// prewarm worker counts — the worker pool changes wall time only, never a
+// number. Each count runs a fresh session so the single-flight caches cannot
+// mask a divergence.
 func TestInferenceFigureDeterministic(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 3} {
-			var buf bytes.Buffer
-			s := NewSession(Options{Short: true, W: &buf, Workers: workers, Shards: shards})
-			if _, err := Inference(s); err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = buf.Bytes()
-				continue
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("workers=%d shards=%d drifted%s", workers, shards,
-					goldenDiff(want, buf.Bytes()))
-			}
+		var buf bytes.Buffer
+		s := NewSession(Options{Short: true, W: &buf, Workers: workers})
+		if _, err := Inference(s); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("workers=%d drifted%s", workers, goldenDiff(want, buf.Bytes()))
 		}
 	}
 }
 
 // TestInferenceCellDriversMatch closes the driver differential at figure
 // scale: every short-mode cell re-run under the polling reference scheduler
-// and the sharded driver must reproduce the event driver's result exactly.
+// must reproduce the event driver's result exactly.
 func TestInferenceCellDriversMatch(t *testing.T) {
 	s := NewSession(Options{Short: true})
 	for _, n := range s.inferenceSizes() {
 		for _, pol := range inferencePolicies() {
-			base := s.inferenceParams(pol, n)
-			runWith := func(driver gpu.Driver, shards int) gpu.InferenceResult {
-				p := base
+			runWith := func(driver gpu.Driver) gpu.InferenceResult {
+				p := s.inferenceParams(pol, n)
 				p.Driver = driver
-				p.Shards = shards
 				res, err := gpu.RunInference(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			want := runWith(gpu.DriverEvents, 1)
-			if got := runWith(gpu.DriverPolling, 1); !reflect.DeepEqual(got, want) {
+			if want, got := runWith(gpu.DriverAuto), runWith(gpu.DriverPolling); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s n=%d: polling driver diverged from events", pol.Name(), n)
-			}
-			if got := runWith(gpu.DriverAuto, 3); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s n=%d: sharded driver diverged from events", pol.Name(), n)
 			}
 		}
 	}

@@ -2,10 +2,8 @@
 // system) replays growing prefixes of the fixed-seed fleet arrival trace,
 // and the figure reports the scheduler's step-machine cost next to the
 // simulated makespan — the near-linear-steps claim of the event-driven
-// engine, and the workload the sharded driver (Options.Shards) splits
-// across workers. Every printed number is a pure function of the trace:
-// the sharded driver is byte-identical to the sequential one (including
-// the step count), so this figure's golden snapshot pins both.
+// engine. Every printed number, the step count included, is a pure
+// function of the trace, so this figure's golden snapshot pins both.
 package experiments
 
 import (
@@ -61,7 +59,6 @@ func Scaling(s *Session) ([]ScalingRow, error) {
 		}
 		var steps int64
 		p.StepCount = &steps
-		p.Shards = s.opt.Shards
 		res, err := gpu.RunCluster(p)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling %d: %w", n, err)

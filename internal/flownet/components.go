@@ -9,19 +9,12 @@
 // sequence — the same float operations in the same order, hence bit-equal
 // rates (DESIGN.md §11 gives the argument in full).
 //
-// That factorization buys two things. Components whose flow multiset and
-// capacities are unchanged since the last recompute (no dirty resource)
-// keep their allocation verbatim and skip filling entirely — in a fleet,
-// one tenant's chunk completion re-derives that tenant's coupling group,
-// not every flow in the cluster. And dirty components are mutually
-// independent, so a sharded cluster driver may fill them concurrently
-// (SetWorkers) with no synchronization beyond the final join.
+// That factorization lets components whose flow multiset and capacities are
+// unchanged since the last recompute (no dirty resource) keep their
+// allocation verbatim and skip filling entirely — in a fleet, one tenant's
+// chunk completion re-derives that tenant's coupling group, not every flow
+// in the cluster.
 package flownet
-
-import (
-	"sync"
-	"sync/atomic"
-)
 
 // component is one connected group of active flows and the busy resources
 // they traverse. res is kept in registration order so the bottleneck search
@@ -32,26 +25,12 @@ import (
 type component struct {
 	flows []*Flow
 	res   []*Resource
-	// fs is this component's private fill scratch and work counters (folded
-	// into the network after any parallel workers join); rec, when non-nil,
-	// asks the fill to record its trace for frontier refills; ref pins the
-	// fill to the reference scan loop (ForceReferenceFillForTest).
-	fs  fillState
+	// rec, when non-nil, asks the fill to record its trace for frontier
+	// refills; ref pins the fill to the reference scan loop
+	// (ForceReferenceFillForTest).
 	rec *fillTrace
 	ref bool
 }
-
-// parallelFillMinFlows gates the concurrent fill: below this many flows in
-// dirty components the goroutine handoff costs more than the filling. A var
-// so tests can force the parallel path on tiny networks.
-var parallelFillMinFlows = 64
-
-// SetWorkers caps the goroutines a rate re-derivation may use to fill
-// independent dirty components concurrently. Rates are bit-identical at any
-// worker count (components share no state); 0 or 1 keeps the recompute
-// strictly sequential. The sharded cluster driver raises this to its shard
-// count for the run.
-func (n *Network) SetWorkers(k int) { n.workers = k }
 
 // markDirty records that r was touched since the last recompute.
 func (n *Network) markDirty(r *Resource) {
@@ -71,11 +50,10 @@ func (n *Network) markRouteDirty(route []*Resource) {
 
 // recomputeComponents is the scoped component-decomposed progressive fill:
 // flood-fill the dirty components from the dirty resources through the
-// per-resource flow adjacency, then refill only those — concurrently when a
-// worker budget is set and the work warrants it. Components untouched since
-// the last recompute are never even visited: discovery cost scales with the
-// dirty subgraph, not the active set (one tenant's chunk completion walks
-// that tenant's coupling group, whatever the fleet size).
+// per-resource flow adjacency, then refill only those. Components untouched
+// since the last recompute are never even visited: discovery cost scales
+// with the dirty subgraph, not the active set (one tenant's chunk completion
+// walks that tenant's coupling group, whatever the fleet size).
 func (n *Network) recomputeComponents() {
 	if !n.adjacency {
 		// First component-decomposed recompute: bring the adjacency up for
@@ -187,42 +165,13 @@ func (n *Network) recomputeComponents() {
 		}
 	}
 
-	if n.workers > 1 && ncomp > 1 && len(touched) >= parallelFillMinFlows {
-		var cursor atomic.Int32
-		var wg sync.WaitGroup
-		workers := n.workers
-		if workers > ncomp {
-			workers = ncomp
-		}
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= ncomp {
-						return
-					}
-					fillComponent(&comps[i])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < ncomp; i++ {
-			fillComponent(&comps[i])
-		}
-	}
 	for i := 0; i < ncomp; i++ {
-		n.fillRounds += comps[i].fs.rounds
-		n.fillResScans += comps[i].fs.scans
-		comps[i].fs.rounds, comps[i].fs.scans = 0, 0
+		fillComponent(&comps[i], &n.fill)
 	}
 	// Settle the flows whose rate the fill changed (replaying elapsed
 	// segments at the outgoing rate — untouched components and unchanged
 	// flows keep their settlement debt), then re-derive the refilled
-	// components' aggregate service rates. Both run serially, after the
-	// workers join.
+	// components' aggregate service rates.
 	if !n.eager {
 		for ci := 0; ci < ncomp; ci++ {
 			c := &comps[ci]

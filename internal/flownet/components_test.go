@@ -119,24 +119,6 @@ func TestComponentFillMatchesGlobal(t *testing.T) {
 	}
 }
 
-// TestParallelFillMatchesSequential: concurrent filling of dirty components
-// is bit-identical to sequential filling at any worker count. The gate is
-// lowered so the tiny test topology actually exercises the goroutine path.
-func TestParallelFillMatchesSequential(t *testing.T) {
-	old := parallelFillMinFlows
-	parallelFillMinFlows = 2
-	defer func() { parallelFillMinFlows = old }()
-	for _, workers := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				driveDifferential(t, seed, func(ref, dut *Network) {
-					dut.SetWorkers(workers)
-				})
-			}
-		})
-	}
-}
-
 // TestDirtySkipActuallySkips pins the perf mechanism itself: completing a
 // flow in one coupling group must not re-key rates of flows in another —
 // their entries keep rate == prevRate through the recompute.

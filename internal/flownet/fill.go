@@ -202,9 +202,8 @@ func (n *Network) newTrace() *fillTrace {
 
 // ---- layer 1: the heap-driven fill ----
 
-// fillState is per-fill scratch (one per component, so concurrent component
-// fills never share it) plus the fill-work counters the caller folds into
-// the network after any parallel workers join.
+// fillState is the network's heap-fill scratch plus the fill-work counters
+// every fill (component, frontier refill, global) adds to.
 type fillState struct {
 	heap    []*Resource
 	touched []*Resource
@@ -382,7 +381,7 @@ func heapFill(flows []*Flow, res []*Resource, fs *fillState, rec *fillTrace, lev
 // flows for bottleneck users. Retained behind ForceReferenceFillForTest as
 // the executable specification the heap fill and the frontier refill are
 // differentially pinned against.
-func fillComponentRef(c *component) {
+func fillComponentRef(c *component, fs *fillState) {
 	for _, f := range c.flows {
 		f.frozen = false
 		f.rate = 0
@@ -391,8 +390,8 @@ func fillComponentRef(c *component) {
 	for unfrozen > 0 {
 		var bottleneck *Resource
 		share := math.Inf(1)
-		c.fs.rounds++
-		c.fs.scans += int64(len(c.res))
+		fs.rounds++
+		fs.scans += int64(len(c.res))
 		for _, r := range c.res {
 			if r.count == 0 {
 				continue
@@ -428,12 +427,12 @@ func fillComponentRef(c *component) {
 
 // fillComponent fills one dirty component: the heap-driven fill on the
 // production path (recording a trace when the component was chosen for
-// one), the reference loop under ForceReferenceFillForTest. All writes are
-// to component-local state, so dirty components fill in any order — or
-// concurrently — with bit-equal results.
-func fillComponent(c *component) {
+// one), the reference loop under ForceReferenceFillForTest. All writes
+// besides fs are to component-local state, so dirty components fill in any
+// order with bit-equal results.
+func fillComponent(c *component, fs *fillState) {
 	if c.ref {
-		fillComponentRef(c)
+		fillComponentRef(c, fs)
 		return
 	}
 	for i, r := range c.res {
@@ -453,7 +452,7 @@ func fillComponent(c *component) {
 		}
 		c.rec.res = append(c.rec.res[:0], c.res...)
 	}
-	heapFill(c.flows, c.res, &c.fs, c.rec, 0)
+	heapFill(c.flows, c.res, fs, c.rec, 0)
 }
 
 // ---- layer 2: the frontier-incremental refill ----
@@ -672,11 +671,7 @@ func (n *Network) frontierRefill(t *fillTrace, L int) {
 	n.refillRes = resList
 	t.levels = t.levels[:L]
 	t.frozenSeq = t.frozenSeq[:prefixLen]
-	fs := &n.refillFS
-	heapFill(cands, resList, fs, t, int32(L))
-	n.fillRounds += fs.rounds
-	n.fillResScans += fs.scans
-	fs.rounds, fs.scans = 0, 0
+	heapFill(cands, resList, &n.fill, t, int32(L))
 	if !n.eager {
 		// Settle the flows whose rate changed at their outgoing rate, then
 		// fold the rate deltas into the route aggregates. Prefix flows and
@@ -709,13 +704,13 @@ func (n *Network) frontierRefill(t *fillTrace, L int) {
 
 // FillRounds reports how many progressive-filling rounds (bottleneck
 // selections) the network has performed.
-func (n *Network) FillRounds() int64 { return n.fillRounds }
+func (n *Network) FillRounds() int64 { return n.fill.rounds }
 
 // FillResScans reports how many resource examinations the fills performed:
 // the reference loop scans every component resource every round; the heap
 // fill pays the initial key build plus one examination per re-keyed
 // resource per round.
-func (n *Network) FillResScans() int64 { return n.fillResScans }
+func (n *Network) FillResScans() int64 { return n.fill.scans }
 
 // FrontierReuses reports how many recomputes were served by a frontier
 // refill of the recorded fill trace instead of a full component fill.

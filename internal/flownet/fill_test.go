@@ -153,23 +153,24 @@ func TestFrontierGiantComponent(t *testing.T) {
 	}
 }
 
-// TestFrontierGiantComponentParallel re-runs the giant-component
-// differential with a worker budget, as the sharded cluster driver sets
-// one: the refill itself is single-component (nothing to parallelize), but
-// trace recording and invalidation must stay correct around concurrent
-// component fills.
+// TestFrontierGiantComponentParallel drives giant-component differentials
+// on separate networks in parallel, as concurrent RunCluster calls do. Fill
+// scratch, trace and counters live on each Network, so each pair must match
+// its reference fill and a second run of its seed; -race flags shared state.
 func TestFrontierGiantComponentParallel(t *testing.T) {
 	if forceReferenceFill.Load() {
 		t.Skip("reference fill forced; no frontier to exercise")
 	}
-	old := parallelFillMinFlows
-	parallelFillMinFlows = 2
-	defer func() { parallelFillMinFlows = old }()
 	for seed := int64(5); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			giantDifferential(t, seed, 32, 400, func(ref, dut *Network) {
-				dut.SetWorkers(3)
-			})
+			t.Parallel()
+			_, dut := giantDifferential(t, seed, 32, 400, func(ref, dut *Network) {})
+			_, again := giantDifferential(t, seed, 32, 400, func(ref, dut *Network) {})
+			got := [3]int64{dut.FillRounds(), dut.FillResScans(), dut.FrontierReuses()}
+			want := [3]int64{again.FillRounds(), again.FillResScans(), again.FrontierReuses()}
+			if got[2] == 0 || got != want {
+				t.Fatalf("rounds/resScans/frontier reuses %v, rerun %v: want equal, reuses > 0", got, want)
+			}
 		})
 	}
 }

@@ -210,10 +210,6 @@ type Network struct {
 	// dirtyRes lists the resources marked dirty since the last recompute
 	// (deduplicated via Resource.dirty); cleared when rates are re-derived.
 	dirtyRes []*Resource
-	// workers caps the goroutines a recompute may use to fill independent
-	// dirty components concurrently (see components.go). 0 or 1 keeps the
-	// recompute strictly sequential.
-	workers int
 	// forceGlobalFill pins recompute to the direct global fill at any size —
 	// the reference side of the component-decomposition differential tests.
 	forceGlobalFill bool
@@ -228,7 +224,7 @@ type Network struct {
 	// Fill trace and frontier-refill state (see fill.go). trace is the
 	// recorded fill of the traced component (nil when none); traceBuf is the
 	// reused backing object; the delta lists accumulate flow attach/detach
-	// records between recomputes; refillRes/refillFS are refill scratch.
+	// records between recomputes; refillRes is refill scratch.
 	trace       *fillTrace
 	traceBuf    *fillTrace
 	traceGenSrc uint32
@@ -237,7 +233,6 @@ type Network struct {
 	deltaRes    []*Resource
 	deltaStamp  uint32
 	refillRes   []*Resource
-	refillFS    fillState
 	// refFill pins this network to the reference per-round-scan fill (no
 	// heap, no trace, no frontier refills). Latched from
 	// ForceReferenceFillForTest at New.
@@ -296,12 +291,11 @@ type Network struct {
 	// completion-heap candidates when heap-driven.
 	progressTouches int64
 	reapScans       int64
-	// fillRounds counts progressive-filling rounds (bottleneck selections);
-	// fillResScans counts resource examinations those rounds performed;
-	// frontierReuses counts recomputes served by a frontier refill of the
-	// recorded fill trace instead of a full component fill.
-	fillRounds     int64
-	fillResScans   int64
+	// fill is the fill scratch, and counts progressive-filling rounds
+	// (bottleneck selections) and the resource examinations those rounds
+	// performed; frontierReuses counts recomputes served by a frontier
+	// refill of the recorded fill trace instead of a full component fill.
+	fill           fillState
 	frontierReuses int64
 
 	// nextEvCache memoises NextEvent between state changes: the drivers ask
@@ -1278,8 +1272,8 @@ func (n *Network) recomputeGlobal() {
 		// Find the bottleneck resource.
 		var bottleneck *Resource
 		share := math.Inf(1)
-		n.fillRounds++
-		n.fillResScans += int64(len(busy))
+		n.fill.rounds++
+		n.fill.scans += int64(len(busy))
 		for _, r := range busy {
 			if r.count == 0 {
 				continue

@@ -13,8 +13,7 @@
 // polling scheduler (the shared-clock loop this engine grew out of) is
 // retained behind ClusterParams.Driver; differential tests pin the two
 // bit-identical across every model × policy. A one-tenant cluster executes
-// exactly the single-machine Run loop. ClusterParams.Shards > 1 selects the
-// sharded driver (shard.go), byte-identical to the sequential one.
+// exactly the single-machine Run loop.
 package gpu
 
 import (
@@ -67,12 +66,8 @@ type ClusterParams struct {
 	// memory capacity, and host DRAM bandwidth (its per-GPU fields are
 	// ignored).
 	Shared Config
-	// Shards splits the cluster across that many shard workers (see
-	// shard.go); results are byte-identical at any value. <= 1 runs the
-	// sequential scheduler.
-	Shards int
 	// Driver selects the scheduler implementation; the zero value is the
-	// production event-driven scheduler (sharded when Shards > 1).
+	// production event-driven scheduler.
 	Driver Driver
 	// StepCount, when non-nil, accumulates the run's step-machine
 	// invocations — the scheduler-cost metric BenchmarkClusterScaling pins
@@ -82,13 +77,13 @@ type ClusterParams struct {
 	// Engine, when non-nil, accumulates the run's engine-internal work
 	// counters (see EngineStats). Like StepCount, this is an out-parameter
 	// rather than a ClusterResult field so results stay byte-comparable
-	// across drivers and shard counts in differential tests while the
+	// across drivers and engine modes in differential tests while the
 	// bookkeeping costs — which legitimately differ between eager and lazy
 	// engine modes — are observable separately.
 	Engine *EngineStats
 	// Faults injects a deterministic fault schedule (faults.go). The events
 	// are applied at the same pump point in every driver, so byte-identity
-	// across drivers and shard counts holds for faulted runs too. nil or
+	// across drivers holds for faulted runs too. nil or
 	// empty injects nothing and adds no overhead.
 	Faults *FaultPlan
 }
@@ -152,12 +147,8 @@ func (s *EngineStats) Add(o EngineStats) {
 type Driver int
 
 const (
-	// DriverAuto is the production path: the event-driven scheduler,
-	// sharded when ClusterParams.Shards > 1.
+	// DriverAuto is the production path: the event-driven scheduler.
 	DriverAuto Driver = iota
-	// DriverEvents forces the sequential event-driven scheduler even when a
-	// shard count is set (the reference side of sharded differentials).
-	DriverEvents
 	// DriverPolling selects the retained polling reference scheduler
 	// (differential tests; executable documentation of the semantics).
 	DriverPolling
@@ -237,7 +228,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 		r.arrival = t.ArrivalTime
 		runners[i] = r
 	}
-	opt := driveOptions{driver: p.Driver, shards: p.Shards, steps: p.StepCount}
+	opt := driveOptions{driver: p.Driver, steps: p.StepCount}
 	if !p.Faults.Empty() {
 		opt.faults = newFaultClock(p.Faults, runners, sh, net)
 		mtbf := p.Faults.MTBF(len(p.Tenants))
@@ -305,11 +296,10 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 }
 
 // driveOptions is the per-run scheduler configuration — replacing what used
-// to be process-global toggles, so concurrent runs (and concurrent shards
-// within one run) never share mutable state.
+// to be process-global toggles, so concurrent runs never share mutable
+// state.
 type driveOptions struct {
 	driver Driver
-	shards int
 	steps  *int64
 	faults *faultClock
 }
@@ -318,12 +308,9 @@ type driveOptions struct {
 func drive(net *flownet.Network, tenants []*runner, opt driveOptions) error {
 	var steps int64
 	var err error
-	switch {
-	case opt.driver == DriverPolling:
+	if opt.driver == DriverPolling {
 		err = drivePolling(net, tenants, opt.faults, &steps)
-	case opt.driver == DriverAuto && opt.shards > 1:
-		err = driveSharded(net, tenants, opt.shards, opt.faults, &steps)
-	default:
+	} else {
 		err = driveEvents(net, tenants, opt.faults, &steps)
 	}
 	if opt.steps != nil {
@@ -357,50 +344,15 @@ func (h *execHeap) Pop() any {
 	return e
 }
 
-// bitset is a fixed-size index set iterated in ascending order, so wake and
-// dispatch rounds preserve the deterministic tenant ordering the polling
-// scheduler had.
+// bitset is a fixed-size index set; wakeSet iterates it in ascending order,
+// so wake and dispatch rounds preserve the deterministic tenant ordering the
+// polling scheduler had.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
-func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-func (b bitset) any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// drain appends the set indices (ascending) to out and clears the set.
-func (b bitset) drain(out []int) []int {
-	for wi, w := range b {
-		for w != 0 {
-			out = append(out, wi<<6+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-		b[wi] = 0
-	}
-	return out
-}
-
-// forEach visits the set indices in ascending order. The visitor may clear
-// bits (including the current one) but must not set bits below the cursor.
-func (b bitset) forEach(fn func(i int)) {
-	for wi := range b {
-		w := b[wi]
-		for w != 0 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			fn(i)
-		}
-	}
-}
+func (b bitset) set(i int)   { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 
 // wakeSet is a bitset with a word-range watermark: iteration touches only
 // [lo, hi], the words that can hold set bits, instead of the whole backing

@@ -5,8 +5,8 @@
 // windows, and flash die failures. The drivers fold the plan's next event
 // time into their shared-clock horizon and apply due events at one pump
 // point — after the network advance and kernel-end pops, before arrival
-// admission — identically in the event, polling, and sharded schedulers, so
-// the byte-identity contract between them extends to faulted runs unchanged
+// admission — identically in the event and polling schedulers, so the
+// byte-identity contract between them extends to faulted runs unchanged
 // (see DESIGN.md §15).
 //
 // A crash aborts the victim's in-flight kernel and flows (riding the

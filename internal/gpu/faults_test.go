@@ -55,8 +55,8 @@ func makespanOf(t testing.TB, build func() ClusterParams) units.Time {
 
 // TestFaultedDriversMatch: a run with crashes (one permanent), a link
 // degradation window, and a die failure must be byte-identical across the
-// event, polling, and sharded drivers at shard counts 1–3 — the fault pump
-// point preserves the engines' equivalence contract.
+// event and polling drivers — the fault pump point preserves the engines'
+// equivalence contract.
 func TestFaultedDriversMatch(t *testing.T) {
 	H := makespanOf(t, faultTestParams(t, nil, 0, 3))
 	plan := &FaultPlan{
@@ -71,14 +71,6 @@ func TestFaultedDriversMatch(t *testing.T) {
 	ev, poll := runBothDrivers(t, build)
 	if !reflect.DeepEqual(ev, poll) {
 		t.Errorf("faulted event run diverged from polling:\nevent:   %+v\npolling: %+v", ev, poll)
-	}
-	for _, shards := range []int{2, 3} {
-		p := build()
-		p.Shards = shards
-		sh := mustRunCluster(t, p)
-		if !reflect.DeepEqual(ev, sh) {
-			t.Errorf("faulted sharded run (%d shards) diverged:\nevent:   %+v\nsharded: %+v", shards, ev, sh)
-		}
 	}
 	if ev.Tenants[0].Restarts != 1 {
 		t.Errorf("tenant 0 restarts = %d, want 1", ev.Tenants[0].Restarts)
@@ -123,11 +115,6 @@ func TestMidExecutionCrashAborts(t *testing.T) {
 		if !reflect.DeepEqual(ev, poll) {
 			t.Errorf("crash at %v: event diverged from polling", at)
 		}
-		p := build()
-		p.Shards = 3
-		if sh := mustRunCluster(t, p); !reflect.DeepEqual(ev, sh) {
-			t.Errorf("crash at %v: sharded diverged", at)
-		}
 		victim := ev.Tenants[0]
 		if victim.Failed {
 			t.Errorf("crash at %v: victim failed: %s", at, victim.FailReason)
@@ -139,7 +126,7 @@ func TestMidExecutionCrashAborts(t *testing.T) {
 			t.Errorf("crash at %v: wasted time = %v, want > 0", at, victim.WastedTime)
 		}
 		var es EngineStats
-		p = build()
+		p := build()
 		p.Engine = &es
 		mustRunCluster(t, p)
 		aborts += es.TenantAborts

@@ -29,14 +29,13 @@
 // just-evicted request cannot instantly readmit into the same full pool
 // and burn a prefill for zero progress.
 //
-// The same three cluster drivers (events / polling / sharded) advance
-// request tenants unchanged. Bit-identity across them rests on the same
-// two invariants the training runner obeys: woken tenants step in ascending
-// index order within a round, and stepping an un-woken request is a strict
-// no-op — blocked states change only through explicit grants and evictions
-// (applied by the server's pump at deterministic simulation points) and
-// through the request's own flow completions, never by re-polling shared
-// state.
+// The same two cluster drivers (events / polling) advance request tenants
+// unchanged. Bit-identity across them rests on the same two invariants the
+// training runner obeys: woken tenants step in ascending index order within
+// a round, and stepping an un-woken request is a strict no-op — blocked
+// states change only through explicit grants and evictions (applied by the
+// server's pump at deterministic simulation points) and through the
+// request's own flow completions, never by re-polling shared state.
 package gpu
 
 import (
@@ -102,7 +101,6 @@ type InferenceParams struct {
 	TierLatency     units.Duration
 
 	// Scheduler plumbing, as in ClusterParams.
-	Shards    int
 	Driver    Driver
 	StepCount *int64
 	Engine    *EngineStats
@@ -348,8 +346,8 @@ func (e *infEngine) blocksFor(tokens int) int {
 }
 
 // RunInference simulates the request trace on the cluster engine and
-// returns per-request stats. Results are byte-identical across drivers and
-// shard counts, like RunCluster.
+// returns per-request stats. Results are byte-identical across drivers, like
+// RunCluster.
 func RunInference(p InferenceParams) (InferenceResult, error) {
 	p = p.withDefaults()
 	if len(p.Requests) == 0 {
@@ -391,7 +389,7 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 		q.r = r
 		runners[i] = r
 	}
-	opt := driveOptions{driver: p.Driver, shards: p.Shards, steps: p.StepCount}
+	opt := driveOptions{driver: p.Driver, steps: p.StepCount}
 	if err := drive(net, runners, opt); err != nil {
 		return InferenceResult{}, err
 	}

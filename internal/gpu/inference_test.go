@@ -77,53 +77,29 @@ func churnParams(n int, seed uint64, pol KVPolicy) InferenceParams {
 }
 
 // TestInferenceDriversMatch pins the serving engine deterministic and
-// byte-identical across the event-driven, polling, and sharded drivers for
-// both KV policies, in the style of TestShardedMatchesSequential.
+// byte-identical across the event-driven and polling drivers for both KV
+// policies.
 func TestInferenceDriversMatch(t *testing.T) {
 	for _, polName := range []string{"single", "tiered"} {
 		pol := singleTierKV
 		if polName == "tiered" {
 			pol = tieredKV
 		}
-		base := churnParams(240, 0x67313069, pol())
-		base.Driver = DriverEvents
-		var refSteps int64
-		base.StepCount = &refSteps
-		ref, err := RunInference(base)
+		ref, err := RunInference(churnParams(240, 0x67313069, pol()))
 		if err != nil {
 			t.Fatalf("%s events: %v", polName, err)
 		}
 		if ref.Makespan <= 0 {
 			t.Fatalf("%s: empty run (makespan %v)", polName, ref.Makespan)
 		}
-		cases := []struct {
-			name   string
-			driver Driver
-			shards int
-		}{
-			{"polling", DriverPolling, 0},
-			{"sharded-2", DriverAuto, 2},
-			{"sharded-3", DriverAuto, 3},
+		p := churnParams(240, 0x67313069, pol())
+		p.Driver = DriverPolling
+		got, err := RunInference(p)
+		if err != nil {
+			t.Fatalf("%s polling: %v", polName, err)
 		}
-		for _, tc := range cases {
-			p := churnParams(240, 0x67313069, pol())
-			p.Driver = tc.driver
-			p.Shards = tc.shards
-			var steps int64
-			p.StepCount = &steps
-			got, err := RunInference(p)
-			if err != nil {
-				t.Fatalf("%s %s: %v", polName, tc.name, err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s: %s result diverged from the events driver", polName, tc.name)
-			}
-			// The sharded driver advances the same step machine the same
-			// number of times; the polling reference legitimately steps
-			// blocked tenants extra (no-op) times.
-			if tc.driver == DriverAuto && steps != refSteps {
-				t.Errorf("%s %s: %d steps, events driver took %d", polName, tc.name, steps, refSteps)
-			}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: polling result diverged from the events driver", polName)
 		}
 	}
 }

@@ -15,14 +15,11 @@ import (
 // lazy engine (deferred flow settlement, heap-driven reap, epoch-based TLB
 // shootdowns) and under the retained eager references
 // (ForceEagerProgressForTest + ForceReferenceTLBForTest), across both
-// cluster drivers and a sharded run. All results must agree bit for bit:
+// cluster drivers. All results must agree bit for bit:
 // laziness is an accounting strategy, never a semantic one.
 func runEngineModes(t *testing.T, build func() ClusterParams) {
 	t.Helper()
 	lazyEv, lazyPoll := runBothDrivers(t, build)
-	sp := build()
-	sp.Shards = 3
-	lazySharded := mustRunCluster(t, sp)
 
 	flownet.ForceEagerProgressForTest(true)
 	uvm.ForceReferenceTLBForTest(true)
@@ -37,13 +34,10 @@ func runEngineModes(t *testing.T, build func() ClusterParams) {
 	// Third engine mode: the lazy engine with the reference max-min fill
 	// (full scan loops, no fill trace, no frontier refills) — pins the
 	// heap-driven fill and the frontier refill across models, policies,
-	// drivers, and shard counts.
+	// and drivers.
 	flownet.ForceReferenceFillForTest(true)
 	defer flownet.ForceReferenceFillForTest(false)
 	refFillEv, refFillPoll := runBothDrivers(t, build)
-	sp = build()
-	sp.Shards = 3
-	refFillSharded := mustRunCluster(t, sp)
 	flownet.ForceReferenceFillForTest(false)
 
 	if !reflect.DeepEqual(lazyEv, eagerEv) {
@@ -52,17 +46,11 @@ func runEngineModes(t *testing.T, build func() ClusterParams) {
 	if !reflect.DeepEqual(lazyPoll, eagerPoll) {
 		t.Errorf("lazy engine diverged from eager reference (polling driver):\nlazy:  %+v\neager: %+v", lazyPoll, eagerPoll)
 	}
-	if !reflect.DeepEqual(lazyEv, lazySharded) {
-		t.Errorf("lazy engine diverged across shard counts:\nsequential: %+v\nsharded:    %+v", lazyEv, lazySharded)
-	}
 	if !reflect.DeepEqual(lazyEv, refFillEv) {
 		t.Errorf("heap fill diverged from reference fill (event driver):\nheap: %+v\nref:  %+v", lazyEv, refFillEv)
 	}
 	if !reflect.DeepEqual(lazyPoll, refFillPoll) {
 		t.Errorf("heap fill diverged from reference fill (polling driver):\nheap: %+v\nref:  %+v", lazyPoll, refFillPoll)
-	}
-	if !reflect.DeepEqual(lazyEv, refFillSharded) {
-		t.Errorf("heap fill diverged from sharded reference fill:\nheap: %+v\nref:  %+v", lazyEv, refFillSharded)
 	}
 }
 
@@ -70,7 +58,7 @@ func runEngineModes(t *testing.T, build func() ClusterParams) {
 // engine (segment-log flow settlement, completion-heap reap, epoch TLB,
 // tombstoned page-table clears) reproduces the eager per-event reference
 // bit for bit — under memory pressure, strict policies, dynamic arrivals,
-// both cluster drivers, and sharding.
+// and both cluster drivers.
 func TestLazyEngineMatchesEagerReference(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

@@ -169,25 +169,14 @@ func TestClusterScalingNearLinear(t *testing.T) {
 	t.Logf("steps: 16 tenants = %d, 64 tenants = %d (linear would be %d)", s16, s64, linear)
 }
 
-// BenchmarkClusterScaling measures the cluster engine at fleet sizes, with
-// a shards dimension at the large ones; the steps/op metric is the
-// scheduler-cost figure the near-linear claim is about (ns/op includes the
-// simulation work itself, which also grows with tenant count). Sharded and
-// sequential runs produce byte-identical results, so steps/op matches
-// across the shards dimension by construction.
+// BenchmarkClusterScaling measures the cluster engine at fleet sizes; the
+// steps/op metric is the scheduler-cost figure the near-linear claim is
+// about (ns/op includes the simulation work itself, which also grows with
+// tenant count).
 func BenchmarkClusterScaling(b *testing.B) {
-	for _, bc := range []struct{ n, shards int }{
-		{1, 0}, {4, 0}, {16, 0}, {64, 0},
-		{256, 0}, {256, 2}, {256, 4}, {256, 8},
-		{1024, 0}, {1024, 8},
-	} {
-		name := fmt.Sprintf("%d", bc.n)
-		if bc.shards > 0 {
-			name = fmt.Sprintf("%d/shards=%d", bc.n, bc.shards)
-		}
-		b.Run(name, func(b *testing.B) {
-			p := scalingParams(b, bc.n)
-			p.Shards = bc.shards
+	for _, n := range []int{1, 4, 16, 64, 256, 1024} {
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			p := scalingParams(b, n)
 			var steps int64
 			p.StepCount = &steps
 			b.ResetTimer()
@@ -199,7 +188,7 @@ func BenchmarkClusterScaling(b *testing.B) {
 				mustRunCluster(b, p)
 			}
 			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
-			b.ReportMetric(float64(steps)/float64(b.N)/float64(bc.n), "steps/tenant")
+			b.ReportMetric(float64(steps)/float64(b.N)/float64(n), "steps/tenant")
 		})
 	}
 }

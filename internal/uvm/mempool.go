@@ -144,9 +144,8 @@ func (p *MemPool) ReleaseAll(owner int) units.Bytes {
 // The FIFO order is a determinism contract, not just fairness: grant order
 // is exactly subscription order, so any scheduler that subscribes its
 // tenants in a fixed order (the cluster drivers use ascending tenant
-// index) observes an identical wake sequence regardless of how the
-// simulation work is partitioned — the sharded driver's byte-identity to
-// the sequential one depends on it.
+// index) observes an identical wake sequence — the event driver's
+// byte-identity to the polling reference depends on it.
 func (p *MemPool) notify() {
 	grantable := p.Free()
 	woken := 0
