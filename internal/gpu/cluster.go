@@ -17,7 +17,6 @@
 package gpu
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -319,8 +318,13 @@ func drive(net *flownet.Network, tenants []*runner, opt driveOptions) error {
 	return err
 }
 
-// execHeap orders executing tenants by kernel-end time (ties by index, so
-// wake order is deterministic).
+// execHeap is a typed binary min-heap of executing tenants ordered by
+// (kernel-end time, index), so wake order is deterministic. It is
+// hand-rolled rather than a container/heap user because serving pops it
+// once per decoded token: the interface dispatch and the boxing of every
+// pushed and popped entry cost more than the heap itself. The order is
+// total and duplicate entries (stale ones left by abortExec) are
+// indistinguishable, so any correct heap pops the same sequence.
 type execEntry struct {
 	at  units.Time
 	idx int
@@ -328,20 +332,47 @@ type execEntry struct {
 
 type execHeap []execEntry
 
-func (h execHeap) Len() int { return len(h) }
-func (h execHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func execLess(a, b execEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].idx < h[j].idx
+	return a.idx < b.idx
 }
-func (h execHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *execHeap) Push(x any)   { *h = append(*h, x.(execEntry)) }
-func (h *execHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
+
+func (h *execHeap) push(e execEntry) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !execLess(e, s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = e
+}
+
+func (h *execHeap) pop() execEntry {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	e := s[n]
+	*h = s[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if r := c + 1; r < n && execLess(s[r], s[c]) {
+			c = r
+		}
+		if !execLess(s[c], e) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = e
+	return top
 }
 
 // bitset is a fixed-size index set; wakeSet iterates it in ascending order,
@@ -515,7 +546,7 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 			case phaseExec:
 				if !r.inExecHeap {
 					r.inExecHeap = true
-					heap.Push(&execH, execEntry{at: r.execEnd, idx: i})
+					execH.push(execEntry{at: r.execEnd, idx: i})
 				}
 			}
 			if r.queuedWork() {
@@ -572,7 +603,7 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 		})
 		now := net.Now()
 		for len(execH) > 0 && execH[0].at <= now {
-			e := heap.Pop(&execH).(execEntry)
+			e := execH.pop()
 			tenants[e.idx].inExecHeap = false
 			ready.set(e.idx)
 		}

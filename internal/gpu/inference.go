@@ -39,7 +39,6 @@
 package gpu
 
 import (
-	"container/heap"
 	"fmt"
 
 	"g10sim/internal/flownet"
@@ -257,25 +256,54 @@ type admitEntry struct {
 	q      *infReq
 }
 
+// admitHeap is a typed binary min-heap over (reload, key, idx), written
+// like execHeap; the order is total, so the pop sequence is fixed.
 type admitHeap []admitEntry
 
-func (h admitHeap) Len() int { return len(h) }
-func (h admitHeap) Less(i, j int) bool {
-	if h[i].reload != h[j].reload {
-		return !h[i].reload
+func admitLess(a, b admitEntry) bool {
+	if a.reload != b.reload {
+		return !a.reload
 	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return h[i].idx < h[j].idx
+	return a.idx < b.idx
 }
-func (h admitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *admitHeap) Push(x any)   { *h = append(*h, x.(admitEntry)) }
-func (h *admitHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
+
+func (h *admitHeap) push(e admitEntry) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !admitLess(e, s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = e
+}
+
+func (h *admitHeap) pop() admitEntry {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	e := s[n]
+	*h = s[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if r := c + 1; r < n && admitLess(s[r], s[c]) {
+			c = r
+		}
+		if !admitLess(s[c], e) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = e
+	return top
 }
 
 // infServer is one GPU instance: a KV block pool, the requests holding it,
@@ -436,7 +464,7 @@ func (q *infReq) enqueue(st reqState) {
 	if !reload {
 		q.srv.admitPrefill++
 	}
-	heap.Push(&q.srv.admit, admitEntry{reload: reload, key: units.MaxTime(0, q.spec.Arrival), idx: q.r.idx, q: q})
+	q.srv.admit.push(admitEntry{reload: reload, key: units.MaxTime(0, q.spec.Arrival), idx: q.r.idx, q: q})
 	q.srv.pump()
 }
 
@@ -759,7 +787,7 @@ func (srv *infServer) pump() {
 				break
 			}
 			srv.free -= need
-			if e := heap.Pop(&srv.admit).(admitEntry); !e.reload {
+			if e := srv.admit.pop(); !e.reload {
 				srv.admitPrefill--
 			}
 			srv.grantAdmit(head, need)

@@ -320,3 +320,25 @@ func percentileDuration(ds []units.Duration, q float64) units.Duration {
 	}
 	return sorted[idx]
 }
+
+// BenchmarkInferenceDrive is the serving driver's layer benchmark: 5k
+// requests of the benchmark's chat-service shape (125 req/s, prompts
+// N(512, 160), outputs Exp(160)) under tiered KV on the default four
+// servers. Each decoded token is one tenant exec, so the kernel-end heap
+// and the admission heap carry this loop; steps/op is its exact work count.
+func BenchmarkInferenceDrive(b *testing.B) {
+	p := InferenceParams{
+		Requests: servingTrace(5000, 1, 8*units.Millisecond, 512, 160, 1024, 160, 512),
+		Policy:   tieredKV(),
+	}
+	var steps int64
+	p.StepCount = &steps
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunInference(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+}
