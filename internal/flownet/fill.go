@@ -203,7 +203,7 @@ func (n *Network) newTrace() *fillTrace {
 // ---- layer 1: the heap-driven fill ----
 
 // fillState is the network's heap-fill scratch plus the fill-work counters
-// every fill (component, frontier refill, global) adds to.
+// every fill (component or frontier refill) adds to.
 type fillState struct {
 	heap    []*Resource
 	touched []*Resource
@@ -283,8 +283,8 @@ func resHeapRemove(h *[]*Resource, r *Resource) {
 // heapFill runs progressive filling over the given unfrozen flows and their
 // resources, starting at round number `level`. Resources must arrive with
 // avail/count primed, orderIdx assigned in registration order, touchRound
-// reset to -1, and flows with frozen=false; adjacency (Resource.flows) must
-// be live. When rec is non-nil the fill records its trace (level records,
+// reset to -1, and flows with frozen=false; candidates come from the
+// per-resource adjacency (Resource.flows). When rec is non-nil the fill records its trace (level records,
 // freeze sequence, per-resource history and removal levels).
 //
 // Bit-identity with the reference loop: the bottleneck each round is the
@@ -466,7 +466,7 @@ func fillComponent(c *component, fs *fillState) {
 // component discovery entirely.
 func (n *Network) tryFrontier() bool {
 	t := n.trace
-	if t == nil || n.refFill || n.forceGlobalFill || len(t.levels) == 0 {
+	if t == nil || n.refFill || len(t.levels) == 0 {
 		return false
 	}
 	for _, r := range n.dirtyRes {

@@ -118,6 +118,8 @@ func giantDifferential(t *testing.T, seed int64, tenants, steps int, mutate func
 				t.Fatalf("step %d: %d completions (ref) vs %d (dut)", step, len(rDone), len(dDone))
 			}
 		}
+		checkMaxMin(t, ref)
+		checkMaxMin(t, dut)
 		if rn, dn := ref.NextEvent(), dut.NextEvent(); rn != dn {
 			t.Fatalf("step %d: NextEvent %v (ref) vs %v (dut)", step, rn, dn)
 		}

@@ -34,20 +34,21 @@ type Resource struct {
 	served float64
 	// aggRate is the summed rate of the aggN active flows currently routed
 	// through this resource; served integrates it between folds. Rebuilt
-	// from scratch at every recompute (rebuildAggregates) and adjusted in
-	// place by completions and successions; reset to exactly zero whenever
-	// the last flow leaves, so float residue cannot accumulate while idle.
+	// from scratch when a full fill covers the resource's component, adjusted
+	// by frontier refills, completions and successions; reset to exactly zero
+	// whenever the last flow leaves, so float residue cannot accumulate while
+	// idle.
 	aggRate  float64
 	aggN     int
 	lastFold units.Time
 	// scratch fields used by the allocator.
 	avail float64
 	count int
-	// regIdx is the registration order; the busy-resource list is sorted by
-	// it so bottleneck ties resolve exactly as a scan over every registered
-	// resource would.
+	// regIdx is the registration order; a component's resource list is
+	// sorted by it so bottleneck ties resolve exactly as a scan over every
+	// registered resource would.
 	regIdx int
-	// busyStamp marks membership in the current recompute's busy list.
+	// busyStamp marks discovery by the current recompute's component flood.
 	busyStamp uint64
 	// dirty marks the resource as touched (a flow routed through it started,
 	// completed, or succeeded; or its capacity changed) since the last
@@ -77,9 +78,9 @@ type Resource struct {
 	// flows lists the active flows routed through this resource (arbitrary
 	// order, swap-removed on completion) — the adjacency the scoped
 	// recompute flood-fills dirty components through, so discovery cost
-	// scales with the dirty subgraph, not the whole active set. Maintained
-	// only once Network.adjacency is enabled (the first component-decomposed
-	// recompute); small networks never pay for it.
+	// scales with the dirty subgraph, not the whole active set; the heap
+	// fill also takes each bottleneck's flows from it. Maintained from each
+	// flow's activation.
 	flows []*Flow
 }
 
@@ -201,22 +202,16 @@ type Network struct {
 	comp        compHeap
 	compScratch []compEntry
 	heapMode    bool
-	// busyScratch collects the resources traversed by at least one active
-	// flow, so recompute cost scales with the active flows rather than with
-	// every registered resource (a cluster registers two PCIe links per
-	// tenant; idle tenants' links must not tax every event).
-	busyScratch []*Resource
-	busyStamp   uint64
+	// busyStamp numbers component discoveries (see Resource.busyStamp and
+	// Flow.fillStamp).
+	busyStamp uint64
 	// dirtyRes lists the resources marked dirty since the last recompute
 	// (deduplicated via Resource.dirty); cleared when rates are re-derived.
 	dirtyRes []*Resource
-	// forceGlobalFill pins recompute to the direct global fill at any size —
-	// the reference side of the component-decomposition differential tests.
+	// forceGlobalFill pins recompute to one component holding every active
+	// flow, filled by the reference scan loop — the reference side of the
+	// component-decomposition differential tests.
 	forceGlobalFill bool
-	// adjacency marks the per-resource flow lists as live. Enabled by the
-	// first component-decomposed recompute (which bulk-attaches every active
-	// flow) and maintained incrementally from then on.
-	adjacency bool
 	// Component-decomposition scratch, reused across recomputes.
 	comps    []component
 	resStack []*Resource
@@ -531,12 +526,8 @@ func (n *Network) activate(f *Flow) {
 	n.dirtyRates()
 }
 
-// attachFlow registers f on each route resource's flow list (no-op until
-// the scoped recompute enables adjacency).
+// attachFlow registers f on each route resource's flow list.
 func (n *Network) attachFlow(f *Flow) {
-	if !n.adjacency {
-		return
-	}
 	if cap(f.resSlot) < len(f.route) {
 		if len(f.route) <= len(f.slotBuf) {
 			f.resSlot = f.slotBuf[:]
@@ -555,9 +546,6 @@ func (n *Network) attachFlow(f *Flow) {
 // the displaced flow's slot. A route may name the same resource twice; the
 // slot value disambiguates which of the displaced flow's entries moved.
 func (n *Network) detachFlow(f *Flow) {
-	if !n.adjacency {
-		return
-	}
 	for k, r := range f.route {
 		s := f.resSlot[k]
 		last := int32(len(r.flows) - 1)
@@ -981,27 +969,6 @@ func (n *Network) fold(r *Resource) {
 	}
 }
 
-// rebuildAggregates re-derives each busy resource's aggregate service rate
-// after a fill. Folding first materializes the integral up to now under the
-// outgoing rates; the re-summation runs over n.active in order, so the
-// global and component-decomposed fills produce identical aggregates.
-func (n *Network) rebuildAggregates(busy []*Resource) {
-	if n.eager {
-		return
-	}
-	for _, r := range busy {
-		n.fold(r)
-		r.aggRate = 0
-		r.aggN = 0
-	}
-	for _, f := range n.active {
-		for _, r := range f.route {
-			r.aggRate += f.rate
-			r.aggN++
-		}
-	}
-}
-
 // reap removes finished flows from the active set (remaining below half a
 // byte counts as finished, absorbing float error), appending them to
 // doneBuf ordered by flow ID within the batch. In heap mode the candidates
@@ -1188,30 +1155,20 @@ func (n *Network) removeActive(f *Flow) {
 
 // recompute derives max-min fair rates for all active flows by progressive
 // filling: repeatedly find the most constrained resource, give its flows
-// their equal share, freeze them, and remove that capacity. Small active
-// sets run the direct global fill; larger ones are decomposed into connected
-// components of the flow/resource graph (components.go), where components
-// untouched since the last recompute keep their allocation verbatim and
-// dirty components fill independently — bit-identical to the global fill,
+// their equal share, freeze them, and remove that capacity. When the whole
+// delta since the last recompute lies inside the recorded fill trace, a
+// frontier refill re-derives only the affected suffix (fill.go); otherwise
+// the dirty connected components of the flow/resource graph refill
+// (components.go), and components untouched since the last recompute keep
+// their allocation verbatim — bit-identical to one fill over every flow,
 // because the max-min allocation factors across components. Either way the
-// completion index is re-keyed only for flows whose rate actually changed.
+// completion index is re-keyed only for the refilled flows whose rate
+// actually changed.
 func (n *Network) recompute() {
 	n.recomputes++
 	n.nextEvOK = false
-	touched := n.active
-	if n.tryFrontier() {
-		// The whole delta fell inside the traced component: the frontier
-		// refill re-derived only the suffix at or above the restart level
-		// (fill.go); touched holds exactly the refilled flows.
-		touched = n.touched
-	} else if len(n.active) > smallFillLimit && !n.forceGlobalFill {
+	if !n.tryFrontier() {
 		n.recomputeComponents()
-		touched = n.touched
-	} else {
-		// The direct global fill re-derives everything and records nothing;
-		// any recorded trace is stale afterwards.
-		n.invalidateTrace()
-		n.recomputeGlobal()
 	}
 	for _, r := range n.dirtyRes {
 		r.dirty = false
@@ -1219,104 +1176,13 @@ func (n *Network) recompute() {
 	}
 	n.dirtyRes = n.dirtyRes[:0]
 	n.clearDeltas()
-	n.rekeyCompletions(touched)
+	n.rekeyCompletions(n.touched)
 	// Restore the steady-state invariant prevRate == rate, so the next
 	// scoped recompute and re-key can trust that untouched flows carry
 	// unchanged rates (and valid completion keys).
-	for _, f := range touched {
+	for _, f := range n.touched {
 		f.prevRate = f.rate
 	}
-}
-
-// smallFillLimit is the active-flow count at or below which recompute runs
-// the direct global fill: component bookkeeping only pays off once several
-// independent groups of flows exist.
-const smallFillLimit = 8
-
-// recomputeGlobal is the direct progressive-filling pass over every active
-// flow — the reference the component decomposition must match bit for bit.
-func (n *Network) recomputeGlobal() {
-	n.busyStamp++
-	busy := n.busyScratch[:0]
-	unfrozen := 0
-	for _, f := range n.active {
-		f.frozen = false
-		f.prevRate = f.rate
-		f.rate = 0
-		unfrozen++
-		for _, r := range f.route {
-			if r.busyStamp != n.busyStamp {
-				r.busyStamp = n.busyStamp
-				r.avail = r.capacity
-				r.count = 0
-				busy = append(busy, r)
-			}
-			r.count++
-		}
-	}
-	// Order busy resources by registration index so bottleneck ties break
-	// exactly as a scan over every registered resource would. Insertion
-	// sort: the list is small and collected in near-registration order, and
-	// this avoids sort.Slice's closure allocation on the per-event path.
-	for i := 1; i < len(busy); i++ {
-		r := busy[i]
-		j := i - 1
-		for j >= 0 && busy[j].regIdx > r.regIdx {
-			busy[j+1] = busy[j]
-			j--
-		}
-		busy[j+1] = r
-	}
-	n.busyScratch = busy[:0]
-	for unfrozen > 0 {
-		// Find the bottleneck resource.
-		var bottleneck *Resource
-		share := math.Inf(1)
-		n.fill.rounds++
-		n.fill.scans += int64(len(busy))
-		for _, r := range busy {
-			if r.count == 0 {
-				continue
-			}
-			s := r.avail / float64(r.count)
-			if s < share {
-				share = s
-				bottleneck = r
-			}
-		}
-		if bottleneck == nil {
-			// No unfrozen flow traverses any resource; cannot happen
-			// because routes are non-empty, but guard against it.
-			break
-		}
-		if share < 0 {
-			share = 0
-		}
-		for _, f := range n.active {
-			if f.frozen || !flowUses(f, bottleneck) {
-				continue
-			}
-			f.frozen = true
-			f.rate = share
-			unfrozen--
-			for _, r := range f.route {
-				r.avail -= share
-				if r.avail < 0 {
-					r.avail = 0
-				}
-				r.count--
-			}
-		}
-	}
-	// Settle the flows whose rate the fill changed, replaying the elapsed
-	// segments at the outgoing rate; unchanged flows keep their settlement
-	// debt (their replay stays valid at the rate they still have).
-	for _, f := range n.active {
-		if f.rate != f.prevRate {
-			n.settleFlowAt(f, f.prevRate)
-		}
-	}
-	n.rebuildAggregates(busy)
 }
 
 // rekeyCompletions refreshes the completion index after a recompute. Tiny

@@ -633,8 +633,8 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 // match bit for bit: step every live tenant until only the clock can
 // unblock it, then advance the shared clock to the earliest pending event.
 // Its per-round cost is O(all tenants); it exists for differential tests
-// (ForcePollingDriverForTest) and as executable documentation of the
-// semantics.
+// (ClusterParams.Driver = DriverPolling) and as executable documentation
+// of the semantics.
 func drivePolling(net *flownet.Network, tenants []*runner, faults *faultClock, steps *int64) error {
 	// Inference tenants' grants (server pump wakes) can land mid-round for
 	// an index already stepped; the woke flag re-rounds at the same clock,
