@@ -167,6 +167,7 @@ type engineRecord struct {
 	FillRounds         int64 `json:"fill_rounds"`
 	FillResScans       int64 `json:"fill_res_scans"`
 	FrontierReuses     int64 `json:"frontier_reuses"`
+	FlowAllocs         int64 `json:"flow_allocs"`
 	TenantAborts       int64 `json:"tenant_aborts"`
 	TenantRestarts     int64 `json:"tenant_restarts"`
 	CheckpointBytes    int64 `json:"checkpoint_bytes"`
@@ -450,6 +451,7 @@ func run(fig string, short bool, models string, workers int, jsonPath string, be
 			FillRounds:         es.FillRounds,
 			FillResScans:       es.FillResScans,
 			FrontierReuses:     es.FrontierReuses,
+			FlowAllocs:         es.FlowAllocs,
 			TenantAborts:       es.TenantAborts,
 			TenantRestarts:     es.TenantRestarts,
 			CheckpointBytes:    es.CheckpointBytes,

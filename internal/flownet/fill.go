@@ -114,8 +114,11 @@ type attachRec struct {
 	live  bool
 }
 
+// A detach record keeps the flow's route: the driver may Release the flow,
+// which clears it, before the next recompute reads the record.
 type detachRec struct {
 	f     *Flow
+	route []*Resource
 	level int32
 	gen   uint32
 	live  bool
@@ -144,7 +147,7 @@ func (n *Network) noteDetach(f *Flow) {
 		f.attachRec = 0
 		return
 	}
-	n.deltaDetach = append(n.deltaDetach, detachRec{f: f, level: f.freezeLevel, gen: f.traceGen, live: true})
+	n.deltaDetach = append(n.deltaDetach, detachRec{f: f, route: f.route, level: f.freezeLevel, gen: f.traceGen, live: true})
 	f.detachRec = int32(len(n.deltaDetach))
 }
 
@@ -531,7 +534,7 @@ func (n *Network) frontierLevel(t *fillTrace) int {
 		if !rec.live {
 			continue
 		}
-		note(rec.f.route, false)
+		note(rec.route, false)
 		if int(rec.level) < lmax {
 			lmax = int(rec.level)
 		}

@@ -101,6 +101,13 @@ func (r *Resource) BytesServed() float64 {
 }
 
 // Flow is one transfer in flight (or scheduled to start).
+//
+// Ownership: a flow belongs to the network until it completes. A delivered
+// completion belongs to the driver that received it, which either succeeds
+// it in place (Succeed) or hands it back with Release once nothing of its
+// own still names it. A released flow is reused by a later StartAt, but
+// only after the next rate recompute, so no pending delta record or fill
+// trace can name it by then.
 type Flow struct {
 	ID    int64
 	Label string
@@ -180,7 +187,7 @@ func (f *Flow) Remaining() units.Bytes {
 	return units.Bytes(math.Ceil(f.remaining))
 }
 
-// Route returns the resources the flow traverses.
+// Route returns the resources the flow traverses (nil once released).
 func (f *Flow) Route() []*Resource { return f.route }
 
 // Network is a set of resources and the flows traversing them.
@@ -234,6 +241,13 @@ type Network struct {
 	refFill bool
 	// doneBuf accumulates one AdvanceTo call's completions; reused.
 	doneBuf []*Flow
+	// retired holds flows handed back by Release since the last recompute;
+	// free holds flows StartAt may reuse. recompute moves retired to free
+	// once it has consumed the delta records that could still name them.
+	// flowAllocs counts the Flow objects StartAt allocated fresh.
+	retired    []*Flow
+	free       []*Flow
+	flowAllocs int64
 
 	// Conveyor (chunk-train) bookkeeping. AdvanceEventwise opens a deferred
 	// window around each internal event: reap skips its recompute and the
@@ -448,6 +462,10 @@ func (n *Network) ProgressTouches() int64 { return n.progressTouches }
 // clock; the scanning reference examines the whole active set per event.
 func (n *Network) ReapScans() int64 { return n.reapScans }
 
+// FlowAllocs reports how many Flow objects StartAt allocated fresh, rather
+// than reusing one handed back by Release.
+func (n *Network) FlowAllocs() int64 { return n.flowAllocs }
+
 // AddResource registers a resource. Names must be unique.
 func (n *Network) AddResource(name string, cap units.Bandwidth) *Resource {
 	if _, dup := n.resIndex[name]; dup {
@@ -491,17 +509,16 @@ func (n *Network) StartAt(label string, size units.Bytes, at units.Time, data an
 		at = n.now
 	}
 	n.nextID++
-	f := &Flow{
-		ID:        n.nextID,
-		Label:     label,
-		Size:      size,
-		Data:      data,
-		Owner:     -1,
-		StartAt:   at,
-		net:       n,
-		route:     route,
-		remaining: float64(size),
-	}
+	f := n.newFlow()
+	f.ID = n.nextID
+	f.Label = label
+	f.Size = size
+	f.Data = data
+	f.Owner = -1
+	f.StartAt = at
+	f.net = n
+	f.route = route
+	f.remaining = float64(size)
 	if f.remaining <= 0 {
 		// Zero-byte flows complete instantly at their start time.
 		f.remaining = 0
@@ -513,6 +530,36 @@ func (n *Network) StartAt(label string, size units.Bytes, at units.Time, data an
 		n.nextEvOK = false
 	}
 	return f
+}
+
+// newFlow returns a zeroed flow: a released one when any is free, else a
+// fresh allocation. A reused flow's completion generation moves past its
+// old value, so completion-heap entries from its previous life stay stale.
+func (n *Network) newFlow() *Flow {
+	k := len(n.free) - 1
+	if k < 0 {
+		n.flowAllocs++
+		return &Flow{}
+	}
+	f := n.free[k]
+	n.free[k] = nil
+	n.free = n.free[:k]
+	*f = Flow{compGen: f.compGen + 1}
+	return f
+}
+
+// Release hands a completed flow back to the network for reuse. Call it
+// on a delivered flow that was not succeeded, once the caller holds no
+// other reference to it. Release clears the flow's payload and route; the
+// flow is reused only after the next rate recompute. Releasing an active,
+// dormant, succeeded or already released flow panics.
+func (n *Network) Release(f *Flow) {
+	if !f.done || f.active || f.route == nil {
+		panic("flownet: Release of a flow that is not a completed one")
+	}
+	f.Data = nil
+	f.route = nil
+	n.retired = append(n.retired, f)
 }
 
 func (n *Network) activate(f *Flow) {
@@ -1176,6 +1223,11 @@ func (n *Network) recompute() {
 	}
 	n.dirtyRes = n.dirtyRes[:0]
 	n.clearDeltas()
+	// No delta record names a retired flow any more, and the fill just
+	// dropped every departed flow from the trace: they may be reused.
+	n.free = append(n.free, n.retired...)
+	clear(n.retired)
+	n.retired = n.retired[:0]
 	n.rekeyCompletions(n.touched)
 	// Restore the steady-state invariant prevRate == rate, so the next
 	// scoped recompute and re-key can trust that untouched flows carry

@@ -118,6 +118,9 @@ type EngineStats struct {
 	FillRounds     int64
 	FillResScans   int64
 	FrontierReuses int64
+	// FlowAllocs counts flow objects the network allocated fresh rather than
+	// reusing a released one.
+	FlowAllocs int64
 	// TenantAborts counts kernels and flows torn down by injected crashes;
 	// TenantRestarts counts crash recoveries (a permanently crashed tenant
 	// restarts zero times); CheckpointBytes totals durable snapshot bytes
@@ -137,6 +140,7 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.FillRounds += o.FillRounds
 	s.FillResScans += o.FillResScans
 	s.FrontierReuses += o.FrontierReuses
+	s.FlowAllocs += o.FlowAllocs
 	s.TenantAborts += o.TenantAborts
 	s.TenantRestarts += o.TenantRestarts
 	s.CheckpointBytes += o.CheckpointBytes
@@ -282,6 +286,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 			FillRounds:      net.FillRounds(),
 			FillResScans:    net.FillResScans(),
 			FrontierReuses:  net.FrontierReuses(),
+			FlowAllocs:      net.FlowAllocs(),
 		}
 		for _, r := range runners {
 			es.TLBEpochShootdowns += r.m.tlb.EpochShootdowns()
@@ -581,7 +586,14 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 		net.AdvanceEventwise(next, func(done []*flownet.Flow) {
 			for _, f := range done {
 				deliver(f)
-				if o := f.Owner; o >= 0 {
+				o := f.Owner
+				if f.Done() {
+					// Not succeeded in place: nothing holds the flow any more
+					// (deliver cleared tensorState.fly or runner.ckptFly, and
+					// KV swaps never keep theirs).
+					net.Release(f)
+				}
+				if o >= 0 {
 					ready.set(o)
 					if tenants[o].queuedWork() {
 						queued.set(o)

@@ -196,6 +196,7 @@ func BenchmarkMigrationChunkTrain(b *testing.B) {
 			if !m.alloc(id) {
 				b.Fatal("alloc failed")
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			r0, s0 := m.net.Recomputes(), m.net.Successions()
 			for i := 0; i < b.N; i++ {

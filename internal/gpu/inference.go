@@ -450,6 +450,7 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 			FillRounds:      net.FillRounds(),
 			FillResScans:    net.FillResScans(),
 			FrontierReuses:  net.FrontierReuses(),
+			FlowAllocs:      net.FlowAllocs(),
 		})
 	}
 	return out, nil

@@ -98,10 +98,6 @@ type tensorState struct {
 	flash   ssd.LogicalRange
 	hasRng  bool
 	lastUse units.Time
-	// labels are the tensor's interned "kind:name" flow labels, one per
-	// uvm.RequestKind, built once at machine construction so the migration
-	// hot path never concatenates strings.
-	labels [3]string
 	// inLRU marks membership in the machine's resident-LRU index; lruPrev/
 	// lruNext are its links (tensor ids, -1 at the ends). The index key is
 	// (lastUse, id), so lastUse must only change while the tensor is
@@ -211,9 +207,8 @@ type migration struct {
 	inflate float64
 	// latency still to charge before the next chunk (first chunk only).
 	latency units.Duration
-	// label names this migration's flows and route the resources they
-	// traverse; both computed once rather than per chunk.
-	label string
+	// route is the resources this migration's flows traverse, computed once
+	// rather than per chunk.
 	route []*flownet.Resource
 }
 
@@ -254,12 +249,7 @@ func newTenantShell(a *vitality.Analysis, cfg Config, net *flownet.Network, tag 
 	m.states = make([]tensorState, len(m.g.Tensors))
 	var va uint64 = 1 << 21 // leave page zero unmapped
 	for id, t := range m.g.Tensors {
-		m.states[id] = tensorState{t: t, loc: uvm.Unmapped, va: va, lruPrev: -1, lruNext: -1,
-			labels: [3]string{
-				uvm.FaultFetch: uvm.FaultFetch.String() + ":" + t.Name,
-				uvm.Prefetch:   uvm.Prefetch.String() + ":" + t.Name,
-				uvm.PreEvict:   uvm.PreEvict.String() + ":" + t.Name,
-			}}
+		m.states[id] = tensorState{t: t, loc: uvm.Unmapped, va: va, lruPrev: -1, lruNext: -1}
 		va += uint64(m.pagesOf(t)) * uint64(cfg.TranslationGranularity)
 	}
 	return m
@@ -776,7 +766,6 @@ func (m *Machine) beginMigration(r *uvm.Request, st *tensorState) (*migration, b
 		m.putMigration(mig)
 		return nil, false
 	}
-	mig.label = st.labels[r.Kind] // kind validated by the switch above
 	mig.route = m.route(mig)
 	return mig, true
 }
@@ -838,7 +827,7 @@ func (m *Machine) startChunk(st *tensorState) bool {
 	lat := mig.latency
 	mig.latency = 0 // only the first chunk pays setup latency
 	m.untrack(st)
-	st.fly = m.net.StartAt(mig.label, flowBytes, m.Now()+lat, mig, mig.route...)
+	st.fly = m.net.StartAt(st.t.Name, flowBytes, m.Now()+lat, mig, mig.route...)
 	st.fly.Owner = m.idx
 	m.inflight++
 	m.track(st)

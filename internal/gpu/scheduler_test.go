@@ -179,6 +179,7 @@ func BenchmarkClusterScaling(b *testing.B) {
 			p := scalingParams(b, n)
 			var steps int64
 			p.StepCount = &steps
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Fresh policies per run: they carry per-run state.

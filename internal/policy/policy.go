@@ -138,7 +138,7 @@ type g10 struct {
 	reactive
 	plannerCfg planner.Config
 	plan       *planner.Plan
-	uses       [][]int // per tensor: sorted kernel indices of use
+	infos      []vitality.TensorInfo // the analysis' per-tensor uses, shared read-only
 }
 
 // G10Full is the complete system: smart migrations to SSD and host plus
@@ -167,7 +167,7 @@ func G10Host(pcfg planner.Config) gpu.Policy {
 
 func (p *g10) Attach(m *gpu.Machine) {
 	p.m = m
-	p.uses = m.Graph().UseIndices()
+	p.infos = m.Analysis().Infos
 }
 
 // MakeRoom evicts the farthest-next-use resident tensors first: the
@@ -202,7 +202,7 @@ func (p *g10) MakeRoom(need units.Bytes, pinned map[int]bool) bool {
 // distanceToUse is the kernel distance from the current boundary to the
 // tensor's next use (cyclic across the iteration for globals).
 func (p *g10) distanceToUse(id, n int) int {
-	u := p.uses[id]
+	u := p.infos[id].Uses
 	if len(u) == 0 {
 		return 2 * n
 	}
