@@ -14,20 +14,24 @@ import (
 	"os"
 	"time"
 
+	"g10sim/internal/experiments"
 	"g10sim/internal/gpu"
 	"g10sim/internal/models"
-	"g10sim/internal/planner"
 	"g10sim/internal/policy"
 	"g10sim/internal/profile"
 	"g10sim/internal/units"
 	"g10sim/internal/vitality"
 )
 
+// policyAliases maps the space-free spellings the -policy flag accepts to
+// the policy names experiments.NewPolicy knows.
+var policyAliases = map[string]string{"BaseUVM": "Base UVM", "DeepUM": "DeepUM+"}
+
 func main() {
 	var (
 		modelName = flag.String("model", "BERT", "model name (BERT, ViT, Inceptionv3, ResNet152, SENet154)")
 		batch     = flag.Int("batch", 0, "batch size (0 = the paper's batch for the model)")
-		polName   = flag.String("policy", "G10", "policy: Ideal, Base UVM, DeepUM+, FlashNeuron, G10-GDS, G10-Host, G10")
+		polName   = flag.String("policy", "G10", "policy: Ideal, Base UVM (BaseUVM), DeepUM+ (DeepUM), FlashNeuron, G10-GDS, G10-Host, G10, G10-Adaptive")
 		gpuGB     = flag.Float64("gpu", 40, "GPU memory capacity in GB")
 		hostGB    = flag.Float64("host", 128, "host memory capacity in GB")
 		ssdBW     = flag.Float64("ssdbw", 0, "override SSD read/write bandwidth in GB/s (0 = Z-NAND defaults)")
@@ -71,25 +75,16 @@ func main() {
 		fatal(err)
 	}
 
-	var pol gpu.Policy
-	switch *polName {
-	case "Ideal":
-		pol = policy.Ideal()
+	name := *polName
+	if alias, ok := policyAliases[name]; ok {
+		name = alias
+	}
+	pol, err := experiments.NewPolicy(name)
+	if err != nil {
+		fatal(err)
+	}
+	if name == "Ideal" {
 		cfg = policy.IdealConfig(cfg)
-	case "Base UVM", "BaseUVM":
-		pol = policy.BaseUVM()
-	case "DeepUM+", "DeepUM":
-		pol = policy.DeepUMPlus(0)
-	case "FlashNeuron":
-		pol = policy.FlashNeuron()
-	case "G10-GDS":
-		pol = policy.G10GDS(planner.Config{})
-	case "G10-Host":
-		pol = policy.G10Host(planner.Config{})
-	case "G10":
-		pol = policy.G10Full(planner.Config{})
-	default:
-		fatal(fmt.Errorf("unknown policy %q", *polName))
 	}
 
 	s := g.Summary()

@@ -78,7 +78,7 @@ func (s *Session) colocateParams(jobs []colocateJob) (gpu.ClusterParams, error) 
 			return gpu.ClusterParams{}, err
 		}
 		cfg := s.baseConfig(a)
-		pol, err := s.clusterPolicy(j.Policy)
+		pol, err := NewPolicy(j.Policy)
 		if err != nil {
 			return gpu.ClusterParams{}, err
 		}

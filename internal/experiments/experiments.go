@@ -103,11 +103,13 @@ var shortBatch = map[string]int{
 	"BERT": 16, "ViT": 32, "Inceptionv3": 32, "ResNet152": 32, "SENet154": 16,
 }
 
-// Session caches analyses and simulation results across figures. It is
-// safe for concurrent use: figures fan their runs across a worker pool
-// (prewarm) and the caches single-flight each key, so every (model, batch,
-// policy, config) combination simulates exactly once and the results are
-// identical to serial execution.
+// Session caches analyses, migration plans and simulation results across
+// figures. It is safe for concurrent use: figures fan their runs across a
+// worker pool (prewarm) and the caches single-flight each key, so every
+// (model, batch, policy, config) combination simulates exactly once and the
+// results are identical to serial execution. Its co-simulations share one
+// gpu.PlanCache, so identical jobs across figure cells, cluster
+// configurations and policy rows plan once per session (DESIGN.md §16).
 type Session struct {
 	opt       Options
 	mu        sync.Mutex
@@ -115,7 +117,7 @@ type Session struct {
 	results   map[string]*flight[gpu.Result]
 	clusters  map[string]*flight[gpu.ClusterResult]
 	inference map[string]*flight[inferenceCell]
-	programs  map[programKey]*flight[*planner.Program]
+	plans     gpu.PlanCache
 	// engine accumulates engine-internal work counters over every cluster
 	// the session actually ran (cache hits add nothing: the work happened
 	// once). Guarded by mu.
@@ -130,76 +132,7 @@ func NewSession(opt Options) *Session {
 		results:   make(map[string]*flight[gpu.Result]),
 		clusters:  make(map[string]*flight[gpu.ClusterResult]),
 		inference: make(map[string]*flight[inferenceCell]),
-		programs:  make(map[programKey]*flight[*planner.Program]),
 	}
-}
-
-// programKey identifies one planner run: the analysis (cached per
-// model/batch, so pointer identity is stable within a session), the
-// effective machine configuration the program was planned against, and the
-// policy variant.
-type programKey struct {
-	a   *vitality.Analysis
-	cfg gpu.Config
-	pol string
-}
-
-// cachedProgramPolicy wraps a planning policy (a G10 variant) so its
-// instrumented program is computed once per (analysis, config, policy)
-// across the whole session. Within one cluster run the engine already plans
-// each distinct job once (gpu.Machine.Plan); this cache spans runs, so
-// identical jobs across figure cells, cluster configurations, and policy
-// rows share the warm program (dropping it adds seconds of planning to this
-// package's tests; DESIGN.md §16). The planner is deterministic, so the shared
-// *planner.Program is bit-identical to a per-tenant build; it is read-only
-// during simulation.
-type cachedProgramPolicy struct {
-	gpu.Policy
-	s *Session
-}
-
-func (c *cachedProgramPolicy) Program(a *vitality.Analysis, cfg gpu.Config) *planner.Program {
-	pb := c.Policy.(gpu.ProgramBuilder)
-	key := programKey{a: a, cfg: cfg, pol: c.Policy.Name()}
-	s := c.s
-	s.mu.Lock()
-	f, ok := s.programs[key]
-	if !ok {
-		f = &flight[*planner.Program]{}
-		s.programs[key] = f
-	}
-	s.mu.Unlock()
-	p, _ := f.do(func() (*planner.Program, error) { return pb.Program(a, cfg), nil })
-	return p
-}
-
-// cachedReplanPolicy additionally forwards the Replanner hook the wrapped
-// adaptive policy implements (the per-tenant controller state stays with
-// the wrapped instance; only the initial plan is shared).
-type cachedReplanPolicy struct {
-	cachedProgramPolicy
-	rp gpu.Replanner
-}
-
-func (c *cachedReplanPolicy) NextProgram(iter int, sig gpu.LatenessSignal, cur *planner.Program) *planner.Program {
-	return c.rp.NextProgram(iter, sig, cur)
-}
-
-// clusterPolicy builds a fresh per-tenant policy instance whose planner
-// output is shared through the session's program cache.
-func (s *Session) clusterPolicy(name string) (gpu.Policy, error) {
-	pol, err := NewPolicy(name)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := pol.(gpu.ProgramBuilder); ok {
-		cp := cachedProgramPolicy{Policy: pol, s: s}
-		if rp, ok := pol.(gpu.Replanner); ok {
-			return &cachedReplanPolicy{cachedProgramPolicy: cp, rp: rp}, nil
-		}
-		return &cp, nil
-	}
-	return pol, nil
 }
 
 // batchFor reports the evaluation batch size for a model under the
@@ -319,6 +252,9 @@ func (s *Session) RunCluster(key string, build func() (gpu.ClusterParams, error)
 		var es gpu.EngineStats
 		if p.Engine == nil {
 			p.Engine = &es
+		}
+		if p.Plans == nil {
+			p.Plans = &s.plans
 		}
 		res, err := gpu.RunCluster(p)
 		if err != nil {

@@ -153,7 +153,7 @@ func (s *Session) fleetParams(polName string, jobs []FleetJob) (gpu.ClusterParam
 		if err != nil {
 			return gpu.ClusterParams{}, err
 		}
-		pol, err := s.clusterPolicy(polName)
+		pol, err := NewPolicy(polName)
 		if err != nil {
 			return gpu.ClusterParams{}, err
 		}
@@ -177,7 +177,7 @@ func (s *Session) fleetSolo(model, polName string) (gpu.ClusterResult, error) {
 		if err != nil {
 			return gpu.ClusterParams{}, err
 		}
-		pol, err := s.clusterPolicy(polName)
+		pol, err := NewPolicy(polName)
 		if err != nil {
 			return gpu.ClusterParams{}, err
 		}

@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"g10sim/internal/adapt"
 	"g10sim/internal/gpu"
+	"g10sim/internal/planner"
+	"g10sim/internal/policy"
 	"g10sim/internal/units"
 )
 
@@ -94,7 +97,7 @@ func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 					var p gpu.ClusterParams
 					p.Shared = shared
 					for i := 0; i < 2; i++ {
-						pol, err := s.clusterPolicy(polName)
+						pol, err := NewPolicy(polName)
 						if err != nil {
 							return gpu.ClusterParams{}, err
 						}
@@ -112,6 +115,7 @@ func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 						t.Fatal(err)
 					}
 					params.Driver = drv
+					params.Plans = &s.plans
 					res, err := gpu.RunCluster(params)
 					if err != nil {
 						t.Fatal(err)
@@ -124,6 +128,49 @@ func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 					t.Errorf("event-driven diverged from polling reference:\nevent:   %+v\npolling: %+v", event, polling)
 				}
 			})
+		}
+	}
+}
+
+// TestSessionTenantsExposePlanAndController: a cluster built through the
+// Session runs the policies NewPolicy returns, not wrappers around them.
+// After the run every G10 tenant exposes its plan — including tenants whose
+// job the session had already planned in an earlier run, which share that
+// plan — and every adaptive tenant exposes its controller.
+func TestSessionTenantsExposePlanAndController(t *testing.T) {
+	s := NewSession(Options{Short: true})
+	jobs, err := s.fleetTrace(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planOf := map[*planner.Plan]bool{}
+	for _, polName := range []string{"G10", "G10-Adaptive"} {
+		p, err := s.fleetParams(polName, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunCluster("tenant-ifaces/"+polName, func() (gpu.ClusterParams, error) { return p, nil }); err != nil {
+			t.Fatal(err)
+		}
+		for i, tn := range p.Tenants {
+			pl, ok := tn.Policy.(policy.Planner)
+			if !ok {
+				t.Fatalf("%s tenant %d: %T does not implement policy.Planner", polName, i, tn.Policy)
+			}
+			plan := pl.Plan()
+			if plan == nil {
+				t.Fatalf("%s tenant %d: nil plan after the run", polName, i)
+			}
+			if polName == "G10" {
+				planOf[plan] = true
+			} else if !planOf[plan] {
+				t.Errorf("%s tenant %d: planned again instead of sharing the session's plan", polName, i)
+			}
+			if polName == "G10-Adaptive" {
+				if _, ok := tn.Policy.(interface{ Controller() *adapt.Controller }); !ok {
+					t.Errorf("%s tenant %d: %T exposes no Controller", polName, i, tn.Policy)
+				}
+			}
 		}
 	}
 }

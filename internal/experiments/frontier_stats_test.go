@@ -27,6 +27,7 @@ func TestFleetFrontierReuses(t *testing.T) {
 		}
 		var es gpu.EngineStats
 		p.Engine = &es
+		p.Plans = &s.plans
 		res, err := gpu.RunCluster(p)
 		if err != nil {
 			t.Fatal(err)

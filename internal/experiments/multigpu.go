@@ -70,7 +70,7 @@ func (s *Session) multiGPUClusterParams(a *vitality.Analysis, gpus, ssds int) (g
 	base := s.baseConfig(a)
 	tenants := make([]gpu.ClusterTenant, gpus)
 	for i := range tenants {
-		pol, err := s.clusterPolicy("G10")
+		pol, err := NewPolicy("G10")
 		if err != nil {
 			return gpu.ClusterParams{}, err
 		}

@@ -40,7 +40,7 @@ type ScalingRow struct {
 // Scaling runs the cluster-engine scaling study. It bypasses the session's
 // cluster cache so the step counter is attributed to exactly one run per
 // size; the trace and jobs are shared with the fleet study through the
-// session's analysis and program caches.
+// session's analysis and plan caches.
 func Scaling(s *Session) ([]ScalingRow, error) {
 	w := s.opt.writer()
 	fmt.Fprintln(w, "=== Scaling study: cluster engine cost vs fleet size ===")
@@ -59,6 +59,7 @@ func Scaling(s *Session) ([]ScalingRow, error) {
 		}
 		var steps int64
 		p.StepCount = &steps
+		p.Plans = &s.plans
 		res, err := gpu.RunCluster(p)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling %d: %w", n, err)

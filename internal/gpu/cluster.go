@@ -85,6 +85,10 @@ type ClusterParams struct {
 	// across drivers holds for faulted runs too. nil or
 	// empty injects nothing and adds no overhead.
 	Faults *FaultPlan
+	// Plans, when non-nil, is the plan cache the tenants plan through, so
+	// runs sharing it plan each distinct job once between them. nil plans
+	// each distinct job once per run. Results do not depend on it.
+	Plans *PlanCache
 }
 
 // EngineStats reports how much internal bookkeeping the simulation engine
@@ -220,6 +224,9 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 			sh, err = NewShared(net, shCfg)
 			if err != nil {
 				return ClusterResult{}, err
+			}
+			if p.Plans != nil {
+				sh.plans = p.Plans
 			}
 		}
 		m.bind(sh, t.Policy)

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"g10sim/internal/dnn"
@@ -53,16 +54,49 @@ type Shared struct {
 	ssdRead, ssdWrite     *flownet.Resource
 	hostBusIn, hostBusOut *flownet.Resource
 
-	// plans memoises the migration planner per distinct job of this run
-	// (see Machine.Plan).
-	plans map[planKey]*planner.Plan
+	// plans memoises the migration planner per distinct job (see
+	// Machine.Plan): the run's own cache, or ClusterParams.Plans.
+	plans *PlanCache
 }
 
-// planKey identifies one planning problem: the analysis (pointer identity)
-// and the effective planner configuration.
+// PlanCache memoises migration plans per distinct job: one *planner.Plan
+// per (analysis, effective planner configuration), the analysis keyed by
+// pointer identity. The planner is deterministic and plans are read-only,
+// so a shared plan is bit-identical to a private one. The zero value is
+// ready to use. It is safe for concurrent use and single-flight per key:
+// concurrent co-simulations sharing one cache plan each job once.
+type PlanCache struct {
+	mu sync.Mutex
+	m  map[planKey]*planEntry
+}
+
+// planKey identifies one planning problem.
 type planKey struct {
 	a   *vitality.Analysis
 	cfg planner.Config
+}
+
+type planEntry struct {
+	once sync.Once
+	p    *planner.Plan
+}
+
+// plan returns the cached plan for (a, pcfg), running the planner on the
+// first request for that key.
+func (c *PlanCache) plan(a *vitality.Analysis, pcfg planner.Config) *planner.Plan {
+	k := planKey{a: a, cfg: pcfg}
+	c.mu.Lock()
+	e, ok := c.m[k]
+	if !ok {
+		if c.m == nil {
+			c.m = make(map[planKey]*planEntry)
+		}
+		e = &planEntry{}
+		c.m[k] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.p = planner.New(a, pcfg) })
+	return e.p
 }
 
 // NewShared builds the shared substrate from cfg's cross-tenant fields
@@ -76,7 +110,7 @@ func NewShared(net *flownet.Network, cfg Config) (*Shared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gpu: %w", err)
 	}
-	sh := &Shared{net: net, dev: dev, host: uvm.NewMemPool(cfg.HostCapacity), plans: make(map[planKey]*planner.Plan)}
+	sh := &Shared{net: net, dev: dev, host: uvm.NewMemPool(cfg.HostCapacity), plans: new(PlanCache)}
 	sh.ssdRead = net.AddResource("ssd-read", dev.EffectiveReadBandwidth())
 	sh.ssdWrite = net.AddResource("ssd-write", dev.EffectiveWriteBandwidth())
 	sh.hostBusIn = net.AddResource("hostmem-in", cfg.HostDRAMBandwidth)
@@ -393,22 +427,16 @@ func (m *Machine) Graph() *dnn.Graph { return m.g }
 // Analysis returns the vitality analysis the run was set up with.
 func (m *Machine) Analysis() *vitality.Analysis { return m.a }
 
-// Plan returns the migration plan for the machine's analysis under pcfg. It
-// is computed once per distinct (analysis, config) per substrate, so every
-// tenant of a co-simulation running the same job on the same effective
-// configuration shares one *planner.Plan — the plan is a compile-time
-// artefact of the job, not of the tenant. Shared plans and their programs
-// are read-only (Program.Retime copies). Programs are built in RunCluster's
-// setup loop before any driver starts, so the memo needs no lock; it lives
-// and dies with the run.
+// Plan returns the migration plan for the machine's analysis under pcfg
+// from the substrate's PlanCache, so every tenant of a co-simulation
+// running the same job on the same effective configuration shares one
+// *planner.Plan — the plan is a compile-time artefact of the job, not of
+// the tenant. The cache is the run's own unless ClusterParams.Plans hands
+// in one that outlives it; then the plan is shared across runs too, and
+// the cache's lock covers concurrent runs. Shared plans and their programs
+// are read-only (Program.Retime copies).
 func (m *Machine) Plan(pcfg planner.Config) *planner.Plan {
-	k := planKey{a: m.a, cfg: pcfg}
-	p, ok := m.sh.plans[k]
-	if !ok {
-		p = planner.New(m.a, pcfg)
-		m.sh.plans[k] = p
-	}
-	return p
+	return m.sh.plans.plan(m.a, pcfg)
 }
 
 // Now returns the simulation clock.

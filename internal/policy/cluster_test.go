@@ -2,6 +2,7 @@ package policy
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"g10sim/internal/adapt"
@@ -71,12 +72,14 @@ func (o *ownReplanner) NextProgram(iter int, sig gpu.LatenessSignal, cur *planne
 	return o.Policy.(gpu.Replanner).NextProgram(iter, sig, cur)
 }
 
-// TestClusterPlansOncePerDistinctJob pins the per-run plan memo: tenants of
-// one co-simulation with the same analysis and effective planner config
-// share one plan, the others get their own, and sharing changes no result
-// byte against planning every tenant separately — for static G10 and for
-// the adaptive variant, whose re-timed programs must copy, never mutate,
-// the shared plan's program.
+// TestClusterPlansOncePerDistinctJob pins the plan cache: tenants running
+// the same analysis on the same effective planner config share one plan,
+// the others get their own, and sharing changes no result byte against
+// planning every tenant separately — for static G10 and for the adaptive
+// variant, whose re-timed programs must copy, never mutate, the shared
+// plan's program. Each leg runs the cluster several times: without a
+// PlanCache every run plans for itself; runs handed one cache, in sequence
+// or from concurrent goroutines, share one plan per distinct job.
 func TestClusterPlansOncePerDistinctJob(t *testing.T) {
 	bert := analyzeModel(t, "BERT", 4)
 	resnet := analyzeModel(t, "ResNet152", 8)
@@ -94,7 +97,44 @@ func TestClusterPlansOncePerDistinctJob(t *testing.T) {
 	shared := sliceConfig(resnet)
 	shared.HostCapacity = sliceConfig(bert).HostCapacity + shared.HostCapacity
 
-	for _, tc := range []struct {
+	type outcome struct {
+		res   gpu.ClusterResult
+		plans []*planner.Plan
+		err   error
+	}
+	run := func(pol func(i int) gpu.Policy, wrap func(gpu.Policy) gpu.Policy, cache *gpu.PlanCache) outcome {
+		p := gpu.ClusterParams{Shared: shared, Plans: cache}
+		var pols []gpu.Policy
+		for i, j := range jobs {
+			pols = append(pols, pol(i))
+			p.Tenants = append(p.Tenants, gpu.ClusterTenant{
+				Analysis: j.a, Policy: wrap(pols[i]), Config: j.cfg,
+				ArrivalTime: units.Time(i) * units.Millisecond,
+			})
+		}
+		res, err := gpu.RunCluster(p)
+		plans := make([]*planner.Plan, len(pols))
+		for i, pol := range pols {
+			plans[i] = pol.(Planner).Plan()
+		}
+		return outcome{res, plans, err}
+	}
+	check := func(t *testing.T, o outcome) {
+		t.Helper()
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		for i, pl := range o.plans {
+			if pl == nil || len(pl.Decisions) == 0 {
+				t.Fatalf("tenant %d planned no migrations", i)
+			}
+			if o.res.Tenants[i].Failed {
+				t.Fatalf("tenant %d failed: %s", i, o.res.Tenants[i].FailReason)
+			}
+		}
+	}
+	same := func(p gpu.Policy) gpu.Policy { return p }
+	for _, pc := range []struct {
 		name string
 		pol  func(i int) gpu.Policy
 	}{
@@ -105,49 +145,65 @@ func TestClusterPlansOncePerDistinctJob(t *testing.T) {
 			return G10Adaptive(planner.Config{}, adapt.Config{MaxInflation: float64(2 + i)})
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(wrap func(gpu.Policy) gpu.Policy) (gpu.ClusterResult, []*planner.Plan) {
-				t.Helper()
-				p := gpu.ClusterParams{Shared: shared}
-				var pols []gpu.Policy
-				for i, j := range jobs {
-					pol := tc.pol(i)
-					pols = append(pols, pol)
-					p.Tenants = append(p.Tenants, gpu.ClusterTenant{
-						Analysis: j.a, Policy: wrap(pol), Config: j.cfg,
-						ArrivalTime: units.Time(i) * units.Millisecond,
-					})
-				}
-				res, err := gpu.RunCluster(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plans := make([]*planner.Plan, len(pols))
-				for i, pol := range pols {
-					plans[i] = pol.(Planner).Plan()
-					if plans[i] == nil || len(plans[i].Decisions) == 0 {
-						t.Fatalf("tenant %d planned no migrations", i)
-					}
-					if res.Tenants[i].Failed {
-						t.Fatalf("tenant %d failed: %s", i, res.Tenants[i].FailReason)
-					}
-				}
-				return res, plans
-			}
-			got, plans := run(func(p gpu.Policy) gpu.Policy { return p })
-			want, own := run(ownPlanning)
-			for i := range plans {
-				for j := range plans {
-					if same := plans[i] == plans[j]; same != (group[i] == group[j]) {
-						t.Errorf("tenants %d and %d: shared plan = %v, want %v", i, j, same, !same)
-					}
-					if i != j && own[i] == own[j] {
+		t.Run(pc.name, func(t *testing.T) {
+			// The reference: every tenant planning alone.
+			want := run(pc.pol, ownPlanning, nil)
+			check(t, want)
+			for i := range want.plans {
+				for j := range i {
+					if want.plans[i] == want.plans[j] {
 						t.Errorf("per-tenant planning: tenants %d and %d share a plan", i, j)
 					}
 				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Error("shared plans changed the cluster result against per-tenant planning")
+			for _, leg := range []struct {
+				name string
+				// runs clusters are simulated; with shared set they all plan
+				// through one PlanCache, from concurrent goroutines if
+				// concurrent.
+				runs               int
+				shared, concurrent bool
+			}{
+				{"per-run", 2, false, false},
+				{"shared-cache", 2, true, false},
+				{"concurrent", 3, true, true},
+			} {
+				t.Run(leg.name, func(t *testing.T) {
+					var cache *gpu.PlanCache
+					if leg.shared {
+						cache = new(gpu.PlanCache)
+					}
+					got := make([]outcome, leg.runs)
+					var wg sync.WaitGroup
+					for r := range got {
+						if !leg.concurrent {
+							got[r] = run(pc.pol, same, cache)
+							continue
+						}
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							got[r] = run(pc.pol, same, cache)
+						}()
+					}
+					wg.Wait()
+					for r, o := range got {
+						check(t, o)
+						// Tenants share a plan iff they run the same job, and
+						// across runs only through a shared cache.
+						for i := range o.plans {
+							for j := range got[0].plans {
+								shared := o.plans[i] == got[0].plans[j]
+								if want := group[i] == group[j] && (r == 0 || leg.shared); shared != want {
+									t.Errorf("run %d tenant %d and run 0 tenant %d: shared plan = %v, want %v", r, i, j, shared, want)
+								}
+							}
+						}
+						if !reflect.DeepEqual(o.res, want.res) {
+							t.Errorf("run %d: shared plans changed the cluster result against per-tenant planning", r)
+						}
+					}
+				})
 			}
 		})
 	}

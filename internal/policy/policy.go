@@ -248,9 +248,10 @@ func (p *g10) AtBoundary(iter, b int) {
 
 // Program runs the smart migration scheduler (Algorithm 1 + §4.4) over the
 // analysis and returns the instrumented program. An attached policy plans
-// its machine's analysis through the machine's per-run memo, so identical
-// tenants of one co-simulation share a single plan; an unattached one runs
-// the planner directly.
+// its machine's analysis through the machine's gpu.PlanCache (the run's
+// own, or ClusterParams.Plans), so identical tenants of one co-simulation,
+// and of every run sharing the cache, share a single plan; an unattached
+// one runs the planner directly.
 func (p *g10) Program(a *vitality.Analysis, cfg gpu.Config) *planner.Program {
 	pcfg := p.plannerCfg
 	if pcfg.GPUCapacity == 0 {
@@ -280,8 +281,8 @@ func (p *g10) Program(a *vitality.Analysis, cfg gpu.Config) *planner.Program {
 }
 
 // Plan exposes the planner output after Program has run (for experiments
-// that report planned traffic). It is read-only: tenants of one run with
-// the same job and configuration share it.
+// that report planned traffic). It is read-only: tenants planning through
+// one cache with the same job and configuration share it.
 func (p *g10) Plan() *planner.Plan { return p.plan }
 
 // Planner is implemented by policies that expose their plan.
