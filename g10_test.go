@@ -118,7 +118,7 @@ func TestGraphBuilderCustomModel(t *testing.T) {
 }
 
 // TestAdaptiveDifferential pins the online replanning layer's equivalence
-// guarantees, mirroring the polling-vs-event driver pattern: for every
+// guarantees: for every
 // built-in model × policy, (a) Config.Adaptive = false replays the exact
 // static path, and (b) a zero-lateness run — GPU memory roomy enough that
 // nothing ever migrates — with Adaptive = true is bit-identical to the

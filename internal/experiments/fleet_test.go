@@ -76,10 +76,11 @@ func TestFleetTraceFixedSeed(t *testing.T) {
 }
 
 // TestEventDriverMatchesPollingEveryModelPolicy is the experiments-level
-// differential: for every built-in model under every policy, a two-tenant
-// co-simulation under the event-driven scheduler must be bit-identical to
-// the retained polling reference — including one tenant arriving
-// mid-simulation.
+// checked run: for every built-in model under every policy, a two-tenant
+// co-simulation — one tenant arriving mid-simulation — must pass
+// gpu.ClusterParams.Check (wake completeness, the max-min certificate, the
+// host-pool ledger and GPU capacity at every clock advance) and be
+// bit-identical to the unchecked run.
 func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 	s := NewSession(Options{Short: true})
 	for _, model := range (Options{}).modelSet() {
@@ -109,12 +110,12 @@ func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 					}
 					return p, nil
 				}
-				runOnce := func(drv gpu.Driver) gpu.ClusterResult {
+				runOnce := func(check bool) gpu.ClusterResult {
 					params, err := build()
 					if err != nil {
 						t.Fatal(err)
 					}
-					params.Driver = drv
+					params.Check = check
 					params.Plans = &s.plans
 					res, err := gpu.RunCluster(params)
 					if err != nil {
@@ -122,10 +123,9 @@ func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 					}
 					return res
 				}
-				event := runOnce(gpu.DriverAuto)
-				polling := runOnce(gpu.DriverPolling)
-				if !reflect.DeepEqual(event, polling) {
-					t.Errorf("event-driven diverged from polling reference:\nevent:   %+v\npolling: %+v", event, polling)
+				res, checked := runOnce(false), runOnce(true)
+				if !reflect.DeepEqual(res, checked) {
+					t.Errorf("checked run diverged from the unchecked one:\nunchecked: %+v\nchecked:   %+v", res, checked)
 				}
 			})
 		}

@@ -31,24 +31,25 @@ func TestInferenceFigureDeterministic(t *testing.T) {
 	}
 }
 
-// TestInferenceCellDriversMatch closes the driver differential at figure
-// scale: every short-mode cell re-run under the polling reference scheduler
-// must reproduce the event driver's result exactly.
+// TestInferenceCellDriversMatch runs every short-mode serving cell under
+// gpu.InferenceParams.Check (wake completeness, the max-min certificate and
+// the KV block-pool and host-tier ledgers at every clock advance); the
+// checked run must reproduce the unchecked result exactly.
 func TestInferenceCellDriversMatch(t *testing.T) {
 	s := NewSession(Options{Short: true})
 	for _, n := range s.inferenceSizes() {
 		for _, pol := range inferencePolicies() {
-			runWith := func(driver gpu.Driver) gpu.InferenceResult {
+			runWith := func(check bool) gpu.InferenceResult {
 				p := s.inferenceParams(pol, n)
-				p.Driver = driver
+				p.Check = check
 				res, err := gpu.RunInference(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			if want, got := runWith(gpu.DriverAuto), runWith(gpu.DriverPolling); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s n=%d: polling driver diverged from events", pol.Name(), n)
+			if want, got := runWith(false), runWith(true); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s n=%d: checked run diverged from the unchecked one", pol.Name(), n)
 			}
 		}
 	}

@@ -8,44 +8,108 @@ import (
 	"g10sim/internal/units"
 )
 
-// certTol is the certificate's relative slack: a later filling level's
-// share can round one ulp below an earlier level's, and the clamped
-// subtractions leave ulp-sized residue in a saturated resource's load.
-const certTol = 1e-9
-
-// checkMaxMin asserts the max-min optimality certificate on n's current
-// allocation, independently of how the fill derived it: no busy resource
-// carries more than its capacity, and every active flow crosses a
-// saturated resource on which no flow has a higher rate (its bottleneck).
-// An allocation with both properties is the unique max-min fair one.
-// Loads count route occurrences, as the fill does: a route naming a
-// resource twice loads it twice. Every comparison allows certTol slack.
+// checkMaxMin fails the test when n's current allocation violates the
+// max-min optimality certificate (Network.CheckMaxMin).
 func checkMaxMin(t *testing.T, n *Network) {
 	t.Helper()
-	n.flushRates()
-	load := make(map[*Resource]float64)
-	top := make(map[*Resource]float64)
-	for _, f := range n.active {
-		for _, r := range f.route {
-			load[r] += f.rate
-			top[r] = math.Max(top[r], f.rate)
-		}
+	if err := n.CheckMaxMin(); err != nil {
+		t.Fatal(err)
 	}
-	for r, sum := range load {
-		if sum > r.capacity*(1+certTol) {
-			t.Fatalf("max-min certificate: %s carries %v B/s over capacity %v", r.Name, sum, r.capacity)
+}
+
+// TestCheckMaxMinCatchesPerturbation: the certificate is not vacuous. A
+// flow whose rate is raised 1% above its max-min share, on a saturated
+// link or alone on its bottleneck, fails it.
+func TestCheckMaxMinCatchesPerturbation(t *testing.T) {
+	n := New()
+	link := n.AddResource("link", units.GBps(2))
+	solo := n.AddResource("solo", units.GBps(1))
+	a := n.Start("a", units.GB, nil, link)
+	n.Start("b", units.GB, nil, link)
+	c := n.Start("c", units.GB, nil, solo)
+	checkMaxMin(t, n)
+	for _, f := range []*Flow{a, c} {
+		share := f.rate
+		f.rate = share * 1.01
+		if err := n.CheckMaxMin(); err == nil {
+			t.Errorf("flow %s at 1.01x its max-min share passed the certificate", f.Label)
 		}
+		f.rate = share
 	}
-	for _, f := range n.active {
-		bottlenecked := false
-		for _, r := range f.route {
-			if load[r] >= r.capacity*(1-certTol) && top[r] <= f.rate*(1+certTol) {
-				bottlenecked = true
-				break
+	checkMaxMin(t, n)
+}
+
+// byteLedger is the per-flow byte-conservation certificate: it steps its
+// network one internal event at a time, integrates every tracked flow's
+// observed Rate() over each step, and checks the integral against the bytes
+// the flow reports moved (Size − remaining) — independently of the lazy
+// settlement that derives remaining.
+type byteLedger struct {
+	n     *Network
+	moved map[*Flow]float64
+	rate  map[*Flow]float64 // rate over the flow's last accrued step
+	live  []*Flow           // tracked flows not yet delivered, in start order
+}
+
+func newByteLedger(n *Network) *byteLedger {
+	return &byteLedger{n: n, moved: map[*Flow]float64{}, rate: map[*Flow]float64{}}
+}
+
+// track registers a just-started flow.
+func (l *byteLedger) track(f *Flow) *Flow {
+	l.live = append(l.live, f)
+	return f
+}
+
+// advance moves the network to t like AdvanceTo, one internal event at a
+// time, and checks that every tracked flow delivered on the way moved its
+// Size: at least Size less the half-byte completion threshold, and at most
+// Size plus what its last rate carries in completionSlack nanoseconds (the
+// completion event rounds up to whole nanoseconds).
+func (l *byteLedger) advance(t *testing.T, to units.Time) []*Flow {
+	t.Helper()
+	var done []*Flow
+	for {
+		e := min(l.n.NextEvent(), to)
+		dt := (e - l.n.Now()).Seconds()
+		for _, f := range l.live {
+			r := float64(f.Rate())
+			l.moved[f] += r * dt
+			l.rate[f] = r
+		}
+		batch := l.n.AdvanceTo(e)
+		for _, f := range batch {
+			got, size := l.moved[f], float64(f.Size)
+			hi := size + l.rate[f]*float64(completionSlack)/float64(units.Second)
+			if got < size-0.5-certTol*size || got > hi+certTol*size {
+				t.Fatalf("flow %s delivered at %v after ∫rate = %v bytes, size %v", f.Label, f.CompletedAt, got, size)
 			}
 		}
-		if !bottlenecked {
-			t.Fatalf("max-min certificate: flow %s at %v B/s has no saturated resource it is maximal on", f.Label, f.rate)
+		done = append(done, batch...)
+		if len(batch) > 0 {
+			kept := l.live[:0]
+			for _, f := range l.live {
+				if !f.Done() {
+					kept = append(kept, f)
+				}
+			}
+			l.live = kept
+		}
+		if e >= to {
+			return done
+		}
+	}
+}
+
+// check asserts Size − remaining equals the rate integral, within certTol
+// of Size, for every tracked flow still in flight.
+func (l *byteLedger) check(t *testing.T) {
+	t.Helper()
+	for _, f := range l.live {
+		f.Remaining() // settle
+		got, want := float64(f.Size)-f.remaining, l.moved[f]
+		if math.Abs(got-want) > certTol*float64(f.Size) {
+			t.Fatalf("flow %s at %v: moved %v bytes, ∫rate = %v", f.Label, l.n.Now(), got, want)
 		}
 	}
 }

@@ -8,81 +8,39 @@ import (
 )
 
 // TestSegLogCompactionDifferential drives the lazy engine across the
-// 1024-segment compaction threshold and pins bit-identity against the
-// eager per-event reference. A polling loop advances in 20µs slices so the
-// segment log grows by one entry per slice; a steady long flow and a
-// churning short flow share an SSD channel, so compaction fires with both
-// flows holding long pending-segment spans and must settle them through
-// the identical per-segment float replay the eager loop performs. The
-// boundary was previously only crossed incidentally by long differentials;
-// this test asserts the compaction actually happened.
+// 1024-segment compaction threshold and checks per-flow byte conservation
+// through it. A polling loop advances in 20µs slices so the segment log
+// grows by one entry per slice; a steady long flow and a churning short
+// flow share an SSD channel, so compaction fires with both flows in flight
+// and must settle them without losing or inventing a byte. The boundary was
+// previously only crossed incidentally by long differentials; this test
+// asserts the compaction actually happened.
 func TestSegLogCompactionDifferential(t *testing.T) {
-	build := func(eager bool) (n *Network, steady, churn *Flow) {
-		n = New()
-		n.eager = eager
-		ssd := n.AddResource("ssd", units.GBps(4))
-		p1 := n.AddResource("gpu1/pcie", units.GBps(16))
-		p2 := n.AddResource("gpu2/pcie", units.GBps(16))
-		steady = n.Start("steady", 2*units.GB, nil, p1, ssd)
-		churn = n.Start("churn", 96*units.MB, nil, p2, ssd)
-		return n, steady, churn
-	}
-	ref, refA, refB := build(true)
-	dut, dutA, dutB := build(false)
-
-	check := func(step int, rf, df *Flow) {
-		t.Helper()
-		if rf.Rate() != df.Rate() {
-			t.Fatalf("step %d: flow %s rate %v (eager) vs %v (lazy)", step, rf.Label, rf.Rate(), df.Rate())
-		}
-		if rf.Remaining() != df.Remaining() {
-			t.Fatalf("step %d: flow %s remaining %v (eager) vs %v (lazy)", step, rf.Label, rf.Remaining(), df.Remaining())
-		}
-	}
+	n := New()
+	ssd := n.AddResource("ssd", units.GBps(4))
+	p1 := n.AddResource("gpu1/pcie", units.GBps(16))
+	p2 := n.AddResource("gpu2/pcie", units.GBps(16))
+	l := newByteLedger(n)
+	l.track(n.Start("steady", 2*units.GB, nil, p1, ssd))
+	l.track(n.Start("churn", 96*units.MB, nil, p2, ssd))
 
 	rng := rand.New(rand.NewSource(7))
 	const step = 20 * units.Microsecond
 	const steps = 4000
 	for i := 0; i < steps; i++ {
-		ne := dut.NextEvent()
-		if re := ref.NextEvent(); re != ne {
-			t.Fatalf("step %d: NextEvent %v (eager) vs %v (lazy)", i, re, ne)
-		}
-		to := dut.Now() + step
-		if ne < to {
-			to = ne
-		}
-		doneD := dut.AdvanceTo(to)
-		doneR := ref.AdvanceTo(to)
-		if len(doneD) != len(doneR) {
-			t.Fatalf("step %d: %d completions (lazy) vs %d (eager)", i, len(doneD), len(doneR))
-		}
-		for j := range doneD {
-			if doneD[j].Label != doneR[j].Label {
-				t.Fatalf("step %d: completion %q (lazy) vs %q (eager)", i, doneD[j].Label, doneR[j].Label)
-			}
+		to := min(n.Now()+step, n.NextEvent())
+		for _, f := range l.advance(t, to) {
 			// Restart the churned flow on its original route with a fresh
-			// (shared-rng) size, keeping both networks in lockstep.
+			// size.
 			size := units.Bytes(64+rng.Intn(64)) * units.MB
-			dutB = dut.Start(doneD[j].Label, size, nil, doneD[j].Route()...)
-			refB = ref.Start(doneR[j].Label, size, nil, doneR[j].Route()...)
+			l.track(n.Start(f.Label, size, nil, f.Route()...))
 		}
-		// Sparse checkpoints: settling is itself an observable, so keep the
-		// pending-segment spans long enough to reach the compaction limit
-		// between observations.
 		if i%1250 == 1249 {
-			check(i, refA, dutA)
-			check(i, refB, dutB)
+			l.check(t)
 		}
 	}
-	if dut.segBase == 0 {
+	if n.segBase == 0 {
 		t.Fatalf("lazy log never crossed the %d-segment compaction threshold (%d steps)", segLogCompactLimit, steps)
 	}
-	check(steps, refA, dutA)
-	check(steps, refB, dutB)
-	refServed := ref.resIndex["ssd"].BytesServed()
-	dutServed := dut.resIndex["ssd"].BytesServed()
-	if diff := refServed - dutServed; diff > 1e-3 || diff < -1e-3 {
-		t.Fatalf("ssd BytesServed %v (eager) vs %v (lazy)", refServed, dutServed)
-	}
+	l.check(t)
 }

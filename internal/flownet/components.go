@@ -98,29 +98,12 @@ func (n *Network) recomputeComponents() {
 	for i := range comps {
 		fillComponent(&comps[i], &n.fill)
 	}
-	// Settle the flows whose rate the fill changed (replaying elapsed
+	// Settle the flows whose rate the fill changed, replaying elapsed
 	// segments at the outgoing rate — untouched components and unchanged
-	// flows keep their settlement debt), then re-derive the refilled
-	// components' aggregate service rates.
-	if !n.eager {
-		for i := range comps {
-			c := &comps[i]
-			for _, f := range c.flows {
-				if f.rate != f.prevRate {
-					n.settleFlowAt(f, f.prevRate)
-				}
-			}
-			for _, r := range c.res {
-				n.fold(r)
-				r.aggRate = 0
-				r.aggN = 0
-			}
-			for _, f := range c.flows {
-				for _, r := range f.route {
-					r.aggRate += f.rate
-					r.aggN++
-				}
-			}
+	// flows keep their settlement debt.
+	for _, f := range n.touched {
+		if f.rate != f.prevRate {
+			n.settleFlowAt(f, f.prevRate)
 		}
 	}
 }

@@ -22,8 +22,10 @@ func compTopology(n *Network, tenants int) (pcie []*Resource, shared []*Resource
 }
 
 // driveDifferential replays one pseudo-random op sequence on two networks
-// and fails if their observable state (rates, next event, clock, byte
-// counters) ever diverges. mutate configures each network before the run.
+// and fails if their observable state (rates, next event, clock, remaining
+// bytes) ever diverges, or if either breaks the max-min certificate or
+// per-flow byte conservation. mutate configures each network before the
+// run.
 func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network)) {
 	t.Helper()
 	const tenants = 10
@@ -31,6 +33,7 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 	refP, refS := compTopology(ref, tenants)
 	dutP, dutS := compTopology(dut, tenants)
 	mutate(ref, dut)
+	refL, dutL := newByteLedger(ref), newByteLedger(dut)
 
 	rng := rand.New(rand.NewSource(seed))
 	var refFlows, dutFlows []*Flow
@@ -38,6 +41,8 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 		t.Helper()
 		checkMaxMin(t, ref)
 		checkMaxMin(t, dut)
+		refL.check(t)
+		dutL.check(t)
 		if rn, dn := ref.NextEvent(), dut.NextEvent(); rn != dn {
 			t.Fatalf("%s: NextEvent %v (ref) vs %v (dut)", op, rn, dn)
 		}
@@ -47,18 +52,6 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 			}
 			if refFlows[i].Remaining() != dutFlows[i].Remaining() {
 				t.Fatalf("%s: flow %d remaining diverged", op, i)
-			}
-		}
-		for i := range refS {
-			// Byte counters are integrated lazily; settlement points differ
-			// between the fill paths (the reference global fill settles every
-			// flow, a component fill only dirty groups, a frontier refill only
-			// its suffix), so the sums associate differently — equal to float
-			// reassociation error. The per-flow observables above stay
-			// bit-exact.
-			rb, db := refS[i].BytesServed(), dutS[i].BytesServed()
-			if diff := rb - db; diff > 1e-3 || diff < -1e-3 {
-				t.Fatalf("%s: %s served %v (ref) vs %v (dut)", op, refS[i].Name, rb, db)
 			}
 		}
 	}
@@ -80,8 +73,8 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 				rRoute = append(rRoute, refS[sj])
 				dRoute = append(dRoute, dutS[sj])
 			}
-			refFlows = append(refFlows, ref.StartAt(label, size, at, nil, rRoute...))
-			dutFlows = append(dutFlows, dut.StartAt(label, size, at, nil, dRoute...))
+			refFlows = append(refFlows, refL.track(ref.StartAt(label, size, at, nil, rRoute...)))
+			dutFlows = append(dutFlows, dutL.track(dut.StartAt(label, size, at, nil, dRoute...)))
 		case 5: // capacity change on a shared channel
 			si := rng.Intn(len(refS))
 			bw := units.GBps(1 + float64(rng.Intn(8)))
@@ -93,8 +86,8 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 			if e := ref.NextEvent(); rng.Intn(2) == 0 && e < units.Forever {
 				to = e
 			}
-			rDone := ref.AdvanceTo(to)
-			dDone := dut.AdvanceTo(to)
+			rDone := refL.advance(t, to)
+			dDone := dutL.advance(t, to)
 			if len(rDone) != len(dDone) {
 				t.Fatalf("advance: %d completions (ref) vs %d (dut)", len(rDone), len(dDone))
 			}

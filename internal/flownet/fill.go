@@ -43,7 +43,7 @@ import (
 // forceReferenceFill pins networks created while set to the reference
 // per-round-scan fill (and disables frontier refills). Process-global so
 // differential tests can force it for whole simulation runs; latched per
-// network at New, like ForceEagerProgressForTest.
+// network at New.
 var forceReferenceFill atomic.Bool
 
 // ForceReferenceFillForTest makes every subsequently created Network use the
@@ -104,14 +104,10 @@ type fillTrace struct {
 // object, route, and rate, so the trace keeps describing it verbatim — the
 // detach record from its completion is cancelled and no attach record is
 // made. Successions outside a deferred window instead keep the detach and
-// add a non-fresh attach, so the refill re-keys the successor's completion.
+// add an attach, so the refill re-keys the successor's completion.
 type attachRec struct {
-	f *Flow
-	// fresh marks a plain activation (the flow's route occurrences are not
-	// yet counted in the resource aggregates); a succession carries its
-	// aggregate contribution over and is not fresh.
-	fresh bool
-	live  bool
+	f    *Flow
+	live bool
 }
 
 // A detach record keeps the flow's route: the driver may Release the flow,
@@ -127,11 +123,11 @@ type detachRec struct {
 // noteAttach records a flow activation for the next recompute's delta.
 // Only needed while a trace exists — without one the next recompute
 // rediscovers everything anyway.
-func (n *Network) noteAttach(f *Flow, fresh bool) {
+func (n *Network) noteAttach(f *Flow) {
 	if n.trace == nil {
 		return
 	}
-	n.deltaAttach = append(n.deltaAttach, attachRec{f: f, fresh: fresh, live: true})
+	n.deltaAttach = append(n.deltaAttach, attachRec{f: f, live: true})
 	f.attachRec = int32(len(n.deltaAttach))
 }
 
@@ -675,31 +671,12 @@ func (n *Network) frontierRefill(t *fillTrace, L int) {
 	t.levels = t.levels[:L]
 	t.frozenSeq = t.frozenSeq[:prefixLen]
 	heapFill(cands, resList, &n.fill, t, int32(L))
-	if !n.eager {
-		// Settle the flows whose rate changed at their outgoing rate, then
-		// fold the rate deltas into the route aggregates. Prefix flows and
-		// their resources keep settlement debt and aggregates untouched —
-		// that locality is the whole point of the refill.
-		for _, f := range cands {
-			if f.rate != f.prevRate {
-				n.settleFlowAt(f, f.prevRate)
-			}
-		}
-		for _, f := range cands {
-			if d := f.rate - f.prevRate; d != 0 {
-				for _, r := range f.route {
-					n.fold(r)
-					r.aggRate += d
-				}
-			}
-		}
-		for i := range n.deltaAttach {
-			rec := &n.deltaAttach[i]
-			if rec.live && rec.fresh {
-				for _, r := range rec.f.route {
-					r.aggN++
-				}
-			}
+	// Settle the flows whose rate changed at their outgoing rate. Prefix
+	// flows keep their settlement debt untouched — that locality is the
+	// whole point of the refill.
+	for _, f := range cands {
+		if f.rate != f.prevRate {
+			n.settleFlowAt(f, f.prevRate)
 		}
 	}
 	n.touched = cands

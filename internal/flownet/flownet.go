@@ -17,7 +17,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"g10sim/internal/units"
 )
@@ -26,21 +25,7 @@ import (
 type Resource struct {
 	Name string
 
-	net      *Network
 	capacity float64 // bytes/sec
-	// served is the byte count traversed so far, lazily integrated from
-	// aggRate (see BytesServed). On the eager reference path it is instead
-	// accumulated per flow per event by progress.
-	served float64
-	// aggRate is the summed rate of the aggN active flows currently routed
-	// through this resource; served integrates it between folds. Rebuilt
-	// from scratch when a full fill covers the resource's component, adjusted
-	// by frontier refills, completions and successions; reset to exactly zero
-	// whenever the last flow leaves, so float residue cannot accumulate while
-	// idle.
-	aggRate  float64
-	aggN     int
-	lastFold units.Time
 	// scratch fields used by the allocator.
 	avail float64
 	count int
@@ -86,19 +71,6 @@ type Resource struct {
 
 // Capacity reports the resource's current bandwidth.
 func (r *Resource) Capacity() units.Bandwidth { return units.Bandwidth(r.capacity) }
-
-// BytesServed reports all bytes that have traversed this resource. The value
-// is integrated lazily from the aggregate service rate of the flows routed
-// through it; flow settlement points reconcile it against the exact
-// per-segment byte movement, so it matches the eager per-event accumulation
-// up to float reassociation error (the per-flow observables — remaining
-// bytes, completion times — stay bit-exact; see DESIGN.md §12).
-func (r *Resource) BytesServed() float64 {
-	if r.net != nil {
-		r.net.fold(r)
-	}
-	return r.served
-}
 
 // Flow is one transfer in flight (or scheduled to start).
 //
@@ -272,17 +244,12 @@ type Network struct {
 	// moved since the oldest unsettled flow's settlement point. segLog[0]
 	// is the settlement horizon (absolute index segBase) and the last entry
 	// always equals now, so segment i spans [segLog[i-1].at, segLog[i].at]
-	// with precomputed width segLog[i].dt — the exact float the eager loop
-	// would have used for that event's deduction. progress appends one entry
+	// with precomputed width segLog[i].dt. progress appends one entry
 	// per clock move — O(1) per event — and settleFlow replays a flow's
 	// pending segments on demand. The log is compacted (all flows settled,
 	// log collapsed) past a size bound.
 	segLog  []segment
 	segBase int64
-	// eager pins this network to the reference per-event path: progress
-	// deducts bytes from every active flow at every event and reap scans
-	// the whole active set. Latched from ForceEagerProgressForTest at New.
-	eager bool
 	// reapScratch holds heap entries popped and re-keyed by one reap.
 	reapScratch []compEntry
 
@@ -292,10 +259,8 @@ type Network struct {
 	// chunk count.
 	recomputes  int64
 	successions int64
-	// progressTouches counts per-flow byte-accounting steps: one per active
-	// flow per event on the eager path, one per replayed segment per
-	// settlement on the lazy path — the O(active × events) vs O(events)
-	// claim as an asserted number. reapScans counts flows examined for
+	// progressTouches counts per-flow byte-accounting steps: one per
+	// replayed segment per settlement. reapScans counts flows examined for
 	// completion: the whole active set per reap when scanning, only popped
 	// completion-heap candidates when heap-driven.
 	progressTouches int64
@@ -412,17 +377,6 @@ func (h *compHeap) pop() compEntry {
 	return e
 }
 
-// forceEagerProgress pins networks created while set to the eager
-// reference path. Process-global so differential tests can force it for
-// whole simulation runs; latched per network at New.
-var forceEagerProgress atomic.Bool
-
-// ForceEagerProgressForTest makes every subsequently created Network use
-// the eager per-event progress/reap reference path instead of the lazy
-// settlement path. The two must agree bit for bit on every per-flow
-// observable; differential tests pin that.
-func ForceEagerProgressForTest(v bool) { forceEagerProgress.Store(v) }
-
 // segment is one progress-segment boundary: the clock value and the width
 // (in seconds, converted once at append time) of the segment it closes.
 type segment struct {
@@ -435,7 +389,6 @@ func New() *Network {
 	return &Network{
 		resIndex: make(map[string]*Resource),
 		segLog:   []segment{{}},
-		eager:    forceEagerProgress.Load(),
 		refFill:  forceReferenceFill.Load(),
 	}
 }
@@ -452,14 +405,14 @@ func (n *Network) Recomputes() int64 { return n.recomputes }
 func (n *Network) Successions() int64 { return n.successions }
 
 // ProgressTouches reports how many per-flow byte-accounting steps the
-// network has performed: every (flow, elapsed segment) deduction, whether
-// done eagerly at the event or replayed at a settlement point. The lazy
-// path's count scales with rate-change points rather than events × flows.
+// network has performed: every (flow, elapsed segment) deduction replayed
+// at a settlement point. The count scales with rate-change points rather
+// than events × flows.
 func (n *Network) ProgressTouches() int64 { return n.progressTouches }
 
 // ReapScans reports how many flows reap has examined for completion. The
 // heap-driven reap examines only completion-heap candidates near the
-// clock; the scanning reference examines the whole active set per event.
+// clock; below the heap threshold reap scans the whole active set.
 func (n *Network) ReapScans() int64 { return n.reapScans }
 
 // FlowAllocs reports how many Flow objects StartAt allocated fresh, rather
@@ -471,7 +424,7 @@ func (n *Network) AddResource(name string, cap units.Bandwidth) *Resource {
 	if _, dup := n.resIndex[name]; dup {
 		panic(fmt.Sprintf("flownet: duplicate resource %q", name))
 	}
-	r := &Resource{Name: name, net: n, capacity: float64(cap), regIdx: len(n.res)}
+	r := &Resource{Name: name, capacity: float64(cap), regIdx: len(n.res)}
 	n.resIndex[name] = r
 	n.res = append(n.res, r)
 	return r
@@ -568,7 +521,7 @@ func (n *Network) activate(f *Flow) {
 	f.actIdx = len(n.active)
 	n.active = append(n.active, f)
 	n.attachFlow(f)
-	n.noteAttach(f, true)
+	n.noteAttach(f)
 	n.markRouteDirty(f.route)
 	n.dirtyRates()
 }
@@ -708,8 +661,6 @@ func (n *Network) completionTime(f *Flow) units.Time {
 	n.settleFlow(f)
 	if f.remaining < 0.5 {
 		// At or below the completion threshold: finishes at the next reap.
-		// (The eager path never evaluates a live flow in this band — reap
-		// runs before any completion-time query — so this matches it.)
 		return n.now
 	}
 	if f.rate <= 0 {
@@ -822,16 +773,6 @@ func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 	f.actIdx = len(n.active)
 	n.active = append(n.active, f)
 	n.attachFlow(f)
-	if !n.eager {
-		// Re-enter the successor into the aggregate service rates its
-		// completion just left (the rate carries over; settle re-derives if
-		// the batch turns out impure).
-		for _, r := range f.route {
-			n.fold(r)
-			r.aggRate += f.rate
-			r.aggN++
-		}
-	}
 	n.nextEvOK = false
 	if n.pendingSettle {
 		// Deferred window: keep the predecessor's rate (identical by max-min
@@ -846,8 +787,7 @@ func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 		// completed predecessor — or the predecessor activated in this same
 		// window and noteDetach annihilated the attach/detach pair, so no
 		// trace ever saw the flow. Either way the successor must re-enter
-		// the delta as the arrival it is (non-fresh: the aggregate re-entry
-		// above already counted it), or it would run invisible to every
+		// the delta as the arrival it is, or it would run invisible to every
 		// future frontier reconstruction.
 		// And since that recompute may have re-derived the allocation
 		// without the predecessor, the carried rate is no longer protected
@@ -857,7 +797,7 @@ func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 		if f.detachRec > 0 {
 			n.cancelDetach(f)
 		} else {
-			n.noteAttach(f, false)
+			n.noteAttach(f)
 			n.markRouteDirty(f.route)
 		}
 		n.succeededN++
@@ -872,12 +812,11 @@ func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 	}
 	// Outside a deferred delivery (plain AdvanceTo callers): equivalent to
 	// starting the successor normally. The predecessor's detach record stays
-	// and a (non-fresh: the aggregate re-entry above already counted it)
-	// attach record joins it, so a frontier refill re-derives — and re-keys —
-	// the successor like any other arrival.
+	// and an attach record joins it, so a frontier refill re-derives — and
+	// re-keys — the successor like any other arrival.
 	f.compGen++
 	f.inComp = false
-	n.noteAttach(f, false)
+	n.noteAttach(f)
 	n.markRouteDirty(f.route)
 	n.dirtyRates()
 	return f
@@ -897,7 +836,7 @@ func (n *Network) step(e units.Time) {
 		f.actIdx = len(n.active)
 		n.active = append(n.active, f)
 		n.attachFlow(f)
-		n.noteAttach(f, true)
+		n.noteAttach(f)
 		n.markRouteDirty(f.route)
 		activated = true
 	}
@@ -906,10 +845,9 @@ func (n *Network) step(e units.Time) {
 	}
 }
 
-// progress moves the clock to to. On the lazy path this only records the
-// segment boundary — O(1) per event; per-flow byte deduction is deferred to
-// settlement points (rate change, completion, query). The eager reference
-// path transfers bytes on every active flow immediately.
+// progress moves the clock to to. It only records the segment boundary —
+// O(1) per event; per-flow byte deduction is deferred to settlement points
+// (rate change, completion, query).
 func (n *Network) progress(to units.Time) {
 	if to <= n.now {
 		return
@@ -917,24 +855,6 @@ func (n *Network) progress(to units.Time) {
 	n.flushRates()
 	n.nextEvOK = false
 	dt := (to - n.now).Seconds()
-	if n.eager {
-		n.progressTouches += int64(len(n.active))
-		for _, f := range n.active {
-			if f.rate <= 0 {
-				continue
-			}
-			moved := f.rate * dt
-			if moved > f.remaining {
-				moved = f.remaining
-			}
-			f.remaining -= moved
-			for _, r := range f.route {
-				r.served += moved
-			}
-		}
-		n.now = to
-		return
-	}
 	n.now = to
 	n.segLog = append(n.segLog, segment{at: to, dt: dt})
 	if len(n.segLog) >= segLogCompactLimit {
@@ -959,25 +879,23 @@ func (n *Network) compactSegLog() {
 }
 
 // settleFlow brings f's remaining byte count up to the current clock by
-// replaying the per-segment rate×dt deductions the eager path would have
-// performed between f's last settlement point and now, at the flow's
-// current rate (constant across its pending segments by construction:
+// replaying the per-segment rate×dt deductions between f's last settlement
+// point and now, at the flow's current rate (constant across its pending segments by construction:
 // every rate change settles the flow with the outgoing rate first — see
 // the post-fill settle loops in recompute).
 func (n *Network) settleFlow(f *Flow) { n.settleFlowAt(f, f.rate) }
 
-// settleFlowAt replays f's pending segments at the given rate — the same
-// float operations in the same order as the eager per-event loop, hence
-// bit-identical remaining values (the FP replay rule; one fused
-// rate×elapsed multiply would not be).
+// settleFlowAt replays f's pending segments at the given rate, one
+// clamped rate×dt deduction per segment in order — the FP replay rule:
+// remaining values do not depend on where the settlement points fall, as
+// they would with one fused rate×elapsed multiply.
 func (n *Network) settleFlowAt(f *Flow, rate float64) {
 	top := n.segTop()
 	if f.segIdx >= top || !f.active {
 		return
 	}
 	if rate <= 0 {
-		// No bytes moved; the eager loop skips rate-0 flows entirely.
-		f.segIdx = top
+		f.segIdx = top // no bytes moved
 		return
 	}
 	segs := n.segLog[f.segIdx-n.segBase:]
@@ -990,41 +908,18 @@ func (n *Network) settleFlowAt(f *Flow, rate float64) {
 		}
 		rem -= moved
 	}
-	exact := f.remaining - rem
 	f.remaining = rem
 	f.segIdx = top
-	// Reconcile the route's integrated byte counts with the exact
-	// per-segment sum: the aggregate integral accrued the rate over the
-	// whole span in fused terms, but clamping near completion moves fewer
-	// bytes.
-	if corr := exact - rate*(n.now-segs[0].at).Seconds(); corr != 0 {
-		for _, r := range f.route {
-			n.fold(r)
-			r.served += corr
-		}
-	}
-}
-
-// fold materializes r's served-byte integral up to now under the current
-// aggregate rate.
-func (n *Network) fold(r *Resource) {
-	if r.lastFold < n.now {
-		if r.aggRate != 0 {
-			r.served += r.aggRate * (n.now - r.lastFold).Seconds()
-		}
-		r.lastFold = n.now
-	}
 }
 
 // reap removes finished flows from the active set (remaining below half a
 // byte counts as finished, absorbing float error), appending them to
 // doneBuf ordered by flow ID within the batch. In heap mode the candidates
 // come from the completion index — cost proportional to flows actually near
-// completion; below the heap threshold, and on the eager reference path,
-// every active flow is scanned.
+// completion; below the heap threshold every active flow is scanned.
 func (n *Network) reap() {
 	start := len(n.doneBuf)
-	if n.heapMode && !n.eager {
+	if n.heapMode {
 		n.reapHeap()
 	} else {
 		n.reapScan()
@@ -1062,8 +957,7 @@ func (n *Network) reap() {
 }
 
 // reapScan examines every active flow for completion, compacting the
-// active set in place — the reference path, and the direct one while the
-// completion heap is down.
+// active set in place — the direct path while the completion heap is down.
 func (n *Network) reapScan() {
 	n.reapScans += int64(len(n.active))
 	kept := n.active[:0]
@@ -1088,7 +982,7 @@ func (n *Network) reapScan() {
 // threshold by up to completionSlack of float drift plus 0.5/rate seconds
 // of ceil headroom; 256ns covers every rate above ~2 MB/s — far below any
 // allocation this simulator produces — so the heap-driven reap completes
-// flows at exactly the events the scanning reference would.
+// flows at exactly the events a scan of the active set would.
 const reapSlack = 256
 
 // reapHeap pops completion candidates from the heap: every entry keyed at
@@ -1121,9 +1015,8 @@ func (n *Network) reapHeap() {
 	n.reapScratch = scratch[:0]
 }
 
-// finish marks f completed at the current clock, retires it from the
-// aggregate service rates, and appends it to doneBuf. The caller removes it
-// from the active set.
+// finish marks f completed at the current clock and appends it to doneBuf.
+// The caller removes it from the active set.
 func (n *Network) finish(f *Flow) {
 	f.remaining = 0
 	f.done = true
@@ -1133,15 +1026,6 @@ func (n *Network) finish(f *Flow) {
 	n.detachFlow(f)
 	n.noteDetach(f)
 	n.markRouteDirty(f.route)
-	if !n.eager {
-		for _, r := range f.route {
-			n.fold(r)
-			r.aggRate -= f.rate
-			if r.aggN--; r.aggN == 0 {
-				r.aggRate = 0
-			}
-		}
-	}
 	n.doneBuf = append(n.doneBuf, f)
 }
 
@@ -1175,15 +1059,6 @@ func (n *Network) Abort(f *Flow) {
 	n.detachFlow(f)
 	n.noteDetach(f)
 	n.markRouteDirty(f.route)
-	if !n.eager {
-		for _, r := range f.route {
-			n.fold(r)
-			r.aggRate -= f.rate
-			if r.aggN--; r.aggN == 0 {
-				r.aggRate = 0
-			}
-		}
-	}
 	n.dirtyRates()
 }
 
@@ -1294,6 +1169,47 @@ func (n *Network) rekeyCompletions(touched []*Flow) {
 // compHeapThreshold is the active-flow count above which NextEvent switches
 // from a direct scan to the completion-time heap.
 const compHeapThreshold = 12
+
+// certTol is CheckMaxMin's relative slack: a later filling level's share
+// can round one ulp below an earlier level's, and the clamped subtractions
+// leave ulp-sized residue in a saturated resource's load.
+const certTol = 1e-9
+
+// CheckMaxMin verifies the max-min optimality certificate on the current
+// allocation, independently of how the fill derived it: no resource carries
+// more than its capacity, and every active flow crosses a saturated
+// resource on which no flow has a higher rate (its bottleneck). An
+// allocation with both properties is the unique max-min fair one. Loads
+// count route occurrences, as the fill does: a route naming a resource
+// twice loads it twice. Every comparison allows certTol slack. It reports
+// the first violation.
+func (n *Network) CheckMaxMin() error {
+	n.flushRates()
+	load := make([]float64, len(n.res))
+	top := make([]float64, len(n.res))
+	for i, r := range n.res {
+		for _, f := range r.flows {
+			load[i] += f.rate
+			top[i] = math.Max(top[i], f.rate)
+		}
+		if load[i] > r.capacity*(1+certTol) {
+			return fmt.Errorf("flownet: max-min certificate: %s carries %v B/s over capacity %v", r.Name, load[i], r.capacity)
+		}
+	}
+	for _, f := range n.active {
+		bottlenecked := false
+		for _, r := range f.route {
+			if load[r.regIdx] >= r.capacity*(1-certTol) && top[r.regIdx] <= f.rate*(1+certTol) {
+				bottlenecked = true
+				break
+			}
+		}
+		if !bottlenecked {
+			return fmt.Errorf("flownet: max-min certificate: flow %s at %v B/s has no saturated resource it is maximal on", f.Label, f.rate)
+		}
+	}
+	return nil
+}
 
 func flowUses(f *Flow, r *Resource) bool {
 	for _, rr := range f.route {

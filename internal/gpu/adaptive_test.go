@@ -162,9 +162,8 @@ func TestReplannerSignalSeesContention(t *testing.T) {
 	}
 }
 
-// TestEventDriverMatchesPollingAdaptive: the event-driven scheduler and the
-// polling reference must agree bit for bit when tenants re-time their
-// programs mid-run — the adaptation extension of the PR 3 differential.
+// TestEventDriverMatchesPollingAdaptive: tenants that re-time their
+// programs mid-run must pass Check and match the unchecked run exactly.
 func TestEventDriverMatchesPollingAdaptive(t *testing.T) {
 	a1 := analyze(t, models.TinyCNN(128), 200)
 	a2 := analyze(t, models.TinyMLP(64), 50)
@@ -183,22 +182,19 @@ func TestEventDriverMatchesPollingAdaptive(t *testing.T) {
 			Shared: cfg1,
 		}
 	}
-	swaps := 0
-	runOnce := func(drv Driver) ClusterResult {
+	var pols []*replanPolicy
+	runChecked(t, func() ClusterParams {
 		p := build()
-		p.Driver = drv
-		res := mustRunCluster(t, p)
 		for _, tn := range p.Tenants {
-			swaps += tn.Policy.(*replanPolicy).swapped
+			pols = append(pols, tn.Policy.(*replanPolicy))
 		}
-		return res
+		return p
+	})
+	swaps := 0
+	for _, pol := range pols {
+		swaps += pol.swapped
 	}
-	ev := runOnce(DriverAuto)
-	poll := runOnce(DriverPolling)
 	if swaps == 0 {
-		t.Error("no tenant ever swapped its program; the differential is vacuous")
-	}
-	if !reflect.DeepEqual(ev, poll) {
-		t.Errorf("event-driven diverged from polling with adaptive tenants:\nevent:   %+v\npolling: %+v", ev, poll)
+		t.Error("no tenant ever swapped its program; the checked run is vacuous")
 	}
 }

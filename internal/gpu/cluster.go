@@ -9,10 +9,10 @@
 // kernel-end heap, flow-completion owner tags, the host pool's grant
 // queue, and an arrival queue for jobs that join mid-simulation — and only
 // the tenants whose events fire are stepped, so per-event cost is
-// O(affected tenants · log n) instead of O(all tenants). A reference
-// polling scheduler (the shared-clock loop this engine grew out of) is
-// retained behind ClusterParams.Driver; differential tests pin the two
-// bit-identical across every model × policy. A one-tenant cluster executes
+// O(affected tenants · log n) instead of O(all tenants). Skipping the
+// others is sound only if stepping an un-woken tenant is a no-op;
+// ClusterParams.Check asserts exactly that (check.go), with the engine's
+// other invariants, at every clock advance. A one-tenant cluster executes
 // exactly the single-machine Run loop.
 package gpu
 
@@ -65,9 +65,11 @@ type ClusterParams struct {
 	// memory capacity, and host DRAM bandwidth (its per-GPU fields are
 	// ignored).
 	Shared Config
-	// Driver selects the scheduler implementation; the zero value is the
-	// production event-driven scheduler.
-	Driver Driver
+	// Check asserts the engine's invariants at every clock advance (see
+	// check.go) and fails the run with an error at the first violation. A
+	// run that passes is identical to an unchecked one; each advance costs
+	// a pass over every tenant, tensor state and active flow.
+	Check bool
 	// StepCount, when non-nil, accumulates the run's step-machine
 	// invocations — the scheduler-cost metric BenchmarkClusterScaling pins
 	// near-linear in tenant count. Per-run state: concurrent RunCluster
@@ -76,14 +78,13 @@ type ClusterParams struct {
 	// Engine, when non-nil, accumulates the run's engine-internal work
 	// counters (see EngineStats). Like StepCount, this is an out-parameter
 	// rather than a ClusterResult field so results stay byte-comparable
-	// across drivers and engine modes in differential tests while the
-	// bookkeeping costs — which legitimately differ between eager and lazy
-	// engine modes — are observable separately.
+	// across engine modes (the reference fill and TLB) in differential tests
+	// while the bookkeeping costs, which legitimately differ between them,
+	// are observable separately.
 	Engine *EngineStats
-	// Faults injects a deterministic fault schedule (faults.go). The events
-	// are applied at the same pump point in every driver, so byte-identity
-	// across drivers holds for faulted runs too. nil or
-	// empty injects nothing and adds no overhead.
+	// Faults injects a deterministic fault schedule (faults.go), applied at
+	// one pump point of the driver. nil or empty injects nothing and adds
+	// no overhead.
 	Faults *FaultPlan
 	// Plans, when non-nil, is the plan cache the tenants plan through, so
 	// runs sharing it plan each distinct job once between them. nil plans
@@ -93,20 +94,21 @@ type ClusterParams struct {
 
 // EngineStats reports how much internal bookkeeping the simulation engine
 // performed during a run — the work the O(events) refactor bounds — as
-// opposed to what the simulated system did. The lazy engine keeps
-// ProgressTouches and ReapScans proportional to the event count where the
-// eager engine paid O(active flows) per clock advance; TestEngineStats
-// asserts the bound, and `g10bench -json` reports the counters per suite.
+// opposed to what the simulated system did. Lazy settlement and the
+// heap-driven reap keep ProgressTouches and ReapScans proportional to the
+// event count rather than O(active flows) per clock advance;
+// TestEngineStats asserts near-linear scaling, and `g10bench -json`
+// reports the counters per suite.
 type EngineStats struct {
 	// FlowRecomputes counts max-min rate re-derivations of the flow
 	// network; FlowSuccessions counts completions absorbed in place by the
 	// succession fast path without one.
 	FlowRecomputes  int64
 	FlowSuccessions int64
-	// ProgressTouches counts per-flow byte-accounting settlements;
-	// ReapScans counts flows examined for completion. Both are O(events)
-	// under the lazy engine and O(events x active flows) under the eager
-	// reference (ForceEagerProgressForTest).
+	// ProgressTouches counts per-flow byte-accounting settlements (one per
+	// replayed progress segment); ReapScans counts flows examined for
+	// completion (completion-heap candidates, or the whole active set while
+	// it is small enough to scan).
 	ProgressTouches int64
 	ReapScans       int64
 	// TLBEpochShootdowns counts range shootdowns served by an epoch bump
@@ -149,17 +151,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.TenantRestarts += o.TenantRestarts
 	s.CheckpointBytes += o.CheckpointBytes
 }
-
-// Driver selects a cluster scheduler implementation.
-type Driver int
-
-const (
-	// DriverAuto is the production path: the event-driven scheduler.
-	DriverAuto Driver = iota
-	// DriverPolling selects the retained polling reference scheduler
-	// (differential tests; executable documentation of the semantics).
-	DriverPolling
-)
 
 // TenantSpan is one job's admission and completion times on the shared
 // clock.
@@ -238,7 +229,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 		r.arrival = t.ArrivalTime
 		runners[i] = r
 	}
-	opt := driveOptions{driver: p.Driver, steps: p.StepCount}
+	opt := driveOptions{check: p.Check, steps: p.StepCount}
 	if !p.Faults.Empty() {
 		opt.faults = newFaultClock(p.Faults, runners, sh, net)
 		mtbf := p.Faults.MTBF(len(p.Tenants))
@@ -264,7 +255,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 			r.ckptEvery = t.Recovery.CheckpointInterval(r.exec.Total(), units.TransferTime(snap, bw), mtbf)
 		}
 	}
-	if err := drive(net, runners, opt); err != nil {
+	if err := driveEvents(net, runners, opt); err != nil {
 		return ClusterResult{}, err
 	}
 	out := ClusterResult{
@@ -306,28 +297,13 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 	return out, nil
 }
 
-// driveOptions is the per-run scheduler configuration — replacing what used
-// to be process-global toggles, so concurrent runs never share mutable
-// state.
+// driveOptions is the per-run scheduler configuration: check runs
+// checkInvariants at every clock advance, steps (when non-nil) accumulates
+// the run's step-machine invocations, and faults injects a fault schedule.
 type driveOptions struct {
-	driver Driver
+	check  bool
 	steps  *int64
 	faults *faultClock
-}
-
-// drive schedules the tenants on one shared clock.
-func drive(net *flownet.Network, tenants []*runner, opt driveOptions) error {
-	var steps int64
-	var err error
-	if opt.driver == DriverPolling {
-		err = drivePolling(net, tenants, opt.faults, &steps)
-	} else {
-		err = driveEvents(net, tenants, opt.faults, &steps)
-	}
-	if opt.steps != nil {
-		*opt.steps += steps
-	}
-	return err
 }
 
 // execHeap is a typed binary min-heap of executing tenants ordered by
@@ -388,8 +364,7 @@ func (h *execHeap) pop() execEntry {
 }
 
 // bitset is a fixed-size index set; wakeSet iterates it in ascending order,
-// so wake and dispatch rounds preserve the deterministic tenant ordering the
-// polling scheduler had.
+// so wake and dispatch rounds step tenants in deterministic index order.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -399,7 +374,7 @@ func (b bitset) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 
 // wakeSet is a bitset with a word-range watermark: iteration touches only
 // [lo, hi], the words that can hold set bits, instead of the whole backing
-// array. The drivers size their sets over every tenant, and a serving trace
+// array. The driver sizes its sets over every tenant, and a serving trace
 // creates one tenant per request — 10^6 words-scans per round would make the
 // per-event cost O(tenants) and the whole run quadratic. Live indices
 // cluster (arrivals admit in index order and old requests finish), so the
@@ -475,22 +450,26 @@ func (s *wakeSet) forEach(fn func(i int)) {
 	}
 }
 
-// driveEvents is the production scheduler: tenants sleep on a global
-// time-ordered wakeup structure — the kernel-end heap, the network's event
-// heap (whose completions carry owner tags), the host pool's grant queue,
-// and the arrival queue — and only woken tenants are stepped.
+// driveEvents schedules the tenants on one shared clock: tenants sleep on a
+// global time-ordered wakeup structure — the kernel-end heap, the network's
+// event heap (whose completions carry owner tags), the host pool's grant
+// queue, and the arrival queue — and only woken tenants are stepped.
 //
-// Determinism and bit-identity with the polling reference rest on two
-// invariants. First, within a round every woken tenant is stepped in index
-// order, exactly the order the polling loop used. Second, stepping an
-// un-woken tenant is a no-op: a blocked tenant's private state changes only
-// through its own flow completions, and its re-step reads shared state
-// (host pool, flash allocator) only after such a change — so skipping the
-// no-op steps cannot alter any decision. Re-dispatch of the migration
-// metadata queues per network event is likewise confined to machines with
-// queued requests (for the others the arbiter pop/requeue cycle is
-// observationally empty).
-func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, steps *int64) error {
+// Determinism rests on two invariants. First, within a round every woken
+// tenant is stepped in index order. Second, stepping an un-woken tenant is
+// a no-op: a blocked tenant's private state changes only through its own
+// flow completions, and its re-step reads shared state (host pool, flash
+// allocator) only after such a change — so skipping the no-op steps cannot
+// alter any decision. opt.check asserts the second at every clock advance.
+// Re-dispatch of the migration metadata queues per network event is
+// likewise confined to machines with queued requests (for the others the
+// arbiter pop/requeue cycle is observationally empty).
+func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) error {
+	var steps int64
+	if opt.steps != nil {
+		defer func() { *opt.steps += steps }()
+	}
+	faults := opt.faults
 	n := len(tenants)
 	ready := newWakeSet(n)
 	queued := newWakeSet(n)
@@ -547,7 +526,7 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 			if r.phase == phaseDone || r.phase == phasePending || r.phase == phaseCrashed {
 				continue
 			}
-			*steps++
+			steps++
 			r.step()
 			if r.err != nil {
 				return r.err
@@ -572,6 +551,11 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 		}
 		if remaining == 0 {
 			return nil
+		}
+		if opt.check {
+			if err := checkInvariants(net, tenants); err != nil {
+				return err
+			}
 		}
 
 		// Advance the shared clock to the earliest pending event.
@@ -610,8 +594,8 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 				}
 			}
 			// Every machine with queued migration metadata re-dispatches
-			// after each event, in index order — the arbiter's transfer-set
-			// rotation the polling loop performed for all tenants.
+			// after each event, in index order: the arbiter's transfer-set
+			// rotation.
 			queued.forEach(func(i int) {
 				r := tenants[i]
 				r.redispatch()
@@ -626,8 +610,8 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 			tenants[e.idx].inExecHeap = false
 			ready.set(e.idx)
 		}
-		// Fault pump point — identical in every driver: after the network
-		// advance and kernel-end pops, before arrival admission. A crashed
+		// Fault pump point: after the network advance and kernel-end pops,
+		// before arrival admission. A crashed
 		// victim's heap entries and wake bits go stale and pop as no-ops; a
 		// repaired tenant wakes like any other event.
 		if faults != nil {
@@ -646,104 +630,4 @@ func driveEvents(net *flownet.Network, tenants []*runner, faults *faultClock, st
 			ready.set(r.idx)
 		}
 	}
-}
-
-// drivePolling is the reference scheduler the event-driven engine must
-// match bit for bit: step every live tenant until only the clock can
-// unblock it, then advance the shared clock to the earliest pending event.
-// Its per-round cost is O(all tenants); it exists for differential tests
-// (ClusterParams.Driver = DriverPolling) and as executable documentation
-// of the semantics.
-func drivePolling(net *flownet.Network, tenants []*runner, faults *faultClock, steps *int64) error {
-	// Inference tenants' grants (server pump wakes) can land mid-round for
-	// an index already stepped; the woke flag re-rounds at the same clock,
-	// matching the event driver's same-clock follow-up rounds. Training
-	// tenants keep onHostWake nil here so the polling reference semantics
-	// they are differentially pinned against are untouched.
-	woke := false
-	for _, r := range tenants {
-		if r.inf != nil {
-			r.onHostWake = func() { woke = true }
-		}
-	}
-	for _, r := range tenants {
-		if r.arrival > 0 {
-			r.phase = phasePending
-			continue
-		}
-		if err := r.start(); err != nil {
-			return err
-		}
-	}
-	for {
-		woke = false
-		next := units.Forever
-		live := false
-		for _, r := range tenants {
-			if r.phase == phaseDone {
-				continue
-			}
-			if r.phase == phasePending {
-				live = true
-				next = units.MinTime(next, r.arrival)
-				continue
-			}
-			*steps++
-			r.step()
-			if r.err != nil {
-				return r.err
-			}
-			switch r.phase {
-			case phaseDone:
-			case phaseExec:
-				live = true
-				next = units.MinTime(next, r.execEnd)
-			default:
-				live = true
-			}
-		}
-		if !live {
-			return nil
-		}
-		if woke {
-			continue // a mid-round grant: re-round at the same clock
-		}
-		next = units.MinTime(next, units.MinTime(net.NextEvent(), faults.next()))
-		if next == units.Forever {
-			return fmt.Errorf("gpu: cluster stalled with no pending events")
-		}
-		advanceShared(net, tenants, next)
-		// Fault pump point (same position as the event driver: after the
-		// advance, before arrival admission). Wakes are no-ops here — the
-		// polling loop re-steps every live tenant anyway.
-		if faults != nil {
-			if _, err := faults.apply(net.Now(), func(int) {}); err != nil {
-				return err
-			}
-		}
-		for _, r := range tenants {
-			if r.phase == phasePending && r.arrival <= net.Now() {
-				if err := r.admit(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-}
-
-// advanceShared moves the shared clock to t, delivering each batch of flow
-// completions to its owning machines at the moment it lands and letting
-// every machine re-dispatch its metadata queues after each event — the
-// multi-tenant generalisation of the single-machine wait loop (polling
-// reference; the event driver confines the re-dispatch to machines with
-// queued requests).
-func advanceShared(net *flownet.Network, tenants []*runner, t units.Time) {
-	net.AdvanceEventwise(t, func(done []*flownet.Flow) {
-		for _, f := range done {
-			deliver(f)
-		}
-		for _, r := range tenants {
-			r.redispatch()
-		}
-	})
 }

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"g10sim/internal/dnn"
@@ -13,31 +12,14 @@ import (
 	"g10sim/internal/vitality"
 )
 
-// runFourWays executes the same cluster parameters under every scheduler ×
-// migration-path combination: {event-driven, polling} × {conveyor,
-// per-chunk reference}. All four must agree bit for bit.
-func runFourWays(t *testing.T, build func() ClusterParams) {
-	t.Helper()
-	ev, poll := runBothDrivers(t, build)
-	ForceChunkReferenceForTest(true)
-	defer ForceChunkReferenceForTest(false)
-	refEv, refPoll := runBothDrivers(t, build)
-	if !reflect.DeepEqual(ev, refEv) {
-		t.Errorf("conveyor diverged from per-chunk reference (event driver):\nconveyor:  %+v\nreference: %+v", ev, refEv)
-	}
-	if !reflect.DeepEqual(poll, refPoll) {
-		t.Errorf("conveyor diverged from per-chunk reference (polling driver):\nconveyor:  %+v\nreference: %+v", poll, refPoll)
-	}
-	if !reflect.DeepEqual(ev, poll) {
-		t.Errorf("event driver diverged from polling under the conveyor:\nevent:   %+v\npolling: %+v", ev, poll)
-	}
-}
-
-// TestConveyorMatchesChunkReference: the conveyor fast path must reproduce
-// the naive per-chunk migration path bit for bit — under memory pressure
-// that blocks fetch chunks mid-train (forcing the slow-path fallback), with
-// strict policies, across both cluster drivers, and with dynamic arrivals.
-// A small MigrationChunk makes every migration a long train.
+// TestConveyorMatchesChunkReference runs long chunk trains under Check: a
+// conveyor succession that carried a stale rate fails the max-min
+// certificate, and one that lost or double-counted a chunk's memory fails
+// the pool ledgers or GPU capacity — under memory pressure that blocks
+// fetch chunks mid-train (forcing the fresh-flow fallback), with strict
+// policies and with dynamic arrivals. The checked run must match the
+// unchecked one exactly. A small MigrationChunk makes every migration a
+// long train.
 func TestConveyorMatchesChunkReference(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -77,15 +59,14 @@ func TestConveyorMatchesChunkReference(t *testing.T) {
 				}
 				return p
 			}
-			runFourWays(t, build)
+			runChecked(t, build)
 		})
 	}
 }
 
-// TestConveyorMatchesChunkReferenceAdaptive extends the differential to
-// tenants that re-time their programs mid-run from the lateness signal: the
-// signal is accumulated per chunk, so it must be bit-identical between the
-// conveyor and the per-chunk reference.
+// TestConveyorMatchesChunkReferenceAdaptive extends the checked chunk-train
+// run to tenants that re-time their programs mid-run from the lateness
+// signal, which is accumulated per chunk.
 func TestConveyorMatchesChunkReferenceAdaptive(t *testing.T) {
 	a1 := analyze(t, models.TinyCNN(128), 200)
 	a2 := analyze(t, models.TinyMLP(64), 50)
@@ -106,7 +87,7 @@ func TestConveyorMatchesChunkReferenceAdaptive(t *testing.T) {
 			Shared: cfg1,
 		}
 	}
-	runFourWays(t, build)
+	runChecked(t, build)
 }
 
 // trainMachine builds a machine over a graph with one large tensor (and a

@@ -2,12 +2,11 @@
 //
 // A FaultPlan is a fixed, fully deterministic schedule of hardware fault
 // events — server crashes (with optional repair), PCIe link-degradation
-// windows, and flash die failures. The drivers fold the plan's next event
-// time into their shared-clock horizon and apply due events at one pump
+// windows, and flash die failures. The driver folds the plan's next event
+// time into its shared-clock horizon and applies due events at one pump
 // point — after the network advance and kernel-end pops, before arrival
-// admission — identically in the event and polling schedulers, so the
-// byte-identity contract between them extends to faulted runs unchanged
-// (see DESIGN.md §15).
+// admission — so a faulted run is as deterministic as a clean one (see
+// DESIGN.md §15).
 //
 // A crash aborts the victim's in-flight kernel and flows (riding the
 // mid-exec abort and stale-heap-entry tolerance the serving engine
@@ -231,7 +230,7 @@ func newFaultClock(p *FaultPlan, tenants []*runner, sh *Shared, net *flownet.Net
 }
 
 // next reports the earliest unapplied event time (Forever when drained);
-// the drivers fold it into their horizon, so a cluster whose only pending
+// the driver folds it into its horizon, so a cluster whose only pending
 // wakeup is a repair never trips the stall guard.
 func (fc *faultClock) next() units.Time {
 	if fc == nil || fc.cursor >= len(fc.events) {
@@ -241,7 +240,7 @@ func (fc *faultClock) next() units.Time {
 }
 
 // apply fires every event due at or before now, in (time, plan-order)
-// order. wake marks a repaired tenant runnable in the calling driver's
+// order. wake marks a repaired tenant runnable in the driver's
 // bookkeeping. Returns how many tenants reached phaseDone (permanently
 // failed) so the driver can settle its remaining count.
 func (fc *faultClock) apply(now units.Time, wake func(int)) (finished int, err error) {
@@ -457,7 +456,7 @@ func (r *runner) ckptLanded(op *ckptOp) {
 // flash), metadata queues drain, and the tenant's bulk host-pool grant —
 // including any pending waiter subscription — releases in one FIFO-
 // preserving round. Iteration over states is in tensor-id order, so the
-// teardown's effect on shared structures is identical in every driver.
+// teardown's effect on shared structures is deterministic.
 // Returns the number of aborted flows.
 func (m *Machine) crashReset() (aborted int) {
 	m.queues.Reset()

@@ -54,9 +54,9 @@ func makespanOf(t testing.TB, build func() ClusterParams) units.Time {
 }
 
 // TestFaultedDriversMatch: a run with crashes (one permanent), a link
-// degradation window, and a die failure must be byte-identical across the
-// event and polling drivers — the fault pump point preserves the engines'
-// equivalence contract.
+// degradation window, and a die failure must pass Check — crash teardown
+// returns every host grant and wakes every repaired tenant — and match the
+// unchecked run exactly.
 func TestFaultedDriversMatch(t *testing.T) {
 	H := makespanOf(t, faultTestParams(t, nil, 0, 3))
 	plan := &FaultPlan{
@@ -67,20 +67,7 @@ func TestFaultedDriversMatch(t *testing.T) {
 		Degrades: []LinkDegrade{{Tenant: 1, From: H / 8, Until: H / 2, Factor: 0.25}},
 		DieFails: []DieFail{{At: H / 3, Dies: 2}},
 	}
-	build := faultTestParams(t, plan, 1, 3)
-	var evStats, pollStats EngineStats
-	pe, pp := build(), build()
-	pe.Engine = &evStats
-	pp.Driver, pp.Engine = DriverPolling, &pollStats
-	ev, poll := mustRunCluster(t, pe), mustRunCluster(t, pp)
-	if !reflect.DeepEqual(ev, poll) {
-		t.Errorf("faulted event run diverged from polling:\nevent:   %+v\npolling: %+v", ev, poll)
-	}
-	// The event driver releases delivered flows and the polling driver
-	// never does: the match above covers flow reuse only if reuse happened.
-	if evStats.FlowAllocs >= pollStats.FlowAllocs {
-		t.Errorf("event run allocated %d flows, polling %d: no delivered flow was reused", evStats.FlowAllocs, pollStats.FlowAllocs)
-	}
+	ev := runChecked(t, faultTestParams(t, plan, 1, 3))
 	if ev.Tenants[0].Restarts != 1 {
 		t.Errorf("tenant 0 restarts = %d, want 1", ev.Tenants[0].Restarts)
 	}
@@ -111,8 +98,8 @@ func TestIdleCrashInstantRepairIsNoop(t *testing.T) {
 }
 
 // TestMidExecutionCrashAborts sweeps the crash over the run — hitting
-// kernels mid-execution and migrations mid-flight — and checks each driver
-// tears the victim down, recovers it, and still completes identically.
+// kernels mid-execution and migrations mid-flight — and checks the driver
+// tears the victim down and recovers it, under Check and unchecked alike.
 func TestMidExecutionCrashAborts(t *testing.T) {
 	H := makespanOf(t, faultTestParams(t, nil, 0, 3))
 	var aborts int64
@@ -120,11 +107,7 @@ func TestMidExecutionCrashAborts(t *testing.T) {
 		at := units.Time(int64(H) * frac / 4)
 		plan := &FaultPlan{Crashes: []CrashFault{{Tenant: 0, At: at, RepairAfter: units.Duration(H / 20)}}}
 		build := faultTestParams(t, plan, 0, 3)
-		ev, poll := runBothDrivers(t, build)
-		if !reflect.DeepEqual(ev, poll) {
-			t.Errorf("crash at %v: event diverged from polling", at)
-		}
-		victim := ev.Tenants[0]
+		victim := runChecked(t, build).Tenants[0]
 		if victim.Failed {
 			t.Errorf("crash at %v: victim failed: %s", at, victim.FailReason)
 		}

@@ -29,13 +29,14 @@
 // just-evicted request cannot instantly readmit into the same full pool
 // and burn a prefill for zero progress.
 //
-// The same two cluster drivers (events / polling) advance request tenants
-// unchanged. Bit-identity across them rests on the same two invariants the
-// training runner obeys: woken tenants step in ascending index order within
-// a round, and stepping an un-woken request is a strict no-op — blocked
-// states change only through explicit grants and evictions (applied by the
-// server's pump at deterministic simulation points) and through the
-// request's own flow completions, never by re-polling shared state.
+// The cluster driver advances request tenants like training ones.
+// Determinism rests on the same two invariants the training runner obeys:
+// woken tenants step in ascending index order within a round, and stepping
+// an un-woken request is a strict no-op — blocked states change only
+// through explicit grants and evictions (applied by the server's pump at
+// deterministic simulation points) and through the request's own flow
+// completions, never by re-polling shared state. InferenceParams.Check
+// asserts the second, and the block-pool ledgers, at every clock advance.
 package gpu
 
 import (
@@ -100,7 +101,7 @@ type InferenceParams struct {
 	TierLatency     units.Duration
 
 	// Scheduler plumbing, as in ClusterParams.
-	Driver    Driver
+	Check     bool
 	StepCount *int64
 	Engine    *EngineStats
 
@@ -231,7 +232,7 @@ type infReq struct {
 	// granted marks an unconsumed server grant (admission, reload, or
 	// decode block); homed an unconsumed reload landing. Blocked states
 	// act only on these flags — never by re-polling pool state — which is
-	// what makes skipped steps no-ops across drivers.
+	// what makes skipped steps no-ops.
 	granted bool
 	homed   bool
 
@@ -374,8 +375,7 @@ func (e *infEngine) blocksFor(tokens int) int {
 }
 
 // RunInference simulates the request trace on the cluster engine and
-// returns per-request stats. Results are byte-identical across drivers, like
-// RunCluster.
+// returns per-request stats.
 func RunInference(p InferenceParams) (InferenceResult, error) {
 	p = p.withDefaults()
 	if len(p.Requests) == 0 {
@@ -417,8 +417,8 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 		q.r = r
 		runners[i] = r
 	}
-	opt := driveOptions{driver: p.Driver, steps: p.StepCount}
-	if err := drive(net, runners, opt); err != nil {
+	opt := driveOptions{check: p.Check, steps: p.StepCount}
+	if err := driveEvents(net, runners, opt); err != nil {
 		return InferenceResult{}, err
 	}
 	out := InferenceResult{Requests: make([]RequestStat, len(runners))}
@@ -494,7 +494,7 @@ func (r *runner) stepServe() {
 }
 
 // resume consumes an outstanding grant or landing; reports false while the
-// request stays blocked (a strict no-op, so extra polling steps are safe).
+// request stays blocked (a strict no-op, so extra steps are safe).
 func (q *infReq) resume() bool {
 	switch q.state {
 	case reqQueued:
@@ -661,8 +661,8 @@ func (q *infReq) finish() {
 	srv.pump()
 }
 
-// kvLanded handles a KV flow completion (called from deliver, so it runs at
-// the same simulation point in every driver).
+// kvLanded handles a KV flow completion (called from deliver, at the
+// simulation point the flow lands).
 func (q *infReq) kvLanded(t *kvTransfer) {
 	eng := q.eng
 	srv := q.srv
@@ -688,14 +688,6 @@ func (q *infReq) kvLanded(t *kvTransfer) {
 	}
 	if a := eng.p.audit; a != nil {
 		a(q)
-	}
-}
-
-// wake marks the request's tenant ready in the driver (nil-safe: grants
-// remain flags either way, and the polling driver re-rounds on any wake).
-func (q *infReq) wake() {
-	if q.r.onHostWake != nil {
-		q.r.onHostWake()
 	}
 }
 
@@ -772,7 +764,7 @@ func (srv *infServer) pump() {
 			q.gpu++
 			q.alloc++
 			q.granted = true
-			q.wake()
+			q.r.onHostWake()
 		}
 		for len(srv.admit) > 0 {
 			head := srv.admit[0].q
@@ -815,7 +807,7 @@ func (srv *infServer) grantAdmit(q *infReq, need int) {
 	q.alloc += need
 	srv.active = append(srv.active, q)
 	q.granted = true
-	q.wake()
+	q.r.onHostWake()
 }
 
 // demand resolves decode pressure immediately: the youngest admitted

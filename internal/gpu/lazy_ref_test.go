@@ -11,54 +11,40 @@ import (
 	"g10sim/internal/uvm"
 )
 
-// runEngineModes executes the same cluster parameters under the production
-// lazy engine (deferred flow settlement, heap-driven reap, epoch-based TLB
-// shootdowns) and under the retained eager references
-// (ForceEagerProgressForTest + ForceReferenceTLBForTest), across both
-// cluster drivers. All results must agree bit for bit:
-// laziness is an accounting strategy, never a semantic one.
+// runEngineModes runs the same cluster parameters under Check (runChecked:
+// lazy flow settlement and the heap-driven reap are held to the max-min
+// certificate and the pool ledgers, the event driver to wake completeness)
+// and under the two retained references: the reference TLB
+// (ForceReferenceTLBForTest, against epoch-based shootdowns) and the
+// reference max-min fill (ForceReferenceFillForTest: full scan loops, no
+// fill trace, no frontier refills). All results must agree bit for bit.
 func runEngineModes(t *testing.T, build func() ClusterParams) {
 	t.Helper()
-	lazyEv, lazyPoll := runBothDrivers(t, build)
+	res := runChecked(t, build)
 
-	flownet.ForceEagerProgressForTest(true)
 	uvm.ForceReferenceTLBForTest(true)
-	defer func() {
-		flownet.ForceEagerProgressForTest(false)
-		uvm.ForceReferenceTLBForTest(false)
-	}()
-	eagerEv, eagerPoll := runBothDrivers(t, build)
-	flownet.ForceEagerProgressForTest(false)
+	defer uvm.ForceReferenceTLBForTest(false)
+	refTLB := mustRunCluster(t, build())
 	uvm.ForceReferenceTLBForTest(false)
 
-	// Third engine mode: the lazy engine with the reference max-min fill
-	// (full scan loops, no fill trace, no frontier refills) — pins the
-	// heap-driven fill and the frontier refill across models, policies,
-	// and drivers.
 	flownet.ForceReferenceFillForTest(true)
 	defer flownet.ForceReferenceFillForTest(false)
-	refFillEv, refFillPoll := runBothDrivers(t, build)
+	refFill := mustRunCluster(t, build())
 	flownet.ForceReferenceFillForTest(false)
 
-	if !reflect.DeepEqual(lazyEv, eagerEv) {
-		t.Errorf("lazy engine diverged from eager reference (event driver):\nlazy:  %+v\neager: %+v", lazyEv, eagerEv)
+	if !reflect.DeepEqual(res, refTLB) {
+		t.Errorf("epoch TLB diverged from the reference TLB:\nepoch: %+v\nref:   %+v", res, refTLB)
 	}
-	if !reflect.DeepEqual(lazyPoll, eagerPoll) {
-		t.Errorf("lazy engine diverged from eager reference (polling driver):\nlazy:  %+v\neager: %+v", lazyPoll, eagerPoll)
-	}
-	if !reflect.DeepEqual(lazyEv, refFillEv) {
-		t.Errorf("heap fill diverged from reference fill (event driver):\nheap: %+v\nref:  %+v", lazyEv, refFillEv)
-	}
-	if !reflect.DeepEqual(lazyPoll, refFillPoll) {
-		t.Errorf("heap fill diverged from reference fill (polling driver):\nheap: %+v\nref:  %+v", lazyPoll, refFillPoll)
+	if !reflect.DeepEqual(res, refFill) {
+		t.Errorf("heap fill diverged from reference fill:\nheap: %+v\nref:  %+v", res, refFill)
 	}
 }
 
-// TestLazyEngineMatchesEagerReference pins the tentpole invariant: the lazy
-// engine (segment-log flow settlement, completion-heap reap, epoch TLB,
-// tombstoned page-table clears) reproduces the eager per-event reference
-// bit for bit — under memory pressure, strict policies, dynamic arrivals,
-// and both cluster drivers.
+// TestLazyEngineMatchesEagerReference holds the lazy engine (segment-log
+// flow settlement, completion-heap reap, epoch TLB, tombstoned page-table
+// clears) to its invariants under Check, and to the reference TLB and
+// reference fill bit for bit — under memory pressure, strict policies and
+// dynamic arrivals.
 func TestLazyEngineMatchesEagerReference(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -109,15 +95,12 @@ func engineStatsFor(t *testing.T, n int) EngineStats {
 }
 
 // TestEngineStats asserts the numbers behind the O(events) claim. The
-// counters must be populated; the lazy engine must never do more
-// per-flow accounting work than the eager reference and must examine far
-// fewer flows for completion (heap candidates vs full scans); and the
-// per-event bookkeeping — reap scans and rate recomputes — must scale
-// near-linearly in tenant count. ProgressTouches carries no scaling
-// assertion: on a fully-coupled workload every event legitimately
-// re-rates every flow sharing the bottleneck, so the (flow, segment)
-// replay count matches the eager engine's; the lazy win there is
-// deferral and the aggregate served-bytes fold, not fewer touches.
+// counters must be populated, and the per-event bookkeeping — reap scans
+// and rate recomputes — must scale near-linearly in tenant count.
+// ProgressTouches carries no scaling assertion: on a fully-coupled
+// workload every event legitimately re-rates every flow sharing the
+// bottleneck, so each (flow, segment) pair is replayed; the lazy win there
+// is deferral and O(1) progress, not fewer touches.
 func TestEngineStats(t *testing.T) {
 	es8 := engineStatsFor(t, 8)
 	for _, c := range []struct {
@@ -133,28 +116,6 @@ func TestEngineStats(t *testing.T) {
 			t.Errorf("%s = %d, want > 0", c.name, c.v)
 		}
 	}
-
-	// Same workload under the eager reference: lazy settlement replays
-	// each (flow, segment) pair at most once, so it can never exceed the
-	// eager per-event loop; heap-driven reap examines only completion
-	// candidates where the scanning reference pays the whole active set.
-	flownet.ForceEagerProgressForTest(true)
-	var eager EngineStats
-	p := scalingParams(t, 8)
-	p.Engine = &eager
-	mustRunCluster(t, p)
-	flownet.ForceEagerProgressForTest(false)
-	if es8.ProgressTouches > eager.ProgressTouches {
-		t.Errorf("lazy ProgressTouches %d exceed eager reference %d",
-			es8.ProgressTouches, eager.ProgressTouches)
-	}
-	if es8.ReapScans >= eager.ReapScans {
-		t.Errorf("lazy ReapScans %d not below eager reference %d",
-			es8.ReapScans, eager.ReapScans)
-	}
-	t.Logf("8 tenants: touches lazy=%d eager=%d; reap scans lazy=%d eager=%d (%.1fx)",
-		es8.ProgressTouches, eager.ProgressTouches, es8.ReapScans, eager.ReapScans,
-		float64(eager.ReapScans)/float64(es8.ReapScans))
 
 	// Near-linear scaling of the per-event bookkeeping: 4x the tenants may
 	// cost at most ~6x the reap scans and recomputes (quadratic would be

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"g10sim/internal/dnn"
 	"g10sim/internal/flownet"
@@ -814,15 +813,6 @@ func (m *Machine) route(mig *migration) []*flownet.Resource {
 	}
 }
 
-// forceChunkReference switches migrations to the naive per-chunk reference
-// path (a fresh flow per chunk, full rate recompute at every boundary);
-// differential tests use it to pin the conveyor fast path bit-identical.
-var forceChunkReference atomic.Bool
-
-// ForceChunkReferenceForTest selects the retained per-chunk reference path
-// for subsequent runs. Tests only; the conveyor is the production path.
-func ForceChunkReferenceForTest(v bool) { forceChunkReference.Store(v) }
-
 // nextChunk sizes and (for fetches) claims GPU memory for the migration's
 // next chunk. Reports false when a fetch must wait for space — the memory
 // claim is the semantic boundary that forces the slow path: a conveyor may
@@ -865,11 +855,12 @@ func (m *Machine) startChunk(st *tensorState) bool {
 // continueChunk advances a chunk train at one of its boundaries: the just-
 // finished flow is succeeded in place on the same route (the conveyor fast
 // path — no teardown, no recompute unless the flownet detects the event was
-// impure). Memory-tight fetches and the test reference hook fall back to
-// startChunk's fresh-flow slow path, which is observationally identical.
+// impure). A chunk that still carries setup latency takes startChunk's
+// fresh-flow path instead, and a memory-tight fetch chunk waits in its
+// queue until startChunk resumes it.
 func (m *Machine) continueChunk(st *tensorState, f *flownet.Flow) bool {
 	mig := st.mig
-	if forceChunkReference.Load() || mig.latency != 0 {
+	if mig.latency != 0 {
 		return m.startChunk(st)
 	}
 	chunk, ok := m.nextChunk(mig)
@@ -1040,7 +1031,7 @@ func (m *Machine) cancelStalledFetches(pinned map[int]bool) units.Bytes {
 
 // advanceTo moves simulated time forward, delivering flow completions at
 // the moment they land (a test helper; production runs are advanced by the
-// drivers in cluster.go, which use the same event-wise semantics).
+// driver in cluster.go, which uses the same event-wise semantics).
 func (m *Machine) advanceTo(t units.Time) {
 	m.net.AdvanceEventwise(t, func(done []*flownet.Flow) {
 		for _, f := range done {

@@ -51,7 +51,7 @@ func Run(p RunParams) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	err = drive(m.net, []*runner{r}, driveOptions{})
+	err = driveEvents(m.net, []*runner{r}, driveOptions{})
 	return r.result(), err
 }
 
@@ -76,7 +76,7 @@ const (
 	phasePending
 	// phaseCrashed: the tenant's server is down (fault injection); only a
 	// scheduled repair event revives it. Distinct from phasePending so the
-	// drivers' arrival admission never resurrects a crashed tenant.
+	// driver's arrival admission never resurrects a crashed tenant.
 	phaseCrashed
 	// phaseCkpt: a checkpoint snapshot flow is in flight; the tenant resumes
 	// at its next boundary when the flow lands (ckptLanded).
@@ -116,10 +116,10 @@ type runner struct {
 	// Scheduler bookkeeping (cluster wakeup subscriptions). idx is the
 	// tenant slot; arrival the admission time (<= 0 = present from the
 	// start); inExecHeap marks a live entry in the driver's kernel-end
-	// heap; onHostWake, when set by the event driver, is registered with
-	// the shared host pool after a blocked wait that followed a denied
-	// reservation (hostSubscribed dedupes; hostRejects0 is the per-step
-	// denial snapshot).
+	// heap; onHostWake, set by the driver, is registered with the shared
+	// host pool after a blocked wait that followed a denied reservation
+	// (hostSubscribed dedupes; hostRejects0 is the per-step denial
+	// snapshot).
 	idx            int
 	arrival        units.Time
 	inExecHeap     bool
@@ -400,7 +400,7 @@ func (r *runner) stepWait() bool {
 			// completes. If a host reservation was denied this step, also
 			// subscribe to the pool's grant queue: released capacity then
 			// wakes this tenant explicitly instead of relying on a re-poll.
-			if r.onHostWake != nil && !r.hostSubscribed && m.hostRejects > r.hostRejects0 {
+			if !r.hostSubscribed && m.hostRejects > r.hostRejects0 {
 				r.hostSubscribed = true
 				m.host.AwaitFreeFor(m.idx, m.lastHostReject, r.onHostWake)
 			}

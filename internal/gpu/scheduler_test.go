@@ -10,15 +10,26 @@ import (
 	"g10sim/internal/units"
 )
 
-// runBothDrivers executes the same cluster parameters under the
-// event-driven scheduler and the retained polling reference.
-func runBothDrivers(t testing.TB, build func() ClusterParams) (event, polling ClusterResult) {
+// runChecked runs the cluster build describes twice, unchecked and under
+// Check, and fails unless the checked run passes every invariant and
+// matches the unchecked one exactly: results and engine counters alike. It
+// returns the unchecked result.
+func runChecked(t testing.TB, build func() ClusterParams) ClusterResult {
 	t.Helper()
-	event = mustRunCluster(t, build())
+	var es, checkedES EngineStats
 	p := build()
-	p.Driver = DriverPolling
-	polling = mustRunCluster(t, p)
-	return event, polling
+	p.Engine = &es
+	res := mustRunCluster(t, p)
+	p = build()
+	p.Check, p.Engine = true, &checkedES
+	checked := mustRunCluster(t, p)
+	if !reflect.DeepEqual(res, checked) {
+		t.Errorf("checked run diverged from the unchecked one:\nunchecked: %+v\nchecked:   %+v", res, checked)
+	}
+	if es != checkedES {
+		t.Errorf("checked run changed the engine counters:\nunchecked: %+v\nchecked:   %+v", es, checkedES)
+	}
+	return res
 }
 
 func mustRunCluster(t testing.TB, p ClusterParams) ClusterResult {
@@ -30,10 +41,11 @@ func mustRunCluster(t testing.TB, p ClusterParams) ClusterResult {
 	return res
 }
 
-// TestEventDriverMatchesPolling: the event-driven scheduler must reproduce
-// the polling reference bit for bit — heterogeneous tenants, tight and
+// TestEventDriverMatchesPolling runs the event-driven scheduler under Check
+// — wake completeness, the max-min certificate, pool ledgers and GPU
+// capacity at every clock advance — on heterogeneous tenants, tight and
 // roomy host pools, strict (FlashNeuron-style) and UVM policies, and
-// dynamic arrivals.
+// dynamic arrivals; the checked run must match the unchecked one exactly.
 func TestEventDriverMatchesPolling(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -67,10 +79,7 @@ func TestEventDriverMatchesPolling(t *testing.T) {
 				}
 				return p
 			}
-			ev, poll := runBothDrivers(t, build)
-			if !reflect.DeepEqual(ev, poll) {
-				t.Errorf("event-driven diverged from polling reference:\nevent:   %+v\npolling: %+v", ev, poll)
-			}
+			runChecked(t, build)
 		})
 	}
 }
@@ -122,7 +131,7 @@ func TestClusterArrivalSemantics(t *testing.T) {
 // with N so per-tenant behaviour stays comparable across sizes, and each
 // tenant replays a slightly perturbed exec trace so kernel boundaries
 // interleave instead of coinciding (a fleet's events are not synchronised;
-// a polling scheduler pays for every tenant at each of them).
+// a scheduler that stepped every tenant would pay for all of them at each).
 func scalingParams(t testing.TB, n int) ClusterParams {
 	t.Helper()
 	a := analyze(t, models.TinyCNN(64), 200)
@@ -154,8 +163,8 @@ func stepsFor(t testing.TB, n int) int64 {
 }
 
 // TestClusterScalingNearLinear pins the tentpole property: total
-// step-machine iterations grow near-linearly in tenant count (the polling
-// scheduler was quadratic — every tenant stepped on every event). The
+// step-machine iterations grow near-linearly in tenant count (stepping
+// every tenant on every event would be quadratic). The
 // 64-tenant run may cost at most ~1.5x the linear extrapolation of the
 // 16-tenant run.
 func TestClusterScalingNearLinear(t *testing.T) {

@@ -142,10 +142,9 @@ func (p *MemPool) ReleaseAll(owner int) units.Bytes {
 // waking the whole queue at once (each wakeup is one grant).
 //
 // The FIFO order is a determinism contract, not just fairness: grant order
-// is exactly subscription order, so any scheduler that subscribes its
-// tenants in a fixed order (the cluster drivers use ascending tenant
-// index) observes an identical wake sequence — the event driver's
-// byte-identity to the polling reference depends on it.
+// is exactly subscription order, so a scheduler that subscribes its
+// tenants in a fixed order (the cluster driver uses ascending tenant
+// index) observes an identical wake sequence on every run.
 func (p *MemPool) notify() {
 	grantable := p.Free()
 	woken := 0
