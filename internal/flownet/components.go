@@ -30,7 +30,7 @@ type component struct {
 	res   []*Resource
 	// rec, when non-nil, asks the fill to record its trace for frontier
 	// refills; ref pins the fill to the reference scan loop
-	// (ForceReferenceFillForTest).
+	// (Network.refFill).
 	rec *fillTrace
 	ref bool
 }

@@ -1,12 +1,13 @@
 // Heap-driven progressive filling and frontier-incremental refill.
 //
-// The reference max-min fill (fillComponentRef, retained behind
-// ForceReferenceFillForTest) costs O(rounds × (R + F·routelen)) per
-// recompute: every round scans every component resource for the bottleneck
-// and every component flow for route membership. In the one-giant-component
-// regime — a fleet of tenants coupled through a handful of shared array
-// channels — rounds ≈ R and F is the whole fleet, so each recompute is
-// quadratic-ish and the fill dominates the profile.
+// The reference max-min fill (fillComponentRef, retained as the executable
+// specification a network runs when its refFill latch is set) costs
+// O(rounds × (R + F·routelen)) per recompute: every round scans every
+// component resource for the bottleneck and every component flow for route
+// membership. In the one-giant-component regime — a fleet of tenants
+// coupled through a handful of shared array channels — rounds ≈ R and F is
+// the whole fleet, so each recompute is quadratic-ish and the fill
+// dominates the profile.
 //
 // Two layers replace that, bit-identically (DESIGN.md §13):
 //
@@ -37,20 +38,7 @@ package flownet
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 )
-
-// forceReferenceFill pins networks created while set to the reference
-// per-round-scan fill (and disables frontier refills). Process-global so
-// differential tests can force it for whole simulation runs; latched per
-// network at New.
-var forceReferenceFill atomic.Bool
-
-// ForceReferenceFillForTest makes every subsequently created Network use the
-// reference progressive-filling loop (full bottleneck scans, no fill trace,
-// no frontier refill) instead of the heap-driven fill. The two must agree
-// bit for bit on every rate; differential tests pin that.
-func ForceReferenceFillForTest(v bool) { forceReferenceFill.Store(v) }
 
 // frontierMinFlows is the component size below which a fill does not record
 // a trace: full refills of small components are already cheap, and the
@@ -377,9 +365,9 @@ func heapFill(flows []*Flow, res []*Resource, fs *fillState, rec *fillTrace, lev
 // fillComponentRef is the reference progressive-filling loop over one
 // component: per round, a full scan of the component's resources for the
 // first strict minimum of avail/count, then a full scan of the component's
-// flows for bottleneck users. Retained behind ForceReferenceFillForTest as
-// the executable specification the heap fill and the frontier refill are
-// differentially pinned against.
+// flows for bottleneck users. Retained, on networks whose refFill latch
+// is set, as the executable specification the heap fill and the frontier
+// refill are differentially pinned against.
 func fillComponentRef(c *component, fs *fillState) {
 	for _, f := range c.flows {
 		f.frozen = false
@@ -426,7 +414,7 @@ func fillComponentRef(c *component, fs *fillState) {
 
 // fillComponent fills one dirty component: the heap-driven fill on the
 // production path (recording a trace when the component was chosen for
-// one), the reference loop under ForceReferenceFillForTest. All writes
+// one), the reference loop on a network latched to it. All writes
 // besides fs are to component-local state, so dirty components fill in any
 // order with bit-equal results.
 func fillComponent(c *component, fs *fillState) {

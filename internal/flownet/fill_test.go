@@ -3,22 +3,10 @@ package flownet
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"g10sim/internal/units"
 )
-
-// TestMain lets CI run the whole flownet suite under the reference fill
-// (FLOWNET_FORCE_REFERENCE_FILL=1): every engine-level test then exercises
-// the retained scan loop instead of the heap fill, so a regression in
-// either side of the differential pair is caught.
-func TestMain(m *testing.M) {
-	if os.Getenv("FLOWNET_FORCE_REFERENCE_FILL") == "1" {
-		ForceReferenceFillForTest(true)
-	}
-	os.Exit(m.Run())
-}
 
 // TestHeapFillMatchesReference: the heap-driven fill (and, on top of it,
 // the frontier refill) must be bit-identical to the reference per-round
@@ -41,9 +29,6 @@ func TestHeapFillMatchesReference(t *testing.T) {
 // path silently never firing (in which case this test would only re-prove
 // the heap fill).
 func TestFrontierRefillMatchesReference(t *testing.T) {
-	if forceReferenceFill.Load() {
-		t.Skip("reference fill forced; no frontier to exercise")
-	}
 	old := frontierMinFlows
 	frontierMinFlows = 4
 	defer func() { frontierMinFlows = old }()
@@ -143,9 +128,6 @@ func giantDifferential(t *testing.T, seed int64, tenants, steps int, mutate func
 // serve a healthy share of the recomputes (every delta lands inside the
 // traced component) and stay bit-identical to the reference fill.
 func TestFrontierGiantComponent(t *testing.T) {
-	if forceReferenceFill.Load() {
-		t.Skip("reference fill forced; no frontier to exercise")
-	}
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, dut := giantDifferential(t, seed, 48, 500, func(ref, dut *Network) {})
@@ -163,9 +145,6 @@ func TestFrontierGiantComponent(t *testing.T) {
 // scratch, trace and counters live on each Network, so each pair must match
 // its reference fill and a second run of its seed; -race flags shared state.
 func TestFrontierGiantComponentParallel(t *testing.T) {
-	if forceReferenceFill.Load() {
-		t.Skip("reference fill forced; no frontier to exercise")
-	}
 	for seed := int64(5); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -193,9 +172,6 @@ func TestFrontierGiantComponentParallel(t *testing.T) {
 // fill (which records no trace) must stay bit-identical through and past
 // the corner.
 func TestSucceedAfterMidWindowRecompute(t *testing.T) {
-	if forceReferenceFill.Load() {
-		t.Skip("reference fill forced; no frontier to exercise")
-	}
 	const tenants = 40 // one giant component above frontierMinFlows: trace records
 	seg := units.Bytes(8 * units.MB)
 	run := func(refFill bool) (log []string, rates []units.Bandwidth, n *Network) {
@@ -275,9 +251,6 @@ func TestSucceedAfterMidWindowRecompute(t *testing.T) {
 // there is the adjacency-based candidate collection, measured by time in
 // BenchmarkMaxMinFill.)
 func TestFillCounters(t *testing.T) {
-	if forceReferenceFill.Load() {
-		t.Skip("reference fill forced")
-	}
 	ref, dut := giantDifferential(t, 9, 48, 500, func(ref, dut *Network) {})
 	if ref.FrontierReuses() != 0 {
 		t.Errorf("reference network reports %d frontier reuses, want 0", ref.FrontierReuses())

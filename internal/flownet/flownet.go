@@ -208,8 +208,8 @@ type Network struct {
 	deltaStamp  uint32
 	refillRes   []*Resource
 	// refFill pins this network to the reference per-round-scan fill (no
-	// heap, no trace, no frontier refills). Latched from
-	// ForceReferenceFillForTest at New.
+	// heap, no trace, no frontier refills). Only this package's tests set
+	// it, on the reference side of their differentials.
 	refFill bool
 	// doneBuf accumulates one AdvanceTo call's completions; reused.
 	doneBuf []*Flow
@@ -389,7 +389,6 @@ func New() *Network {
 	return &Network{
 		resIndex: make(map[string]*Resource),
 		segLog:   []segment{{}},
-		refFill:  forceReferenceFill.Load(),
 	}
 }
 

@@ -191,72 +191,91 @@ func TestDuplicateResourcePanics(t *testing.T) {
 	n.AddResource("x", units.GBps(2))
 }
 
-// TestWorkConservation checks the max-min property: whenever any flow wants
-// more bandwidth, at least one resource on its route is fully allocated.
+// fillModes names the two max-min fills a property test runs under: the
+// production heap fill and the reference scan loop (Network.refFill).
+var fillModes = []struct {
+	name string
+	ref  bool
+}{{"heap", false}, {"reference", true}}
+
+// TestWorkConservation checks the max-min property under each fill:
+// whenever any flow wants more bandwidth, at least one resource on its
+// route is fully allocated.
 func TestWorkConservation(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n := New()
-		var res []*Resource
-		for i := 0; i < 4; i++ {
-			res = append(res, n.AddResource(string(rune('a'+i)), units.GBps(1+10*rng.Float64())))
-		}
-		var flows []*Flow
-		for i := 0; i < 8; i++ {
-			route := []*Resource{res[rng.Intn(len(res))]}
-			if rng.Intn(2) == 0 {
-				r2 := res[rng.Intn(len(res))]
-				if r2 != route[0] {
-					route = append(route, r2)
+	for _, mode := range fillModes {
+		t.Run(mode.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			for trial := 0; trial < 50; trial++ {
+				n := New()
+				n.refFill = mode.ref
+				var res []*Resource
+				for i := 0; i < 4; i++ {
+					res = append(res, n.AddResource(string(rune('a'+i)), units.GBps(1+10*rng.Float64())))
+				}
+				var flows []*Flow
+				for i := 0; i < 8; i++ {
+					route := []*Resource{res[rng.Intn(len(res))]}
+					if rng.Intn(2) == 0 {
+						r2 := res[rng.Intn(len(res))]
+						if r2 != route[0] {
+							route = append(route, r2)
+						}
+					}
+					flows = append(flows, n.Start("f", units.GB, nil, route...))
+				}
+				// Sum rates per resource.
+				load := map[*Resource]float64{}
+				for _, f := range flows {
+					for _, r := range f.Route() {
+						load[r] += float64(f.Rate())
+					}
+				}
+				for r, l := range load {
+					if l > float64(r.Capacity())*(1+1e-9) {
+						t.Fatalf("trial %d: resource %s overloaded: %v > %v", trial, r.Name, l, float64(r.Capacity()))
+					}
+				}
+				for _, f := range flows {
+					saturated := false
+					for _, r := range f.Route() {
+						if load[r] >= float64(r.Capacity())*(1-1e-9) {
+							saturated = true
+						}
+					}
+					if !saturated {
+						t.Fatalf("trial %d: flow has slack on all resources (rate %v)", trial, f.Rate())
+					}
 				}
 			}
-			flows = append(flows, n.Start("f", units.GB, nil, route...))
-		}
-		// Sum rates per resource.
-		load := map[*Resource]float64{}
-		for _, f := range flows {
-			for _, r := range f.Route() {
-				load[r] += float64(f.Rate())
-			}
-		}
-		for r, l := range load {
-			if l > float64(r.Capacity())*(1+1e-9) {
-				t.Fatalf("trial %d: resource %s overloaded: %v > %v", trial, r.Name, l, float64(r.Capacity()))
-			}
-		}
-		for _, f := range flows {
-			saturated := false
-			for _, r := range f.Route() {
-				if load[r] >= float64(r.Capacity())*(1-1e-9) {
-					saturated = true
-				}
-			}
-			if !saturated {
-				t.Fatalf("trial %d: flow has slack on all resources (rate %v)", trial, f.Rate())
-			}
-		}
+		})
 	}
 }
 
-// TestByteConservationProperty: for random flow sets on a shared link, each
-// flow's rate integrated over the run equals its size once complete (the
-// byte ledger fails the test otherwise), and every flow completes.
+// TestByteConservationProperty: for random flow sets on a shared link,
+// under each fill, each flow's rate integrated over the run equals its
+// size once complete (the byte ledger fails the test otherwise), and every
+// flow completes.
 func TestByteConservationProperty(t *testing.T) {
-	f := func(sizes []uint16) bool {
-		if len(sizes) == 0 || len(sizes) > 12 {
-			return true
-		}
-		n := New()
-		shared := n.AddResource("shared", units.GBps(2))
-		l := newByteLedger(n)
-		for i, s := range sizes {
-			l.track(n.Start("f", units.Bytes(s)*units.MB, i, shared))
-		}
-		done := l.advance(t, units.Forever-1)
-		return len(done) == len(sizes) && n.Idle()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+	for _, mode := range fillModes {
+		t.Run(mode.name, func(t *testing.T) {
+			f := func(sizes []uint16) bool {
+				if len(sizes) == 0 || len(sizes) > 12 {
+					return true
+				}
+				n := New()
+				n.refFill = mode.ref
+				shared := n.AddResource("shared", units.GBps(2))
+				l := newByteLedger(n)
+				for i, s := range sizes {
+					l.track(n.Start("f", units.Bytes(s)*units.MB, i, shared))
+				}
+				done := l.advance(t, units.Forever-1)
+				return len(done) == len(sizes) && n.Idle()
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 // flows started on it that have neither completed nor been aborted (in
 // start order), and the completion batches of the current step.
 type recycleLeg struct {
+	name    string
 	n       *Network
 	shared  []*Resource
 	links   []*Resource
@@ -24,8 +25,8 @@ type recycleLeg struct {
 	heldUntil map[*Flow]int64
 }
 
-func newRecycleLeg(tenants int, release bool) *recycleLeg {
-	l := &recycleLeg{n: New(), release: release, heldUntil: make(map[*Flow]int64)}
+func newRecycleLeg(name string, tenants int, release bool) *recycleLeg {
+	l := &recycleLeg{name: name, n: New(), release: release, heldUntil: make(map[*Flow]int64)}
 	l.shared = append(l.shared, l.n.AddResource("chanA", units.GBps(4)), l.n.AddResource("chanB", units.GBps(4)))
 	for i := 0; i < tenants; i++ {
 		l.links = append(l.links, l.n.AddResource(fmt.Sprintf("gpu%d/pcie", i), units.GBps(16)))
@@ -118,15 +119,19 @@ func (l *recycleLeg) advance(t *testing.T, to units.Time, seed int64) {
 	})
 }
 
-// recycleDifferential drives a never-releasing and a releasing network
-// through one seeded op stream and asserts after every step that their
-// rates, remaining bytes, completion batches and next events are
-// identical, and that both allocations are max-min fair. It returns the
-// two networks' fresh-flow allocation counts.
+// recycleDifferential drives three networks through one seeded op stream:
+// a never-releasing one on the heap fill ("keep"), a releasing one
+// ("release"), and a never-releasing one latched to the reference fill
+// ("reference"). After every step the other two must match keep exactly —
+// completion batches, next events, and every live flow's rate and remaining
+// bytes — and all three allocations must be max-min fair. It returns the
+// keep and release networks' fresh-flow allocation counts.
 func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllocs, recAllocs int64) {
 	t.Helper()
-	keep, rec := newRecycleLeg(tenants, false), newRecycleLeg(tenants, true)
-	legs := []*recycleLeg{keep, rec}
+	keep, rec := newRecycleLeg("keep", tenants, false), newRecycleLeg("release", tenants, true)
+	ref := newRecycleLeg("reference", tenants, false)
+	ref.n.refFill = true
+	legs := []*recycleLeg{keep, rec, ref}
 	rng := rand.New(rand.NewSource(seed))
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
@@ -163,25 +168,33 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllo
 			for _, l := range legs {
 				l.advance(t, to, s)
 			}
-			if fmt.Sprint(keep.batches) != fmt.Sprint(rec.batches) {
-				t.Fatalf("step %d: completion batches differ:\nkeep:    %v\nrelease: %v", step, keep.batches, rec.batches)
+			for _, l := range legs[1:] {
+				if fmt.Sprint(keep.batches) != fmt.Sprint(l.batches) {
+					t.Fatalf("step %d: completion batches differ:\nkeep: %v\n%s: %v", step, keep.batches, l.name, l.batches)
+				}
 			}
 		}
-		checkMaxMin(t, keep.n)
-		checkMaxMin(t, rec.n)
-		if kn, rn := keep.n.NextEvent(), rec.n.NextEvent(); kn != rn {
-			t.Fatalf("step %d: NextEvent %v (keep) vs %v (release)", step, kn, rn)
+		for _, l := range legs {
+			checkMaxMin(t, l.n)
 		}
-		if len(keep.live) != len(rec.live) {
-			t.Fatalf("step %d: %d live flows (keep) vs %d (release)", step, len(keep.live), len(rec.live))
-		}
-		for i, kf := range keep.live {
-			rf := rec.live[i]
-			if kf.ID != rf.ID || kf.Rate() != rf.Rate() || kf.Remaining() != rf.Remaining() {
-				t.Fatalf("step %d: flow %s: id/rate/remaining %d/%v/%v (keep) vs %d/%v/%v (release)",
-					step, kf.Label, kf.ID, kf.Rate(), kf.Remaining(), rf.ID, rf.Rate(), rf.Remaining())
+		for _, l := range legs[1:] {
+			if kn, ln := keep.n.NextEvent(), l.n.NextEvent(); kn != ln {
+				t.Fatalf("step %d: NextEvent %v (keep) vs %v (%s)", step, kn, ln, l.name)
+			}
+			if len(keep.live) != len(l.live) {
+				t.Fatalf("step %d: %d live flows (keep) vs %d (%s)", step, len(keep.live), len(l.live), l.name)
+			}
+			for i, kf := range keep.live {
+				lf := l.live[i]
+				if kf.ID != lf.ID || kf.Rate() != lf.Rate() || kf.Remaining() != lf.Remaining() {
+					t.Fatalf("step %d: flow %s: id/rate/remaining %d/%v/%v (keep) vs %d/%v/%v (%s)",
+						step, kf.Label, kf.ID, kf.Rate(), kf.Remaining(), lf.ID, lf.Rate(), lf.Remaining(), l.name)
+				}
 			}
 		}
+	}
+	if ref.n.FrontierReuses() != 0 {
+		t.Fatalf("reference network reported %d frontier reuses, want 0", ref.n.FrontierReuses())
 	}
 	return keep.n.FlowAllocs(), rec.n.FlowAllocs()
 }
@@ -191,7 +204,9 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllo
 // bit-identical to one that never does, through dormant starts, in-window
 // successions, aborts, capacity changes and mid-window recomputes, and it
 // must actually reuse flows. The traced run lowers frontierMinFlows so
-// fill traces and frontier refills are live while flows are recycled.
+// fill traces and frontier refills are live while flows are recycled. The
+// reference-fill leg holds the heap fill and the frontier refill to the
+// executable specification on the op stream the GPU drivers issue.
 func TestReleaseReuseMatchesNoReuse(t *testing.T) {
 	for _, minFlows := range []int{frontierMinFlows, 1} {
 		for seed := int64(1); seed <= 4; seed++ {

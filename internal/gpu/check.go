@@ -4,8 +4,9 @@
 // through several fill paths, and the host pool and KV block pools keep
 // their ledgers incrementally. Rather than keep a second copy of any of
 // them as an oracle, a checked run asserts, at every clock advance (once
-// the driver's step rounds have drained and before the clock moves), the
-// invariants those fast paths must preserve:
+// the driver's step rounds have drained and before the clock moves) and
+// once more when the last tenant finishes, the invariants those fast
+// paths must preserve:
 //
 //   - wake completeness: stepping a live tenant that was not woken is a
 //     no-op, which is what makes skipping it sound;
@@ -16,7 +17,13 @@
 //     pool's use, within capacity; each serving server's free blocks plus
 //     its requests' resident blocks equal its capacity, and the host tier
 //     holds exactly the swapped-out spans;
-//   - capacity: no tenant's GPU use exceeds its GPU capacity.
+//   - the flash ledger: the flash pages the training tenants' tensor ranges
+//     and checkpoint ranges hold sum to the array's allocated pages,
+//     within its logical capacity;
+//   - capacity: no tenant's GPU use exceeds its GPU capacity;
+//   - TLB coherence: right after a tensor's translation changes, its TLB
+//     holds no entry for the tensor. Machine.remap asserts this at the
+//     change itself and keeps the first violation for the next check.
 //
 // The first violation fails the run with an error. A run that passes is
 // the run an unchecked one would have been: the wake check's extra steps
@@ -127,16 +134,28 @@ func (st *tensorState) hostHeld() units.Bytes {
 	return 0
 }
 
-// checkMachines checks the training tenants' shared host pool against
-// their tensor states, and their GPU use against capacity.
+// checkMachines checks the training tenants' shared host pool and flash
+// array against their tensor states, their GPU use against capacity, and
+// reports the first TLB coherence violation a remap recorded.
 func checkMachines(tenants []*runner) error {
-	pool := tenants[0].m.host
+	pool, dev := tenants[0].m.host, tenants[0].m.sh.dev
 	var granted units.Bytes
+	var flash int64
 	for _, r := range tenants {
 		m := r.m
+		if m.checkErr != nil {
+			return m.checkErr
+		}
 		var held units.Bytes
 		for i := range m.states {
-			held += m.states[i].hostHeld()
+			st := &m.states[i]
+			held += st.hostHeld()
+			if st.hasRng {
+				flash += st.flash.Count
+			}
+		}
+		if r.hasCkptRng {
+			flash += r.ckptRng.Count
 		}
 		if got := pool.OwnedBy(m.idx); got != held {
 			return fmt.Errorf("tenant %d holds a %v host-pool grant for %v of host-resident tensors", m.idx, got, held)
@@ -148,6 +167,9 @@ func checkMachines(tenants []*runner) error {
 	}
 	if used := pool.Used(); used != granted || used > pool.Capacity() {
 		return fmt.Errorf("host pool uses %v of %v, tenants hold %v", used, pool.Capacity(), granted)
+	}
+	if alloc := dev.AllocatedPages(); alloc != flash || alloc > dev.LogicalPages() {
+		return fmt.Errorf("flash array has %d of %d logical pages allocated, tenants hold %d", alloc, dev.LogicalPages(), flash)
 	}
 	return nil
 }

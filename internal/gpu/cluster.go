@@ -77,10 +77,9 @@ type ClusterParams struct {
 	StepCount *int64
 	// Engine, when non-nil, accumulates the run's engine-internal work
 	// counters (see EngineStats). Like StepCount, this is an out-parameter
-	// rather than a ClusterResult field so results stay byte-comparable
-	// across engine modes (the reference fill and TLB) in differential tests
-	// while the bookkeeping costs, which legitimately differ between them,
-	// are observable separately.
+	// rather than a ClusterResult field: results describe the simulated
+	// system and stay byte-comparable, while the engine's bookkeeping is
+	// observable separately.
 	Engine *EngineStats
 	// Faults injects a deterministic fault schedule (faults.go), applied at
 	// one pump point of the driver. nil or empty injects nothing and adds
@@ -119,8 +118,7 @@ type EngineStats struct {
 	// fill pays per touched resource where the reference scan pays the whole
 	// component every round. FrontierReuses counts rate re-derivations
 	// served by a frontier refill of the recorded fill trace (prefix rates
-	// reused verbatim) instead of a full component fill; it is zero under
-	// ForceReferenceFillForTest.
+	// reused verbatim) instead of a full component fill.
 	FillRounds     int64
 	FillResScans   int64
 	FrontierReuses int64
@@ -205,7 +203,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 			tag = fmt.Sprintf("gpu%d", i)
 		}
 		m := newTenantShell(t.Analysis, cfg, net, tag)
-		m.idx = i
+		m.idx, m.check = i, p.Check
 		if i == 0 {
 			// Shared resources are registered after tenant 0's PCIe links
 			// so a one-tenant cluster's resource order — and with it
@@ -549,13 +547,13 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 		if ready.any() {
 			continue
 		}
-		if remaining == 0 {
-			return nil
-		}
 		if opt.check {
 			if err := checkInvariants(net, tenants); err != nil {
 				return err
 			}
+		}
+		if remaining == 0 {
+			return nil
 		}
 
 		// Advance the shared clock to the earliest pending event.

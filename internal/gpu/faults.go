@@ -480,11 +480,8 @@ func (m *Machine) crashReset() (aborted int) {
 			m.dev.Free(st.flash)
 			st.hasRng = false
 		}
-		if st.loc != uvm.Unmapped {
-			m.pt.UnmapRange(st.va, m.pagesOf(st.t))
-			m.tlb.InvalidateRange(st.va, m.pagesOf(st.t))
-		}
 		st.loc = uvm.Unmapped
+		m.remap(st)
 		st.dying = false
 		st.lastUse = 0
 		st.inLRU = false

@@ -2,50 +2,19 @@ package gpu
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
-	"g10sim/internal/flownet"
 	"g10sim/internal/models"
 	"g10sim/internal/units"
-	"g10sim/internal/uvm"
 )
 
-// runEngineModes runs the same cluster parameters under Check (runChecked:
-// lazy flow settlement and the heap-driven reap are held to the max-min
-// certificate and the pool ledgers, the event driver to wake completeness)
-// and under the two retained references: the reference TLB
-// (ForceReferenceTLBForTest, against epoch-based shootdowns) and the
-// reference max-min fill (ForceReferenceFillForTest: full scan loops, no
-// fill trace, no frontier refills). All results must agree bit for bit.
-func runEngineModes(t *testing.T, build func() ClusterParams) {
-	t.Helper()
-	res := runChecked(t, build)
-
-	uvm.ForceReferenceTLBForTest(true)
-	defer uvm.ForceReferenceTLBForTest(false)
-	refTLB := mustRunCluster(t, build())
-	uvm.ForceReferenceTLBForTest(false)
-
-	flownet.ForceReferenceFillForTest(true)
-	defer flownet.ForceReferenceFillForTest(false)
-	refFill := mustRunCluster(t, build())
-	flownet.ForceReferenceFillForTest(false)
-
-	if !reflect.DeepEqual(res, refTLB) {
-		t.Errorf("epoch TLB diverged from the reference TLB:\nepoch: %+v\nref:   %+v", res, refTLB)
-	}
-	if !reflect.DeepEqual(res, refFill) {
-		t.Errorf("heap fill diverged from reference fill:\nheap: %+v\nref:  %+v", res, refFill)
-	}
-}
-
-// TestLazyEngineMatchesEagerReference holds the lazy engine (segment-log
-// flow settlement, completion-heap reap, epoch TLB, tombstoned page-table
-// clears) to its invariants under Check, and to the reference TLB and
-// reference fill bit for bit — under memory pressure, strict policies and
-// dynamic arrivals.
-func TestLazyEngineMatchesEagerReference(t *testing.T) {
+// TestLazyEngineUnderCheck holds the lazy engine (segment-log flow
+// settlement, completion-heap reap, epoch TLB, tombstoned page-table
+// clears) to its invariants under Check — the max-min certificate, the
+// pool and flash ledgers, TLB coherence at every remap — and the checked
+// run to the unchecked one bit for bit, under memory pressure, strict
+// policies and dynamic arrivals.
+func TestLazyEngineUnderCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		hostCap  units.Bytes
@@ -78,7 +47,7 @@ func TestLazyEngineMatchesEagerReference(t *testing.T) {
 				}
 				return p
 			}
-			runEngineModes(t, build)
+			runChecked(t, build)
 		})
 	}
 }

@@ -219,6 +219,12 @@ type Machine struct {
 
 	failed     bool
 	failReason string
+
+	// check (set from ClusterParams.Check) makes every remap assert that
+	// the TLB holds no translation for the remapped tensor; checkErr keeps
+	// the first violation until the next check reports it.
+	check    bool
+	checkErr error
 }
 
 // migration is one in-progress tensor transfer. Transfers move in chunks
@@ -308,6 +314,34 @@ func (m *Machine) bind(sh *Shared, pol Policy) {
 
 func (m *Machine) pagesOf(t *dnn.Tensor) int64 {
 	return units.PagesFor(t.Size, m.cfg.TranslationGranularity)
+}
+
+// remap points st's page-table range at st.loc, or clears it when st.loc
+// is Unmapped: GPU and host pages carry the tensor's frame (va>>21), flash
+// pages the tensor's flash range. It is the one place a translation
+// changes, so it owns the coherence rule: a tensor that had a translation
+// before gets its TLB range shot down. A checked run then asserts that
+// the TLB holds nothing for the tensor — touch only ever caches st.va —
+// and keeps the first violation for the next check to report.
+func (m *Machine) remap(st *tensorState) {
+	pages := m.pagesOf(st.t)
+	var had int64
+	switch st.loc {
+	case uvm.Unmapped:
+		had = m.pt.UnmapRange(st.va, pages)
+	case uvm.InFlash:
+		had = m.pt.MapRange(st.va, pages, uvm.InFlash, uint64(st.flash.Start))
+	default:
+		had = m.pt.MapRange(st.va, pages, st.loc, st.va>>21)
+	}
+	if had > 0 {
+		m.tlb.InvalidateRange(st.va, pages)
+	}
+	if m.check && m.checkErr == nil {
+		if pte, ok := m.tlb.Peek(st.va); ok {
+			m.checkErr = fmt.Errorf("tenant %d: TLB still caches remapped %s as %+v", m.idx, st.t.Name, pte)
+		}
+	}
 }
 
 // reserveHost claims host-pool capacity, recording denials so the runner
@@ -485,7 +519,7 @@ func (m *Machine) alloc(id int) bool {
 	st.loc = uvm.InGPU
 	st.lastUse = m.Now()
 	m.track(st)
-	m.pt.MapRange(st.va, m.pagesOf(st.t), uvm.InGPU, st.va>>21)
+	m.remap(st)
 	return true
 }
 
@@ -501,7 +535,7 @@ func (m *Machine) seed(id int) error {
 		m.untrack(st)
 		st.loc = uvm.InHost
 		m.track(st)
-		m.pt.MapRange(st.va, m.pagesOf(st.t), uvm.InHost, st.va>>21)
+		m.remap(st)
 		return nil
 	}
 	rng, err := m.dev.Alloc(m.dev.PagesFor(size))
@@ -516,7 +550,7 @@ func (m *Machine) seed(id int) error {
 	m.untrack(st)
 	st.loc = uvm.InFlash
 	m.track(st)
-	m.pt.MapRange(st.va, m.pagesOf(st.t), uvm.InFlash, uint64(rng.Start))
+	m.remap(st)
 	return nil
 }
 
@@ -556,9 +590,8 @@ func (m *Machine) release(st *tensorState) {
 			m.dev.Free(st.flash)
 			st.hasRng = false
 		}
-		m.pt.UnmapRange(st.va, m.pagesOf(st.t))
-		m.tlb.InvalidateRange(st.va, m.pagesOf(st.t))
 		st.loc = uvm.Unmapped
+		m.remap(st)
 		st.dying = false
 		return
 	}
@@ -572,9 +605,8 @@ func (m *Machine) release(st *tensorState) {
 		m.dev.Free(st.flash)
 		st.hasRng = false
 	}
-	m.pt.UnmapRange(st.va, m.pagesOf(st.t))
-	m.tlb.InvalidateRange(st.va, m.pagesOf(st.t))
 	st.loc = uvm.Unmapped
+	m.remap(st)
 	st.dying = false
 }
 
@@ -969,7 +1001,6 @@ func (m *Machine) onComplete(f *flownet.Flow) {
 	if req != nil {
 		m.putRequest(req)
 	}
-	pages := m.pagesOf(st.t)
 	switch mig.kind {
 	case uvm.PreEvict:
 		st.loc = mig.dst
@@ -981,9 +1012,6 @@ func (m *Machine) onComplete(f *flownet.Flow) {
 				return
 			}
 			m.refreshSSDWrite()
-			m.pt.MapRange(st.va, pages, uvm.InFlash, uint64(st.flash.Start))
-		} else {
-			m.pt.MapRange(st.va, pages, uvm.InHost, st.va>>21)
 		}
 	case uvm.Prefetch, uvm.FaultFetch:
 		if mig.src == uvm.InHost {
@@ -991,10 +1019,9 @@ func (m *Machine) onComplete(f *flownet.Flow) {
 		}
 		st.loc = uvm.InGPU
 		st.lastUse = m.Now()
-		m.pt.MapRange(st.va, pages, uvm.InGPU, st.va>>21)
 	}
 	m.track(st)
-	m.tlb.InvalidateRange(st.va, pages)
+	m.remap(st)
 	m.putMigration(mig)
 	if st.dying {
 		m.release(st)

@@ -511,7 +511,7 @@ func (r *runner) streamOverflow(kern *dnn.Kernel, pinned map[int]bool) (units.Du
 			m.untrack(st)
 			st.loc = uvm.InHost
 			m.track(st)
-			m.pt.MapRange(st.va, m.pagesOf(t), uvm.InHost, st.va>>21)
+			m.remap(st)
 			r.addTraffic(uvm.InHost, t.Size, false)
 		} else {
 			rng, err := m.dev.Alloc(m.dev.PagesFor(t.Size))
@@ -526,7 +526,7 @@ func (r *runner) streamOverflow(kern *dnn.Kernel, pinned map[int]bool) (units.Du
 			m.untrack(st)
 			st.loc = uvm.InFlash
 			m.track(st)
-			m.pt.MapRange(st.va, m.pagesOf(t), uvm.InFlash, uint64(rng.Start))
+			m.remap(st)
 			r.addTraffic(uvm.InFlash, t.Size, false)
 		}
 	}

@@ -245,6 +245,9 @@ type Device struct {
 
 	allocCursor int64
 	freeList    []LogicalRange
+	// allocated counts the logical pages Alloc has handed out and Free not
+	// yet taken back (the free list never coalesces, so it is not summed).
+	allocated int64
 
 	// deadChips counts flash dies lost to injected failures. The failure
 	// model is exterior — calibrated behaviour, not FTL surgery: the array
@@ -376,6 +379,7 @@ func (d *Device) Alloc(n int64) (LogicalRange, error) {
 			} else {
 				d.freeList[i] = LogicalRange{Start: r.Start + n, Count: r.Count - n}
 			}
+			d.allocated += n
 			return out, nil
 		}
 	}
@@ -385,6 +389,7 @@ func (d *Device) Alloc(n int64) (LogicalRange, error) {
 	}
 	out := LogicalRange{Start: d.allocCursor, Count: n}
 	d.allocCursor += n
+	d.allocated += n
 	return out, nil
 }
 
@@ -397,7 +402,14 @@ func (d *Device) Free(r LogicalRange) {
 		}
 	}
 	d.freeList = append(d.freeList, r)
+	d.allocated -= r.Count
 }
+
+// AllocatedPages reports the logical pages allocated and not yet freed.
+func (d *Device) AllocatedPages() int64 { return d.allocated }
+
+// LogicalPages reports the device's logical capacity in pages.
+func (d *Device) LogicalPages() int64 { return d.logicalPages }
 
 func (d *Device) invalidate(pp int64) {
 	if d.pageState.at(pp) == pageValid {

@@ -274,7 +274,9 @@ func TestAllocRejectsNonPositive(t *testing.T) {
 }
 
 // TestRandomChurnConsistency fuzzes alloc/write/free cycles and checks FTL
-// invariants hold throughout.
+// invariants hold throughout, and that the allocated-page count equals the
+// pages of the live ranges whether Alloc reused a freed range or extended
+// the tail.
 func TestRandomChurnConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := MustNew(smallConfig())
@@ -311,6 +313,13 @@ func TestRandomChurnConsistency(t *testing.T) {
 			i := rng.Intn(len(live))
 			d.Free(live[i])
 			live = append(live[:i], live[i+1:]...)
+		}
+		var held int64
+		for _, r := range live {
+			held += r.Count
+		}
+		if got := d.AllocatedPages(); got != held || got > d.LogicalPages() {
+			t.Fatalf("step %d: %d allocated pages of %d, live ranges hold %d", step, got, d.LogicalPages(), held)
 		}
 		if step%50 == 0 {
 			if err := d.CheckConsistency(); err != nil {

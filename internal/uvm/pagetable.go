@@ -162,14 +162,17 @@ func (pt *PageTable) Unmap(va uint64) bool {
 }
 
 // MapRange maps pages contiguous virtual pages starting at va to
-// consecutive device addresses starting at startAddr in loc. This is how a
-// whole-tensor migration updates the table (step 5 of Figure 10): one
-// ordered-structure edit regardless of the tensor's page count.
-func (pt *PageTable) MapRange(va uint64, pages int64, loc Location, startAddr uint64) {
+// consecutive device addresses starting at startAddr in loc, returning how
+// many of them were mapped before. This is how a whole-tensor migration
+// updates the table (step 5 of Figure 10): one ordered-structure edit
+// regardless of the tensor's page count.
+func (pt *PageTable) MapRange(va uint64, pages int64, loc Location, startAddr uint64) int64 {
 	if pages <= 0 {
-		return
+		return 0
 	}
+	before := pt.mapped
 	pt.mapRun(pt.vpn(va), pages, loc, startAddr)
+	return pages - (pt.mapped - before)
 }
 
 // UnmapRange unmaps a contiguous run of pages, returning how many were

@@ -20,10 +20,15 @@ func newRefTable(pageSize units.Bytes) *refTable {
 
 func (r *refTable) vpn(va uint64) uint64 { return va / uint64(r.pageSize) }
 
-func (r *refTable) mapRange(va uint64, pages int64, loc Location, addr uint64) {
+func (r *refTable) mapRange(va uint64, pages int64, loc Location, addr uint64) int64 {
+	var n int64
 	for i := int64(0); i < pages; i++ {
+		if _, ok := r.m[r.vpn(va)+uint64(i)]; ok {
+			n++
+		}
 		r.m[r.vpn(va)+uint64(i)] = PTE{Loc: loc, Addr: addr + uint64(i)}
 	}
+	return n
 }
 
 func (r *refTable) unmapRange(va uint64, pages int64) int64 {
@@ -83,8 +88,11 @@ func TestPageTableDifferential(t *testing.T) {
 			case 1: // MapRange
 				loc := locs[rng.Intn(3)]
 				addr := uint64(rng.Intn(1 << 20))
-				pt.MapRange(va, pages, loc, addr)
-				ref.mapRange(va, pages, loc, addr)
+				got := pt.MapRange(va, pages, loc, addr)
+				want := ref.mapRange(va, pages, loc, addr)
+				if got != want {
+					t.Fatalf("trial %d op %d: MapRange(%#x, %d) = %d, ref %d", trial, op, va, pages, got, want)
+				}
 			case 2: // single-page Unmap
 				got := pt.Unmap(va)
 				want := ref.unmapRange(va, 1) == 1

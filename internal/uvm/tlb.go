@@ -3,18 +3,9 @@ package uvm
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"g10sim/internal/units"
 )
-
-// forceReferenceTLB makes NewTLB latch the eager per-entry shootdown path
-// (the pre-epoch reference implementation) for differential testing.
-var forceReferenceTLB atomic.Bool
-
-// ForceReferenceTLBForTest toggles the eager reference shootdown path for
-// TLBs created while set. Tests only.
-func ForceReferenceTLBForTest(v bool) { forceReferenceTLB.Store(v) }
 
 // maxTLBRanges bounds the pending-shootdown range list. Past it, a full
 // reconcile (one sets×ways sweep) applies every pending range eagerly, so
@@ -32,7 +23,8 @@ const maxTLBRanges = 64
 // Stale entries resolve lazily — Lookup/Insert check only the entries they
 // touch (one binary search over the range list), and Stats/Flush reconcile
 // everything so counters stay exact at observation points. The eager
-// reference path is retained behind ForceReferenceTLBForTest.
+// per-entry path (the reference field) is retained as the oracle of this
+// package's differential tests, which set it on their own instances.
 type TLB struct {
 	sets     int
 	ways     int
@@ -83,10 +75,9 @@ func NewTLB(sets, ways int, pageSize units.Bytes) (*TLB, error) {
 	}
 	t := &TLB{
 		sets: sets, ways: ways, pageBits: bits,
-		entries:   make([]tlbEntry, sets*ways),
-		setLen:    make([]int32, sets),
-		setValid:  make([]int32, sets),
-		reference: forceReferenceTLB.Load(),
+		entries:  make([]tlbEntry, sets*ways),
+		setLen:   make([]int32, sets),
+		setValid: make([]int32, sets),
 	}
 	return t, nil
 }
@@ -153,6 +144,20 @@ func (t *TLB) Lookup(va uint64) (PTE, bool) {
 		}
 	}
 	t.misses++
+	return PTE{}, false
+}
+
+// Peek reports the live translation cached for va, like a Lookup hit, but
+// moves no LRU order, counter or pending shootdown range: a check may call
+// it without changing the run it checks.
+func (t *TLB) Peek(va uint64) (PTE, bool) {
+	vpn := va >> t.pageBits
+	set := t.set(t.setOf(vpn))
+	for i := range set {
+		if set[i].valid && set[i].vpn == vpn && !t.stale(&set[i]) {
+			return set[i].pte, true
+		}
+	}
 	return PTE{}, false
 }
 

@@ -9,9 +9,9 @@ import (
 
 // newRefTLB builds a TLB latched to the eager per-entry reference path.
 func newRefTLB(sets, ways int, pageSize units.Bytes) *TLB {
-	ForceReferenceTLBForTest(true)
-	defer ForceReferenceTLBForTest(false)
-	return MustNewTLB(sets, ways, pageSize)
+	t := MustNewTLB(sets, ways, pageSize)
+	t.reference = true
+	return t
 }
 
 // TestTLBFlushCountsDroppedEntries pins Flush's counter semantics: one
@@ -66,7 +66,10 @@ func TestTLBFlushCountsDroppedEntries(t *testing.T) {
 // reference through identical random interleavings of Lookup, Insert,
 // Invalidate, InvalidateRange, Flush, and Stats. Every lookup result and
 // every observed (hits, misses, shootdowns) triple must match: the epoch
-// path defers shootdown work, never changes what it resolves to.
+// path defers shootdown work, never changes what it resolves to. Each
+// lookup is preceded by a Peek on both sides that must report what the
+// lookup then resolves to; the Stats comparisons pin that Peek moved no
+// counter, and the lookup outcomes that it moved no LRU order.
 func TestTLBEpochDifferential(t *testing.T) {
 	type shape struct{ sets, ways int }
 	shapes := []shape{{4, 2}, {16, 4}, {64, 8}}
@@ -85,11 +88,17 @@ func TestTLBEpochDifferential(t *testing.T) {
 			switch k := rng.Intn(100); {
 			case k < 40:
 				a := va()
+				q1, qok1 := ep.Peek(a)
+				q2, qok2 := ref.Peek(a)
 				p1, ok1 := ep.Lookup(a)
 				p2, ok2 := ref.Lookup(a)
 				if ok1 != ok2 || p1 != p2 {
 					t.Fatalf("trial %d op %d: Lookup(%#x) = %+v,%v (epoch) vs %+v,%v (reference)",
 						trial, op, a, p1, ok1, p2, ok2)
+				}
+				if qok1 != ok1 || q1 != p1 || qok2 != ok2 || q2 != p2 {
+					t.Fatalf("trial %d op %d: Peek(%#x) = %+v,%v (epoch) %+v,%v (reference), Lookup = %+v,%v",
+						trial, op, a, q1, qok1, q2, qok2, p1, ok1)
 				}
 			case k < 70:
 				a := va()
