@@ -88,7 +88,7 @@ type benchReport struct {
 	TotalNs    int64         `json:"total_ns"`
 	// Engine reports the engine-internal work counters summed over every
 	// cluster simulation the suite ran (recompute/succession/progress/reap
-	// and epoch-TLB tallies) — the O(events) evidence alongside the wall
+	// and fill tallies) — the O(events) evidence alongside the wall
 	// times. Omitted when the selected figures ran no cluster.
 	Engine *engineRecord `json:"engine_stats,omitempty"`
 	// CalibrationNs is the wall time of a fixed CPU-bound loop measured in
@@ -159,18 +159,17 @@ func appendTrajectory(path, label, note string, rep benchReport) error {
 
 // engineRecord is the JSON shape of gpu.EngineStats in bench reports.
 type engineRecord struct {
-	FlowRecomputes     int64 `json:"flow_recomputes"`
-	FlowSuccessions    int64 `json:"flow_successions"`
-	ProgressTouches    int64 `json:"progress_touches"`
-	ReapScans          int64 `json:"reap_scans"`
-	TLBEpochShootdowns int64 `json:"tlb_epoch_shootdowns"`
-	FillRounds         int64 `json:"fill_rounds"`
-	FillResScans       int64 `json:"fill_res_scans"`
-	FrontierReuses     int64 `json:"frontier_reuses"`
-	FlowAllocs         int64 `json:"flow_allocs"`
-	TenantAborts       int64 `json:"tenant_aborts"`
-	TenantRestarts     int64 `json:"tenant_restarts"`
-	CheckpointBytes    int64 `json:"checkpoint_bytes"`
+	FlowRecomputes  int64 `json:"flow_recomputes"`
+	FlowSuccessions int64 `json:"flow_successions"`
+	ProgressTouches int64 `json:"progress_touches"`
+	ReapScans       int64 `json:"reap_scans"`
+	FillRounds      int64 `json:"fill_rounds"`
+	FillResScans    int64 `json:"fill_res_scans"`
+	FrontierReuses  int64 `json:"frontier_reuses"`
+	FlowAllocs      int64 `json:"flow_allocs"`
+	TenantAborts    int64 `json:"tenant_aborts"`
+	TenantRestarts  int64 `json:"tenant_restarts"`
+	CheckpointBytes int64 `json:"checkpoint_bytes"`
 }
 
 // headlineFigures is the -bench suite: the figures whose wall time the
@@ -443,18 +442,17 @@ func run(fig string, short bool, models string, workers int, jsonPath string, be
 	}
 	if es := s.EngineStats(); es != (gpu.EngineStats{}) {
 		report.Engine = &engineRecord{
-			FlowRecomputes:     es.FlowRecomputes,
-			FlowSuccessions:    es.FlowSuccessions,
-			ProgressTouches:    es.ProgressTouches,
-			ReapScans:          es.ReapScans,
-			TLBEpochShootdowns: es.TLBEpochShootdowns,
-			FillRounds:         es.FillRounds,
-			FillResScans:       es.FillResScans,
-			FrontierReuses:     es.FrontierReuses,
-			FlowAllocs:         es.FlowAllocs,
-			TenantAborts:       es.TenantAborts,
-			TenantRestarts:     es.TenantRestarts,
-			CheckpointBytes:    es.CheckpointBytes,
+			FlowRecomputes:  es.FlowRecomputes,
+			FlowSuccessions: es.FlowSuccessions,
+			ProgressTouches: es.ProgressTouches,
+			ReapScans:       es.ReapScans,
+			FillRounds:      es.FillRounds,
+			FillResScans:    es.FillResScans,
+			FrontierReuses:  es.FrontierReuses,
+			FlowAllocs:      es.FlowAllocs,
+			TenantAborts:    es.TenantAborts,
+			TenantRestarts:  es.TenantRestarts,
+			CheckpointBytes: es.CheckpointBytes,
 		}
 	}
 	if jsonPath != "" {

@@ -115,9 +115,9 @@ func (l *byteLedger) check(t *testing.T) {
 }
 
 // traceTopology registers ch (80 GB/s) and the 40 per-tenant links of
-// 1 GB/s whose flows through ch form a component above frontierMinFlows,
-// so the first fill records a trace; each tenant link is its own
-// bottleneck level, leaving ch 40 GB/s of headroom.
+// 1 GB/s whose flows through ch form a component above
+// defaultFrontierMinFlows, so the first fill records a trace; each tenant
+// link is its own bottleneck level, leaving ch 40 GB/s of headroom.
 func traceTopology(n *Network) (ch *Resource, pcie []*Resource) {
 	ch = n.AddResource("ch", units.GBps(80))
 	for i := 0; i < 40; i++ {

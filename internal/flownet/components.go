@@ -19,6 +19,11 @@
 // (Network.forceGlobalFill).
 package flownet
 
+import (
+	"cmp"
+	"slices"
+)
+
 // component is one connected group of active flows and the busy resources
 // they traverse. res is kept in registration order so the bottleneck search
 // breaks ties exactly as a scan over every registered resource would; flow
@@ -85,7 +90,7 @@ func (n *Network) recomputeComponents() {
 	if n.trace == nil && !n.refFill && !n.forceGlobalFill {
 		best := -1
 		for i := range comps {
-			if len(comps[i].flows) >= frontierMinFlows && (best < 0 || len(comps[i].flows) > len(comps[best].flows)) {
+			if len(comps[i].flows) >= n.frontierMinFlows && (best < 0 || len(comps[i].flows) > len(comps[best].flows)) {
 				best = i
 			}
 		}
@@ -214,17 +219,7 @@ func (r *Resource) claim(stamp uint64) bool {
 
 // sortByRegIdx orders a component's resources by registration index, so
 // the bottleneck search visits them in the order a scan over every
-// registered resource would. Insertion sort: the list is small and
-// collected in near-registration order, and this avoids sort.Slice's
-// closure allocation on the per-event path.
+// registered resource would. regIdx is unique, so the order is total.
 func sortByRegIdx(rs []*Resource) {
-	for i := 1; i < len(rs); i++ {
-		r := rs[i]
-		j := i - 1
-		for j >= 0 && rs[j].regIdx > r.regIdx {
-			rs[j+1] = rs[j]
-			j--
-		}
-		rs[j+1] = r
-	}
+	slices.SortFunc(rs, func(a, b *Resource) int { return cmp.Compare(a.regIdx, b.regIdx) })
 }

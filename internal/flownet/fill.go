@@ -40,11 +40,12 @@ import (
 	"sort"
 )
 
-// frontierMinFlows is the component size below which a fill does not record
-// a trace: full refills of small components are already cheap, and the
-// trace bookkeeping would only add constant overhead. A var so differential
-// tests can force tracing on small topologies.
-var frontierMinFlows = 32
+// defaultFrontierMinFlows is the component size below which a fill does
+// not record a trace: full refills of small components are already cheap,
+// and the trace bookkeeping would only add constant overhead. New latches
+// it into Network.frontierMinFlows, which differential tests lower on
+// their own networks to force tracing on small topologies.
+const defaultFrontierMinFlows = 32
 
 // noLevel marks a resource as never removed by the recorded fill.
 const noLevel = math.MaxInt32

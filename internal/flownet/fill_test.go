@@ -29,15 +29,13 @@ func TestHeapFillMatchesReference(t *testing.T) {
 // path silently never firing (in which case this test would only re-prove
 // the heap fill).
 func TestFrontierRefillMatchesReference(t *testing.T) {
-	old := frontierMinFlows
-	frontierMinFlows = 4
-	defer func() { frontierMinFlows = old }()
 	reuses := int64(0)
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			var refNet, dutNet *Network
 			driveDifferential(t, seed, func(ref, dut *Network) {
 				ref.refFill = true
+				dut.frontierMinFlows = 4
 				refNet, dutNet = ref, dut
 			})
 			reuses += dutNet.FrontierReuses()

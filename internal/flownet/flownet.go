@@ -211,6 +211,9 @@ type Network struct {
 	// heap, no trace, no frontier refills). Only this package's tests set
 	// it, on the reference side of their differentials.
 	refFill bool
+	// frontierMinFlows is the smallest component whose fill records a
+	// trace (defaultFrontierMinFlows; only this package's tests lower it).
+	frontierMinFlows int
 	// doneBuf accumulates one AdvanceTo call's completions; reused.
 	doneBuf []*Flow
 	// retired holds flows handed back by Release since the last recompute;
@@ -387,8 +390,9 @@ type segment struct {
 // New returns an empty network at time zero.
 func New() *Network {
 	return &Network{
-		resIndex: make(map[string]*Resource),
-		segLog:   []segment{{}},
+		resIndex:         make(map[string]*Resource),
+		segLog:           []segment{{}},
+		frontierMinFlows: defaultFrontierMinFlows,
 	}
 }
 

@@ -124,14 +124,18 @@ func (l *recycleLeg) advance(t *testing.T, to units.Time, seed int64) {
 // ("release"), and a never-releasing one latched to the reference fill
 // ("reference"). After every step the other two must match keep exactly —
 // completion batches, next events, and every live flow's rate and remaining
-// bytes — and all three allocations must be max-min fair. It returns the
-// keep and release networks' fresh-flow allocation counts.
-func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllocs, recAllocs int64) {
+// bytes — and all three allocations must be max-min fair. minFlows is each
+// network's frontierMinFlows. It returns the keep and release networks'
+// fresh-flow allocation counts.
+func recycleDifferential(t *testing.T, seed int64, tenants, steps, minFlows int) (keepAllocs, recAllocs int64) {
 	t.Helper()
 	keep, rec := newRecycleLeg("keep", tenants, false), newRecycleLeg("release", tenants, true)
 	ref := newRecycleLeg("reference", tenants, false)
 	ref.n.refFill = true
 	legs := []*recycleLeg{keep, rec, ref}
+	for _, l := range legs {
+		l.n.frontierMinFlows = minFlows
+	}
 	rng := rand.New(rand.NewSource(seed))
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
@@ -208,13 +212,10 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllo
 // reference-fill leg holds the heap fill and the frontier refill to the
 // executable specification on the op stream the GPU drivers issue.
 func TestReleaseReuseMatchesNoReuse(t *testing.T) {
-	for _, minFlows := range []int{frontierMinFlows, 1} {
+	for _, minFlows := range []int{defaultFrontierMinFlows, 1} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("minFlows=%d/seed=%d", minFlows, seed), func(t *testing.T) {
-				old := frontierMinFlows
-				frontierMinFlows = minFlows
-				defer func() { frontierMinFlows = old }()
-				keepAllocs, recAllocs := recycleDifferential(t, seed, 16, 600)
+				keepAllocs, recAllocs := recycleDifferential(t, seed, 16, 600, minFlows)
 				if recAllocs >= keepAllocs {
 					t.Fatalf("releasing network allocated %d flows, non-releasing %d: nothing was reused", recAllocs, keepAllocs)
 				}

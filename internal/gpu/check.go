@@ -21,6 +21,8 @@
 //     and checkpoint ranges hold sum to the array's allocated pages,
 //     within its logical capacity;
 //   - capacity: no tenant's GPU use exceeds its GPU capacity;
+//   - PTE coherence: each tensor's PTE is the translation its state
+//     implies, so no placement change skipped Machine.remap;
 //   - TLB coherence: right after a tensor's translation changes, its TLB
 //     holds no entry for the tensor. Machine.remap asserts this at the
 //     change itself and keeps the first violation for the next check.
@@ -134,9 +136,9 @@ func (st *tensorState) hostHeld() units.Bytes {
 	return 0
 }
 
-// checkMachines checks the training tenants' shared host pool and flash
-// array against their tensor states, their GPU use against capacity, and
-// reports the first TLB coherence violation a remap recorded.
+// checkMachines checks the training tenants' PTEs, shared host pool and
+// flash array against their tensor states, their GPU use against capacity,
+// and reports the first TLB coherence violation a remap recorded.
 func checkMachines(tenants []*runner) error {
 	pool, dev := tenants[0].m.host, tenants[0].m.sh.dev
 	var granted units.Bytes
@@ -149,6 +151,9 @@ func checkMachines(tenants []*runner) error {
 		var held units.Bytes
 		for i := range m.states {
 			st := &m.states[i]
+			if want := st.translation(); st.pte != want {
+				return fmt.Errorf("tenant %d: %s has PTE %+v, its state implies %+v", m.idx, st.t.Name, st.pte, want)
+			}
 			held += st.hostHeld()
 			if st.hasRng {
 				flash += st.flash.Count

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"g10sim/internal/dnn"
 	"g10sim/internal/models"
 	"g10sim/internal/units"
 	"g10sim/internal/uvm"
@@ -57,6 +58,31 @@ func (p *staleTLBPolicy) AtBoundary(iter, b int) {
 	p.planted = true
 }
 
+// unmappedFetchPolicy is a testPolicy whose demand fetches commit without
+// a remap: it remembers each missed tensor's PTE before the fetch and, at
+// the next boundary, puts it back on every such tensor that has landed in
+// GPU memory, leaving the PTE a skipped remap at fetch commit would leave.
+type unmappedFetchPolicy struct {
+	testPolicy
+	before map[int]uvm.PTE
+}
+
+func (p *unmappedFetchPolicy) OnMiss(k int, t *dnn.Tensor) {
+	if pte := p.m.states[t.ID].pte; pte.Loc == uvm.InHost || pte.Loc == uvm.InFlash {
+		p.before[t.ID] = pte
+	}
+	p.testPolicy.OnMiss(k, t)
+}
+
+func (p *unmappedFetchPolicy) AtBoundary(iter, b int) {
+	for id, pte := range p.before {
+		if st := &p.m.states[id]; st.loc == uvm.InGPU && st.mig == nil {
+			st.pte = pte
+			delete(p.before, id)
+		}
+	}
+}
+
 // checkCatches runs a two-tenant cluster whose tenant 1 runs the policy
 // newPol builds (a fresh one per run: the mutant policies latch), and
 // asserts that the unchecked run completes and the checked run fails with
@@ -104,6 +130,15 @@ func TestCheckCatchesLeakedFlashRange(t *testing.T) {
 func TestCheckCatchesStaleTLBEntry(t *testing.T) {
 	checkCatches(t, func() Policy { return &staleTLBPolicy{testPolicy: testPolicy{name: "stale"}} },
 		"tenant 1: TLB still caches remapped")
+}
+
+// TestCheckCatchesUnmappedFetch: a fetch that commits without updating
+// its tensor's PTE fails the checked run's PTE coherence check, while the
+// unchecked run completes (the stale PTE only feeds the TLB).
+func TestCheckCatchesUnmappedFetch(t *testing.T) {
+	checkCatches(t, func() Policy {
+		return &unmappedFetchPolicy{testPolicy: testPolicy{name: "unmapped"}, before: map[int]uvm.PTE{}}
+	}, "its state implies {Loc:gpu")
 }
 
 // TestCheckCatchesLostKVBlock: a server block that leaves the free pool

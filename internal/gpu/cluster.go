@@ -110,8 +110,9 @@ type EngineStats struct {
 	// it is small enough to scan).
 	ProgressTouches int64
 	ReapScans       int64
-	// TLBEpochShootdowns counts range shootdowns served by an epoch bump
-	// plus range note instead of a per-entry walk, summed over tenant TLBs.
+	// TLBEpochShootdowns is always 0: tensor-granular translation shoots
+	// down one TLB entry per remap and has no epoch ranges. The field
+	// stays because the perfbench module reads it.
 	TLBEpochShootdowns int64
 	// FillRounds counts progressive-filling rounds (bottleneck selections)
 	// and FillResScans the resource examinations they performed — the heap
@@ -140,7 +141,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.FlowSuccessions += o.FlowSuccessions
 	s.ProgressTouches += o.ProgressTouches
 	s.ReapScans += o.ReapScans
-	s.TLBEpochShootdowns += o.TLBEpochShootdowns
 	s.FillRounds += o.FillRounds
 	s.FillResScans += o.FillResScans
 	s.FrontierReuses += o.FrontierReuses
@@ -285,7 +285,6 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 			FlowAllocs:      net.FlowAllocs(),
 		}
 		for _, r := range runners {
-			es.TLBEpochShootdowns += r.m.tlb.EpochShootdowns()
 			es.TenantAborts += int64(r.abortedKerns + r.abortedFlows)
 			es.TenantRestarts += int64(r.restarts)
 			es.CheckpointBytes += int64(r.ckptWritten)

@@ -61,8 +61,8 @@ type Config struct {
 	// PageSize is the UVM page size (Table 2: 4KB) used for fault and
 	// traffic accounting.
 	PageSize units.Bytes
-	// TranslationGranularity is the granularity at which the simulator
-	// materialises page-table entries (DESIGN.md §1).
+	// TranslationGranularity is the page size of the tensors' virtual
+	// spans and of the TLB; each tensor has one PTE (DESIGN.md §1–§2).
 	TranslationGranularity units.Bytes
 	// PTWalkLatency is charged per TLB miss.
 	PTWalkLatency units.Duration

@@ -9,9 +9,9 @@ import (
 )
 
 // TestLazyEngineUnderCheck holds the lazy engine (segment-log flow
-// settlement, completion-heap reap, epoch TLB, tombstoned page-table
-// clears) to its invariants under Check — the max-min certificate, the
-// pool and flash ledgers, TLB coherence at every remap — and the checked
+// settlement, completion-heap reap, per-tensor PTEs) to its invariants
+// under Check — the max-min certificate, the pool and flash ledgers, PTE
+// coherence, TLB coherence at every remap — and the checked
 // run to the unchecked one bit for bit, under memory pressure, strict
 // policies and dynamic arrivals.
 func TestLazyEngineUnderCheck(t *testing.T) {
@@ -79,7 +79,6 @@ func TestEngineStats(t *testing.T) {
 		{"FlowRecomputes", es8.FlowRecomputes},
 		{"ProgressTouches", es8.ProgressTouches},
 		{"ReapScans", es8.ReapScans},
-		{"TLBEpochShootdowns", es8.TLBEpochShootdowns},
 	} {
 		if c.v <= 0 {
 			t.Errorf("%s = %d, want > 0", c.name, c.v)

@@ -118,31 +118,33 @@ func NewShared(net *flownet.Network, cfg Config) (*Shared, error) {
 }
 
 // tensorState tracks one tensor's placement and any in-flight migration.
+// The bools sit together at the end so the struct stays 112 bytes.
 type tensorState struct {
-	t    *dnn.Tensor
-	loc  uvm.Location // Unmapped = not allocated
-	va   uint64
-	pend *uvm.Request // queued or flying request, nil if none
-	fly  *flownet.Flow
-	mig  *migration
-	// dying marks a tensor freed while its migration was in flight; the
-	// destination space is released on completion.
-	dying   bool
+	t   *dnn.Tensor
+	loc uvm.Location // Unmapped = not allocated
+	// pte is the tensor's page-table entry: the translation of every page
+	// of its span. remap keeps it in step with loc.
+	pte     uvm.PTE
+	va      uint64
+	pend    *uvm.Request // queued or flying request, nil if none
+	fly     *flownet.Flow
+	mig     *migration
 	flash   ssd.LogicalRange
-	hasRng  bool
 	lastUse units.Time
-	// inLRU marks membership in the machine's resident-LRU index; lruPrev/
-	// lruNext are its links (tensor ids, -1 at the ends). The index key is
-	// (lastUse, id), so lastUse must only change while the tensor is
-	// untracked.
-	inLRU            bool
+	// lruPrev/lruNext link the machine's resident-LRU index (tensor ids,
+	// -1 at the ends). The index key is (lastUse, id), so lastUse must only
+	// change while the tensor is untracked.
 	lruPrev, lruNext int
+	// dying marks a tensor freed while its migration was in flight; the
+	// destination space is released on completion. inLRU marks membership
+	// in the resident-LRU index.
+	dying, hasRng, inLRU bool
 }
 
 // Machine is one simulated GPU system: a tenant of a Shared substrate. Its
-// PCIe link, migration metadata queues, page table, and TLB are private;
-// the clock, the flash array (seen through a per-tenant attribution view),
-// and host memory are the substrate's.
+// PCIe link, migration metadata queues, page table (the tensor states'
+// PTEs), and TLB are private; the clock, the flash array (seen through a
+// per-tenant attribution view), and host memory are the substrate's.
 type Machine struct {
 	cfg    Config
 	a      *vitality.Analysis
@@ -152,7 +154,6 @@ type Machine struct {
 	net    *flownet.Network // == sh.net
 	dev    *ssd.Tenant      // attribution view on sh.dev
 	host   *uvm.MemPool     // == sh.host
-	pt     *uvm.PageTable
 	tlb    *uvm.TLB
 	queues uvm.Queues
 	arb    uvm.Arbiter
@@ -273,7 +274,6 @@ func newTenantShell(a *vitality.Analysis, cfg Config, net *flownet.Network, tag 
 		a:   a,
 		g:   a.Graph,
 		net: net,
-		pt:  uvm.MustNewPageTable(cfg.TranslationGranularity),
 		tlb: uvm.MustNewTLB(64, 8, cfg.TranslationGranularity),
 		arb: uvm.Arbiter{MaxBatchBytes: 256 * units.MB},
 	}
@@ -316,31 +316,36 @@ func (m *Machine) pagesOf(t *dnn.Tensor) int64 {
 	return units.PagesFor(t.Size, m.cfg.TranslationGranularity)
 }
 
-// remap points st's page-table range at st.loc, or clears it when st.loc
-// is Unmapped: GPU and host pages carry the tensor's frame (va>>21), flash
-// pages the tensor's flash range. It is the one place a translation
-// changes, so it owns the coherence rule: a tensor that had a translation
-// before gets its TLB range shot down. A checked run then asserts that
-// the TLB holds nothing for the tensor — touch only ever caches st.va —
-// and keeps the first violation for the next check to report.
+// remap sets st's PTE to the translation st.loc implies. It is the one
+// place a translation changes, so it owns the coherence rule: a tensor
+// that had a translation before gets its TLB entry shot down (touch only
+// ever caches st.va). A checked run then asserts that the TLB holds
+// nothing for the tensor and keeps the first violation for the next check
+// to report.
 func (m *Machine) remap(st *tensorState) {
-	pages := m.pagesOf(st.t)
-	var had int64
-	switch st.loc {
-	case uvm.Unmapped:
-		had = m.pt.UnmapRange(st.va, pages)
-	case uvm.InFlash:
-		had = m.pt.MapRange(st.va, pages, uvm.InFlash, uint64(st.flash.Start))
-	default:
-		had = m.pt.MapRange(st.va, pages, st.loc, st.va>>21)
-	}
-	if had > 0 {
-		m.tlb.InvalidateRange(st.va, pages)
+	had := st.pte.Loc != uvm.Unmapped
+	st.pte = st.translation()
+	if had {
+		m.tlb.Invalidate(st.va)
 	}
 	if m.check && m.checkErr == nil {
 		if pte, ok := m.tlb.Peek(st.va); ok {
 			m.checkErr = fmt.Errorf("tenant %d: TLB still caches remapped %s as %+v", m.idx, st.t.Name, pte)
 		}
+	}
+}
+
+// translation is the PTE st.loc implies: GPU and host pages carry the
+// tensor's frame (va>>21), flash pages the first page of its flash range,
+// and an unmapped tensor has the zero PTE.
+func (st *tensorState) translation() uvm.PTE {
+	switch st.loc {
+	case uvm.Unmapped:
+		return uvm.PTE{}
+	case uvm.InFlash:
+		return uvm.PTE{Loc: uvm.InFlash, Addr: uint64(st.flash.Start)}
+	default:
+		return uvm.PTE{Loc: st.loc, Addr: st.va >> 21}
 	}
 }
 
@@ -1008,6 +1013,7 @@ func (m *Machine) onComplete(f *flownet.Flow) {
 			if _, err := m.dev.Write(st.flash); err != nil {
 				m.failf("ssd write: %v", err)
 				m.track(st)
+				m.remap(st)
 				m.putMigration(mig)
 				return
 			}
@@ -1088,8 +1094,8 @@ func (m *Machine) touch(id int) {
 	m.track(st)
 	if _, hit := m.tlb.Lookup(st.va); !hit {
 		m.walkPenalty += m.cfg.PTWalkLatency
-		if pte, ok := m.pt.Translate(st.va); ok {
-			m.tlb.Insert(st.va, pte)
+		if st.pte.Loc != uvm.Unmapped {
+			m.tlb.Insert(st.va, st.pte)
 		}
 	}
 }

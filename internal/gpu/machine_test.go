@@ -238,15 +238,19 @@ func TestPageTableTracksMigrations(t *testing.T) {
 	m, ids := twoTensorMachine(t, testCfg(200*units.MB, units.GB))
 	m.alloc(ids["A"])
 	st := &m.states[ids["A"]]
-	if loc, ok := m.pt.RangeLocation(st.va, m.pagesOf(st.t)); !ok || loc != uvm.InGPU {
-		t.Fatalf("page table after alloc: %v %v", loc, ok)
+	if want := (uvm.PTE{Loc: uvm.InGPU, Addr: st.va >> 21}); st.pte != want {
+		t.Fatalf("PTE after alloc: %+v, want %+v", st.pte, want)
 	}
 	m.RequestEvict(ids["A"], uvm.InFlash)
 	for m.Loc(ids["A"]) == uvm.InGPU {
 		m.waitNext()
 	}
-	if loc, ok := m.pt.RangeLocation(st.va, m.pagesOf(st.t)); !ok || loc != uvm.InFlash {
-		t.Errorf("page table after eviction: %v %v (G10's flash PTEs)", loc, ok)
+	if want := (uvm.PTE{Loc: uvm.InFlash, Addr: uint64(st.flash.Start)}); !st.hasRng || st.pte != want {
+		t.Errorf("PTE after eviction: %+v, want %+v (G10's flash PTEs)", st.pte, want)
+	}
+	m.free(ids["A"])
+	if st.pte != (uvm.PTE{}) {
+		t.Errorf("PTE after free: %+v, want the zero PTE", st.pte)
 	}
 }
 

@@ -384,13 +384,20 @@ func (d *Device) Alloc(n int64) (LogicalRange, error) {
 		}
 	}
 	if limit := d.allocLimit(); d.allocCursor+n > limit {
-		return LogicalRange{}, fmt.Errorf("ssd: out of logical space (%d pages requested, %d free at tail)",
-			n, limit-d.allocCursor)
+		return LogicalRange{}, outOfSpaceError{requested: n, free: limit - d.allocCursor}
 	}
 	out := LogicalRange{Start: d.allocCursor, Count: n}
 	d.allocCursor += n
 	d.allocated += n
 	return out, nil
+}
+
+// outOfSpaceError is Alloc's out-of-space failure. Its message is built
+// only when read: callers in an allocation storm discard most of them.
+type outOfSpaceError struct{ requested, free int64 }
+
+func (e outOfSpaceError) Error() string {
+	return fmt.Sprintf("ssd: out of logical space (%d pages requested, %d free at tail)", e.requested, e.free)
 }
 
 // Free releases a logical range (TRIM): mapped pages are invalidated.

@@ -60,8 +60,9 @@ func TestAllocExhaustion(t *testing.T) {
 	if _, err := d.Alloc(logical); err != nil {
 		t.Fatalf("full-device alloc failed: %v", err)
 	}
-	if _, err := d.Alloc(1); err == nil {
-		t.Error("over-alloc succeeded")
+	_, err := d.Alloc(1)
+	if want := "ssd: out of logical space (1 pages requested, 0 free at tail)"; err == nil || err.Error() != want {
+		t.Errorf("over-alloc: err = %v, want %q", err, want)
 	}
 }
 

@@ -3,158 +3,9 @@ package uvm
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"g10sim/internal/units"
 )
-
-func TestPageTableMapTranslate(t *testing.T) {
-	pt := MustNewPageTable(4 * units.KB)
-	pt.Map(0x1000, PTE{Loc: InGPU, Addr: 42})
-	pte, ok := pt.Translate(0x1000)
-	if !ok || pte.Loc != InGPU || pte.Addr != 42 {
-		t.Fatalf("Translate = %+v, %v", pte, ok)
-	}
-	// Same page, different offset.
-	if pte2, ok := pt.Translate(0x1FFF); !ok || pte2 != pte {
-		t.Error("offset within page translated differently")
-	}
-	// Next page unmapped.
-	if _, ok := pt.Translate(0x2000); ok {
-		t.Error("unmapped page translated")
-	}
-	if pt.Mapped() != 1 {
-		t.Errorf("Mapped = %d", pt.Mapped())
-	}
-}
-
-func TestPageTableRemapAndUnmap(t *testing.T) {
-	pt := MustNewPageTable(4 * units.KB)
-	pt.Map(0x4000, PTE{Loc: InGPU, Addr: 1})
-	pt.Map(0x4000, PTE{Loc: InFlash, Addr: 9}) // migration updates in place
-	if pt.Mapped() != 1 {
-		t.Errorf("remap changed count: %d", pt.Mapped())
-	}
-	pte, _ := pt.Translate(0x4000)
-	if pte.Loc != InFlash || pte.Addr != 9 {
-		t.Errorf("remapped PTE = %+v", pte)
-	}
-	if !pt.Unmap(0x4000) {
-		t.Error("Unmap returned false")
-	}
-	if pt.Unmap(0x4000) {
-		t.Error("double Unmap returned true")
-	}
-	if _, ok := pt.Translate(0x4000); ok {
-		t.Error("translated after unmap")
-	}
-}
-
-func TestPageTableFlashPTEs(t *testing.T) {
-	// The G10 extension: leaf PTEs can point at flash addresses (§4.5).
-	pt := MustNewPageTable(4 * units.KB)
-	pt.MapRange(0x10_0000, 16, InFlash, 7000)
-	loc, ok := pt.RangeLocation(0x10_0000, 16)
-	if !ok || loc != InFlash {
-		t.Fatalf("RangeLocation = %v, %v", loc, ok)
-	}
-	pte, _ := pt.Translate(0x10_0000 + 5*4096)
-	if pte.Addr != 7005 {
-		t.Errorf("5th page addr = %d, want 7005", pte.Addr)
-	}
-}
-
-func TestPageTableRangeOps(t *testing.T) {
-	pt := MustNewPageTable(4 * units.KB)
-	pt.MapRange(0, 1000, InGPU, 0)
-	if pt.Mapped() != 1000 {
-		t.Errorf("Mapped = %d", pt.Mapped())
-	}
-	// Migrate the middle third to host.
-	pt.MapRange(333*4096, 334, InHost, 10)
-	if _, ok := pt.RangeLocation(0, 1000); ok {
-		t.Error("mixed range reported uniform")
-	}
-	if loc, ok := pt.RangeLocation(333*4096, 334); !ok || loc != InHost {
-		t.Error("migrated range not in host")
-	}
-	if n := pt.UnmapRange(0, 1000); n != 1000 {
-		t.Errorf("UnmapRange = %d", n)
-	}
-	if pt.Mapped() != 0 {
-		t.Errorf("Mapped after unmap = %d", pt.Mapped())
-	}
-}
-
-func TestPageTableHighAddresses(t *testing.T) {
-	pt := MustNewPageTable(4 * units.KB)
-	// Spread across the 48-bit space to hit distinct radix subtrees.
-	vas := []uint64{0, 1 << 20, 1 << 30, 1 << 38, 1<<39 + 12345<<12}
-	for i, va := range vas {
-		pt.Map(va, PTE{Loc: InHost, Addr: uint64(i)})
-	}
-	for i, va := range vas {
-		pte, ok := pt.Translate(va)
-		if !ok || pte.Addr != uint64(i) {
-			t.Errorf("va %#x => %+v, %v", va, pte, ok)
-		}
-	}
-}
-
-func TestNewPageTableRejectsBadPageSize(t *testing.T) {
-	for _, sz := range []units.Bytes{0, 3000, -4096} {
-		if _, err := NewPageTable(sz); err == nil {
-			t.Errorf("page size %d accepted", sz)
-		}
-	}
-}
-
-// Property: translate(map(va, pte)) == pte for random addresses; unmap
-// clears exactly the mapped page.
-func TestPageTableRoundTripProperty(t *testing.T) {
-	pt := MustNewPageTable(4 * units.KB)
-	f := func(vpnRaw uint32, addr uint32) bool {
-		va := uint64(vpnRaw) << 12
-		pte := PTE{Loc: InFlash, Addr: uint64(addr)}
-		pt.Map(va, pte)
-		got, ok := pt.Translate(va)
-		if !ok || got != pte {
-			return false
-		}
-		if !pt.Unmap(va) {
-			return false
-		}
-		_, ok = pt.Translate(va)
-		return !ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: range ops agree with per-page ops.
-func TestRangeAgreesWithPerPage(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		a := MustNewPageTable(4 * units.KB)
-		b := MustNewPageTable(4 * units.KB)
-		base := uint64(rng.Intn(1<<20)) << 12
-		pages := int64(rng.Intn(50) + 1)
-		addr := uint64(rng.Intn(1 << 20))
-		a.MapRange(base, pages, InHost, addr)
-		for i := int64(0); i < pages; i++ {
-			b.Map(base+uint64(i)*4096, PTE{Loc: InHost, Addr: addr + uint64(i)})
-		}
-		for i := int64(0); i < pages; i++ {
-			va := base + uint64(i)*4096
-			pa, oka := a.Translate(va)
-			pb, okb := b.Translate(va)
-			if oka != okb || pa != pb {
-				t.Fatalf("trial %d page %d: range %+v/%v vs per-page %+v/%v", trial, i, pa, oka, pb, okb)
-			}
-		}
-	}
-}
 
 func TestTLBHitMissLRU(t *testing.T) {
 	tlb := MustNewTLB(1, 2, 4*units.KB) // one set, two ways
@@ -197,16 +48,67 @@ func TestTLBInvalidate(t *testing.T) {
 	for i := uint64(0); i < 8; i++ {
 		tlb.Insert(i<<12, PTE{Loc: InGPU, Addr: i})
 	}
-	tlb.InvalidateRange(0, 8)
+	tlb.Invalidate(3 << 12)
 	for i := uint64(0); i < 8; i++ {
-		if _, ok := tlb.Lookup(i << 12); ok {
-			t.Fatalf("page %d survived range shootdown", i)
+		if _, ok := tlb.Lookup(i << 12); ok == (i == 3) {
+			t.Fatalf("page %d: hit=%v after invalidating page 3 only", i, ok)
 		}
 	}
 	tlb.Insert(0x9000, PTE{Loc: InHost, Addr: 9})
 	tlb.Flush()
 	if _, ok := tlb.Lookup(0x9000); ok {
 		t.Error("hit after flush")
+	}
+}
+
+// TestTLBFlushCountsDroppedEntries pins Flush's counter semantics: one
+// shootdown per entry actually dropped, none for an empty flush, and an
+// entry Invalidate already dropped is not counted again.
+func TestTLBFlushCountsDroppedEntries(t *testing.T) {
+	tlb := MustNewTLB(4, 4, 4*units.KB)
+	tlb.Flush()
+	if _, _, sd := tlb.Stats(); sd != 0 {
+		t.Fatalf("empty flush counted %d shootdowns", sd)
+	}
+	for i := uint64(0); i < 3; i++ {
+		tlb.Insert(i<<12, PTE{Loc: InGPU, Addr: i})
+	}
+	tlb.Flush()
+	if _, _, sd := tlb.Stats(); sd != 3 {
+		t.Fatalf("flush of 3 live entries counted %d shootdowns, want 3", sd)
+	}
+	tlb.Insert(0x1000, PTE{Loc: InGPU, Addr: 1})
+	tlb.Insert(0x2000, PTE{Loc: InGPU, Addr: 2})
+	tlb.Invalidate(0x1000)
+	tlb.Invalidate(0x1000) // already gone: no second count
+	tlb.Flush()
+	if _, _, sd := tlb.Stats(); sd != 5 {
+		t.Fatalf("shootdowns = %d, want 5 (3 flushed + 1 invalidated + 1 flushed)", sd)
+	}
+}
+
+// TestTLBPeekMovesNothing: Peek reports what a Lookup would resolve to but
+// changes neither the LRU order nor the hit/miss counters.
+func TestTLBPeekMovesNothing(t *testing.T) {
+	tlb := MustNewTLB(1, 2, 4*units.KB) // one set, two ways
+	tlb.Insert(0x1000, PTE{Loc: InGPU, Addr: 1})
+	tlb.Insert(0x2000, PTE{Loc: InHost, Addr: 2}) // 0x1000 is now LRU
+	if pte, ok := tlb.Peek(0x1000); !ok || pte != (PTE{Loc: InGPU, Addr: 1}) {
+		t.Fatalf("Peek(0x1000) = %+v, %v", pte, ok)
+	}
+	if _, ok := tlb.Peek(0x3000); ok {
+		t.Fatal("Peek hit an absent page")
+	}
+	if h, m, _ := tlb.Stats(); h != 0 || m != 0 {
+		t.Fatalf("Peek moved counters: hits=%d misses=%d", h, m)
+	}
+	// Had Peek promoted 0x1000, this insert would evict 0x2000 instead.
+	tlb.Insert(0x3000, PTE{Loc: InGPU, Addr: 3})
+	if _, ok := tlb.Peek(0x1000); ok {
+		t.Error("Peek moved the LRU entry to the front")
+	}
+	if _, ok := tlb.Peek(0x2000); !ok {
+		t.Error("MRU entry evicted")
 	}
 }
 
