@@ -88,12 +88,12 @@ type fillTrace struct {
 // input the frontier refill derives its restart level from. Lists are
 // consumed (and cleared) by every recompute, whichever path it takes.
 //
-// In-window flow successions (Succeed during a deferred completion batch)
-// are trace-transparent: the successor reuses the predecessor's flow
-// object, route, and rate, so the trace keeps describing it verbatim — the
-// detach record from its completion is cancelled and no attach record is
-// made. Successions outside a deferred window instead keep the detach and
-// add an attach, so the refill re-keys the successor's completion.
+// A carried succession (Succeed with no recompute since the completion) is
+// trace-transparent: the successor reuses the predecessor's flow object,
+// route, and rate, so the trace keeps describing it verbatim — the detach
+// record from its completion is cancelled and no attach record is made. A
+// succession after a recompute finds that record consumed and the flow
+// gone from the trace, so it enters with an attach record like any arrival.
 type attachRec struct {
 	f    *Flow
 	live bool
@@ -136,9 +136,8 @@ func (n *Network) noteDetach(f *Flow) {
 	f.detachRec = int32(len(n.deltaDetach))
 }
 
-// cancelDetach voids a flow's pending detach record (an in-window
-// succession replaced the completion in place; the trace still describes
-// the flow).
+// cancelDetach voids a flow's pending detach record (a carried succession
+// replaced the completion in place; the trace still describes the flow).
 func (n *Network) cancelDetach(f *Flow) {
 	if f.detachRec > 0 {
 		n.deltaDetach[f.detachRec-1].live = false
@@ -589,9 +588,7 @@ func (n *Network) frontierRefill(t *fillTrace, L int) {
 	cands := n.touched[:0]
 	for _, f := range t.frozenSeq[prefixLen:] {
 		if !f.active || f.attachRec > 0 {
-			// Departed, or re-attached since the last fill (a succession
-			// outside a deferred window leaves the predecessor's freeze-
-			// sequence slot and joins as an attach record): the delta loop
+			// Departed, or re-attached since the last fill: the delta loop
 			// below owns the latter, and its detach record already removed
 			// the old occurrences from the reconstructed counts.
 			continue

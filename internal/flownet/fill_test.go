@@ -157,15 +157,14 @@ func TestFrontierGiantComponentParallel(t *testing.T) {
 	}
 }
 
-// TestSucceedAfterMidWindowRecompute pins the corner where an in-window
-// succession's predecessor no longer has a pending detach record: the
-// delivery callback starts a new flow and then queries NextEvent, which
-// flushes rates mid-window — the recompute consumes every delta record,
-// including the detach of the just-completed train flow — and only then
-// calls Succeed. The succession is no longer trace-transparent (the trace
-// was re-derived without the predecessor), so the successor must re-enter
-// the delta as an attach; a regression here leaves it invisible to every
-// later frontier reconstruction, driving resource counts negative and the
+// TestSucceedAfterMidWindowRecompute pins a recompute between a flow's
+// completion and its Succeed: the delivery callback starts a new flow and
+// then queries NextEvent, whose recompute consumes every delta record,
+// including the detach of the just-completed train flow, and derives an
+// allocation without it. Only then does the callback call Succeed. The
+// successor must not carry its predecessor's rate, and must re-enter the
+// delta as an attach; a regression here leaves it invisible to every later
+// frontier reconstruction, driving resource counts negative and the
 // allocation away from max-min. The differential against the reference
 // fill (which records no trace) must stay bit-identical through and past
 // the corner.
@@ -198,8 +197,8 @@ func TestSucceedAfterMidWindowRecompute(t *testing.T) {
 				boundaries++
 				if boundaries >= 3 && boundaries <= 6 {
 					// The corner, repeatedly: dirty the rates from inside the
-					// window, force a mid-window recompute, then succeed the
-					// train — its detach record is already consumed, so the
+					// callback, force a recompute, then succeed the train —
+					// its detach record is already consumed, so the
 					// succession must re-enter the delta as an attach.
 					noise++
 					n.Start(fmt.Sprintf("noise%d", noise), 2*units.MB, nil, pcie[noise], ch)

@@ -74,12 +74,12 @@ func (r *Resource) Capacity() units.Bandwidth { return units.Bandwidth(r.capacit
 
 // Flow is one transfer in flight (or scheduled to start).
 //
-// Ownership: a flow belongs to the network until it completes. A delivered
-// completion belongs to the driver that received it, which either succeeds
-// it in place (Succeed) or hands it back with Release once nothing of its
-// own still names it. A released flow is reused by a later StartAt, but
-// only after the next rate recompute, so no pending delta record or fill
-// trace can name it by then.
+// Ownership: a flow belongs to the network until it completes. A returned
+// completion belongs to the caller that received it (from AdvanceTo or an
+// AdvanceEventwise delivery), which either succeeds it in place (Succeed)
+// or hands it back with Release once nothing of its own still names it. A
+// released flow is reused by a later StartAt, but only after the next rate
+// recompute, so no pending delta record or fill trace can name it by then.
 type Flow struct {
 	ID    int64
 	Label string
@@ -135,6 +135,9 @@ type Flow struct {
 	traceGen    uint32
 	attachRec   int32
 	detachRec   int32
+	// doneGen is the network's recompute count when the flow completed:
+	// Succeed carries the flow's rate only while no recompute has run since.
+	doneGen int64
 }
 
 // Done reports whether the flow has completed.
@@ -224,24 +227,14 @@ type Network struct {
 	free       []*Flow
 	flowAllocs int64
 
-	// Conveyor (chunk-train) bookkeeping. AdvanceEventwise opens a deferred
-	// window around each internal event: reap skips its recompute and the
-	// post-delivery settle() decides whether one is needed at all. When every
-	// completion of the batch was replaced in place by Succeed and no
-	// recompute intervened, the active route multiset — and therefore the
-	// unique max-min allocation — is unchanged, and the event costs no
-	// recompute (see DESIGN.md §10).
-	//
-	// deferSettle marks the reap-deferral window (inside AdvanceEventwise's
-	// per-event advance); pendingSettle marks a deferred batch awaiting
-	// settle; reapGen snapshots the recompute counter when the batch formed;
-	// reapedN/succeededN count the batch's completions and in-place
-	// successions.
-	deferSettle   bool
-	pendingSettle bool
-	reapGen       int64
-	reapedN       int
-	succeededN    int
+	// Conveyor (chunk-train) bookkeeping. unreplaced counts the completions
+	// since the last recompute that Succeed has not carried; carried counts
+	// the successions that kept their predecessor's rate. While rates are
+	// otherwise clean and every completion was carried, the active route
+	// multiset — and therefore the unique max-min allocation — is unchanged,
+	// and flushRates needs no recompute (see DESIGN.md §10).
+	unreplaced int
+	carried    int64
 
 	// segLog is the progress-segment log: the times at which the clock
 	// moved since the oldest unsettled flow's settlement point. segLog[0]
@@ -256,10 +249,10 @@ type Network struct {
 	// reapScratch holds heap entries popped and re-keyed by one reap.
 	reapScratch []compEntry
 
-	// recomputes counts rate re-derivations; successions counts completions
-	// advanced in place without one. Observability for tests and benchmarks:
-	// a pure chunk train's event count scales with rate-change points, not
-	// chunk count.
+	// recomputes counts rate re-derivations; successions counts carried
+	// successions that a flush confirmed without one. Observability for
+	// tests and benchmarks: a pure chunk train's event count scales with
+	// rate-change points, not chunk count.
 	recomputes  int64
 	successions int64
 	// progressTouches counts per-flow byte-accounting steps: one per
@@ -276,10 +269,10 @@ type Network struct {
 	frontierReuses int64
 
 	// nextEvCache memoises NextEvent between state changes: the drivers ask
-	// for the next event several times per consumed event (the advance loop,
-	// the scheduler's clock bound, the post-settle re-check), and each ask
-	// otherwise pays a heap inspection. Any mutation — recompute, flow
-	// start/succession, progress, reap — clears nextEvOK.
+	// for the next event several times per consumed event (the advance
+	// loop, the scheduler's clock bound), and each ask otherwise pays a heap
+	// inspection. Any mutation — recompute, flow start/succession,
+	// progress, reap — clears nextEvOK.
 	nextEvCache units.Time
 	nextEvOK    bool
 
@@ -301,11 +294,16 @@ func (n *Network) dirtyRates() {
 	n.nextEvOK = false
 }
 
+// flushRates re-derives rates when they are dirty or some completion was
+// not carried by Succeed. Otherwise the allocation in force is still the
+// max-min one, and the carried successions are confirmed.
 func (n *Network) flushRates() {
-	if n.ratesDirty {
-		n.ratesDirty = false
+	if n.ratesDirty || n.unreplaced > 0 {
 		n.recompute()
+		return
 	}
+	n.successions += n.carried
+	n.carried = 0
 }
 
 // compEntry is one flow keyed by a completion time computed at some earlier
@@ -403,8 +401,8 @@ func (n *Network) Now() units.Time { return n.now }
 // performed.
 func (n *Network) Recomputes() int64 { return n.recomputes }
 
-// Successions reports how many flow completions were advanced in place by
-// Succeed without a rate recompute (the conveyor fast path).
+// Successions reports how many flow completions Succeed replaced in place
+// without a rate recompute (the conveyor fast path).
 func (n *Network) Successions() int64 { return n.successions }
 
 // ProgressTouches reports how many per-flow byte-accounting steps the
@@ -518,19 +516,22 @@ func (n *Network) Release(f *Flow) {
 	n.retired = append(n.retired, f)
 }
 
+// activate brings f into the active set as an arrival: a delta record for
+// the frontier refill, and a recompute at the next observation.
 func (n *Network) activate(f *Flow) {
-	f.active = true
-	f.segIdx = n.segTop()
-	f.actIdx = len(n.active)
-	n.active = append(n.active, f)
 	n.attachFlow(f)
 	n.noteAttach(f)
 	n.markRouteDirty(f.route)
 	n.dirtyRates()
 }
 
-// attachFlow registers f on each route resource's flow list.
+// attachFlow adds f to the active set, settled from now on, and registers
+// it on each route resource's flow list.
 func (n *Network) attachFlow(f *Flow) {
+	f.active = true
+	f.segIdx = n.segTop()
+	f.actIdx = len(n.active)
+	n.active = append(n.active, f)
 	if cap(f.resSlot) < len(f.route) {
 		if len(f.route) <= len(f.slotBuf) {
 			f.resSlot = f.slotBuf[:]
@@ -701,62 +702,43 @@ func (n *Network) AdvanceTo(t units.Time) []*Flow {
 // AdvanceEventwise moves the clock to t like AdvanceTo, but hands each
 // batch of completions to deliver at the moment it lands rather than
 // collecting everything until t — so callers can react (start new flows,
-// change capacities) at event times. deliver runs once per internal event,
-// possibly with an empty batch (a dormant-flow activation); flows or
-// capacity changes it introduces before t are processed in order.
+// succeed completed ones, change capacities) at event times. deliver runs
+// once per internal event, possibly with an empty batch (a dormant-flow
+// activation); flows or capacity changes it introduces before t are
+// processed in order.
 func (n *Network) AdvanceEventwise(t units.Time, deliver func(done []*Flow)) {
 	for {
 		e := n.NextEvent()
 		if e > t {
 			break
 		}
-		n.deferSettle = true
-		done := n.AdvanceTo(e)
-		n.deferSettle = false
-		deliver(done)
-		n.settle()
+		n.doneBuf = n.doneBuf[:0]
+		n.step(e)
+		deliver(n.doneBuf)
 	}
 	// The final advance normally completes nothing, but a flow whose
 	// remaining bytes round below the completion threshold at t can still
 	// finish here — deliver those too rather than dropping them.
-	n.deferSettle = true
-	done := n.AdvanceTo(t)
-	n.deferSettle = false
-	if len(done) > 0 {
+	if done := n.AdvanceTo(t); len(done) > 0 {
 		deliver(done)
 	}
-	n.settle()
 }
 
-// settle closes a deferred completion batch: if every completed flow was
-// replaced in place by Succeed and no recompute intervened, the active route
-// multiset is unchanged and the rates in force are already the unique
-// max-min allocation — the whole event cost no recompute. Any other outcome
-// (a chunk train ended, a fetch blocked on memory, a capacity change, a new
-// or activated flow) re-derives rates once, exactly as the per-flow path
-// would have.
-func (n *Network) settle() {
-	if !n.pendingSettle {
-		return
-	}
-	n.pendingSettle = false
-	if !n.ratesDirty && n.recomputes == n.reapGen && n.succeededN == n.reapedN {
-		n.successions += int64(n.succeededN)
-		return
-	}
-	n.dirtyRates()
-}
-
-// Succeed replaces a just-completed flow with its successor in place: same
+// Succeed replaces a completed flow with its successor in place: same
 // route, same owner, same payload, active immediately at the current clock
-// with no setup latency. It must be called from within an AdvanceEventwise
-// delivery callback, on a flow of the batch being delivered. When the whole
-// batch is succeeded this way the event skips rate recomputation entirely
-// (the route multiset is unchanged, so the max-min allocation is too); in
-// every other situation the network falls back to a full re-derivation, so
-// semantics never depend on the fast path firing. The flow object is reused;
-// it carries a fresh ID, Size, StartAt, and remaining byte count, exactly as
-// a StartAt of the successor would have produced.
+// with no setup latency. Call it on a flow returned by AdvanceTo or
+// delivered by AdvanceEventwise, instead of Release. The flow object is
+// reused; it carries a fresh ID, Size, StartAt, and remaining byte count,
+// exactly as a StartAt of the successor would have produced.
+//
+// If no recompute has run since the flow completed, the successor carries
+// its predecessor's rate: the completion's detach record is cancelled, so
+// the fill trace still describes the same object on the same route. When
+// every completion is carried this way and nothing else changed, the route
+// multiset is unchanged, so by max-min uniqueness the next observation
+// needs no recompute. If a recompute has run since (a Rate or NextEvent
+// query after the completion), that allocation no longer counts the
+// predecessor, and the successor enters as an ordinary arrival.
 func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 	if !f.done || f.active {
 		panic("flownet: Succeed on a flow that has not completed")
@@ -764,87 +746,35 @@ func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 	n.nextID++
 	f.ID = n.nextID
 	f.Size = size
-	f.remaining = float64(size)
-	if f.remaining < 0 {
-		f.remaining = 0
-	}
+	f.remaining = max(float64(size), 0)
 	f.done = false
-	f.active = true
 	f.StartAt = n.now
 	f.CompletedAt = 0
-	f.segIdx = n.segTop()
-	f.actIdx = len(n.active)
-	n.active = append(n.active, f)
-	n.attachFlow(f)
-	n.nextEvOK = false
-	if n.pendingSettle {
-		// Deferred window: keep the predecessor's rate (identical by max-min
-		// uniqueness if the batch stays pure; otherwise settle re-derives).
-		// The succession is transparent to the fill trace — same flow object,
-		// same route, same rate, completion entry pushed below — so the
-		// predecessor's detach record is cancelled and no attach is made.
-		// That transparency only holds while the completion's detach record
-		// is still pending. It can already be gone: a recompute inside the
-		// delivery window (a Rate/NextEvent query after the callback changed
-		// something) consumed it — the trace was re-derived without the
-		// completed predecessor — or the predecessor activated in this same
-		// window and noteDetach annihilated the attach/detach pair, so no
-		// trace ever saw the flow. Either way the successor must re-enter
-		// the delta as the arrival it is, or it would run invisible to every
-		// future frontier reconstruction.
-		// And since that recompute may have re-derived the allocation
-		// without the predecessor, the carried rate is no longer protected
-		// by max-min uniqueness: the route must be marked dirty so the
-		// scoped fallback paths revisit this component when settle
-		// re-derives.
-		if f.detachRec > 0 {
-			n.cancelDetach(f)
-		} else {
-			n.noteAttach(f)
-			n.markRouteDirty(f.route)
-		}
-		n.succeededN++
-		if n.heapMode {
-			f.compGen++
-			f.inComp = true
-			n.comp.push(compEntry{f: f, at: n.completionTime(f), gen: f.compGen})
-		} else {
-			f.inComp = false
-		}
+	f.compGen++ // the predecessor's completion-heap entry goes stale
+	if f.doneGen != n.recomputes {
+		n.activate(f)
 		return f
 	}
-	// Outside a deferred delivery (plain AdvanceTo callers): equivalent to
-	// starting the successor normally. The predecessor's detach record stays
-	// and an attach record joins it, so a frontier refill re-derives — and
-	// re-keys — the successor like any other arrival.
-	f.compGen++
-	f.inComp = false
-	n.noteAttach(f)
-	n.markRouteDirty(f.route)
-	n.dirtyRates()
+	n.attachFlow(f)
+	n.cancelDetach(f)
+	n.unreplaced--
+	n.carried++
+	n.nextEvOK = false
+	if n.heapMode {
+		f.inComp = true
+		n.comp.push(compEntry{f: f, at: n.completionTime(f), gen: f.compGen})
+	}
 	return f
 }
 
-// step advances exactly to internal event time e, handling activations and
-// completions there. reap already re-derives rates when flows finish, so a
-// second recompute is only needed if dormant flows activated afterwards.
+// step advances exactly to internal event time e, handling completions and
+// then activations there; both leave the recompute to the next
+// observation.
 func (n *Network) step(e units.Time) {
 	n.progress(e)
 	n.reap()
-	activated := false
 	for len(n.dormant) > 0 && n.dormant[0].StartAt <= n.now {
-		f := heap.Pop(&n.dormant).(*Flow)
-		f.active = true
-		f.segIdx = n.segTop()
-		f.actIdx = len(n.active)
-		n.active = append(n.active, f)
-		n.attachFlow(f)
-		n.noteAttach(f)
-		n.markRouteDirty(f.route)
-		activated = true
-	}
-	if activated {
-		n.dirtyRates()
+		n.activate(heap.Pop(&n.dormant).(*Flow))
 	}
 }
 
@@ -928,21 +858,9 @@ func (n *Network) reap() {
 		n.reapScan()
 	}
 	if done := n.doneBuf[start:]; len(done) > 0 {
-		if n.deferSettle {
-			// Conveyor window: leave rates as they are; settle() re-derives
-			// after delivery unless every completion is succeeded in place.
-			// reapGen is pinned at the first batch of the window, so any
-			// intervening recompute (a dormant activation, a second reap)
-			// disqualifies the fast path for the whole window.
-			if !n.pendingSettle {
-				n.pendingSettle = true
-				n.reapGen = n.recomputes
-				n.reapedN, n.succeededN = 0, 0
-			}
-			n.reapedN += len(done)
-		} else {
-			n.dirtyRates()
-		}
+		// Rates stay as they are: the next flush re-derives them unless
+		// Succeed carries every completion.
+		n.unreplaced += len(done)
 		n.nextEvOK = false
 		// Order the batch by flow ID. Insertion sort: batches are almost
 		// always one or two flows, and this avoids sort.Slice's closure and
@@ -1026,6 +944,7 @@ func (n *Network) finish(f *Flow) {
 	f.active = false
 	f.inComp = false
 	f.CompletedAt = n.now
+	f.doneGen = n.recomputes
 	n.detachFlow(f)
 	n.noteDetach(f)
 	n.markRouteDirty(f.route)
@@ -1091,6 +1010,9 @@ func (n *Network) removeActive(f *Flow) {
 // actually changed.
 func (n *Network) recompute() {
 	n.recomputes++
+	n.ratesDirty = false
+	n.unreplaced = 0
+	n.carried = 0
 	n.nextEvOK = false
 	if !n.tryFrontier() {
 		n.recomputeComponents()

@@ -65,7 +65,7 @@ func (l *recycleLeg) drop(f *Flow) {
 // replaces it with a fresh flow, or lets it end; a flow that is not
 // succeeded is released (on the releasing leg) before the callback goes
 // on, and a Rate/NextEvent query may then force a recompute inside the
-// window, so a StartAt later in the same window can reuse it.
+// callback, so a StartAt later in the same callback can reuse it.
 func (l *recycleLeg) advance(t *testing.T, to units.Time, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -205,8 +205,9 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps, minFlows int)
 
 // TestReleaseReuseMatchesNoReuse: recycling delivered flows is invisible.
 // A network that releases every delivered, non-succeeded flow must stay
-// bit-identical to one that never does, through dormant starts, in-window
-// successions, aborts, capacity changes and mid-window recomputes, and it
+// bit-identical to one that never does, through dormant starts, carried
+// successions, aborts, capacity changes and recomputes between a
+// completion and its Succeed, and it
 // must actually reuse flows. The traced run lowers frontierMinFlows so
 // fill traces and frontier refills are live while flows are recycled. The
 // reference-fill leg holds the heap fill and the frontier refill to the

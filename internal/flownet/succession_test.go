@@ -6,14 +6,22 @@ import (
 	"g10sim/internal/units"
 )
 
+// trainDriver names how a test replaces each finished train segment.
+type trainDriver int
+
+const (
+	chainedFlows  trainDriver = iota // AdvanceEventwise + a fresh StartAt per segment
+	eventwiseSucc                    // AdvanceEventwise + Succeed
+	advanceToSucc                    // plain AdvanceTo + Succeed
+)
+
 // driveTrain advances a chunk train of `chunks` segments of seg bytes each
-// on link, replacing each finished segment from the delivery callback —
-// with Succeed when succeed is true, with a fresh StartAt otherwise (the
-// per-chunk reference). It returns the per-segment completion times.
-func driveTrain(n *Network, cur *Flow, seg units.Bytes, chunks int, horizon units.Time, succeed bool) []units.Time {
+// on link, replacing each finished segment as driver says. It returns the
+// per-segment completion times.
+func driveTrain(n *Network, cur *Flow, seg units.Bytes, chunks int, horizon units.Time, driver trainDriver) []units.Time {
 	var times []units.Time
 	started := 1
-	n.AdvanceEventwise(horizon, func(done []*Flow) {
+	react := func(done []*Flow) {
 		for _, f := range done {
 			if f != cur {
 				continue
@@ -21,20 +29,30 @@ func driveTrain(n *Network, cur *Flow, seg units.Bytes, chunks int, horizon unit
 			times = append(times, f.CompletedAt)
 			if started < chunks {
 				started++
-				if succeed {
-					cur = n.Succeed(f, seg)
-				} else {
+				if driver == chainedFlows {
 					cur = n.StartAt(f.Label, seg, n.Now(), f.Data, f.route...)
+				} else {
+					cur = n.Succeed(f, seg)
 				}
 			}
 		}
-	})
+	}
+	if driver != advanceToSucc {
+		n.AdvanceEventwise(horizon, react)
+		return times
+	}
+	for e := n.NextEvent(); e <= horizon; e = n.NextEvent() {
+		react(n.AdvanceTo(e))
+	}
+	n.AdvanceTo(horizon)
 	return times
 }
 
 // TestSuccessionMatchesChainedFlows: a conveyor train must complete every
 // segment at exactly the time a chain of fresh per-segment flows would — in
-// scan mode (few flows) and heap mode (many flows) alike.
+// scan mode (few flows) and heap mode (many flows) alike, and whether
+// Succeed runs from an AdvanceEventwise callback or after a plain
+// AdvanceTo.
 func TestSuccessionMatchesChainedFlows(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -46,7 +64,7 @@ func TestSuccessionMatchesChainedFlows(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const chunks = 8
 			seg := units.Bytes(64 * units.MB)
-			run := func(succeed bool) ([]units.Time, int64) {
+			run := func(driver trainDriver) ([]units.Time, int64) {
 				n := New()
 				link := n.AddResource("link", units.GBps(1))
 				side := n.AddResource("side", units.GBps(1))
@@ -54,21 +72,29 @@ func TestSuccessionMatchesChainedFlows(t *testing.T) {
 					n.Start("bg", 100*units.GB, nil, link, side)
 				}
 				cur := n.Start("train", seg, nil, link)
-				times := driveTrain(n, cur, seg, chunks, 30*units.Second, succeed)
+				times := driveTrain(n, cur, seg, chunks, 30*units.Second, driver)
+				if err := n.CheckMaxMin(); err != nil {
+					t.Error(err)
+				}
 				return times, n.Recomputes()
 			}
-			refTimes, refRecomputes := run(false)
-			convTimes, convRecomputes := run(true)
-			if len(refTimes) != chunks || len(convTimes) != chunks {
-				t.Fatalf("completions: reference %d, conveyor %d, want %d", len(refTimes), len(convTimes), chunks)
+			refTimes, refRecomputes := run(chainedFlows)
+			if len(refTimes) != chunks {
+				t.Fatalf("chained flows completed %d segments, want %d", len(refTimes), chunks)
 			}
-			for i := range refTimes {
-				if refTimes[i] != convTimes[i] {
-					t.Errorf("segment %d completed at %v via succession, %v via chained flows", i, convTimes[i], refTimes[i])
+			for _, driver := range []trainDriver{eventwiseSucc, advanceToSucc} {
+				times, recomputes := run(driver)
+				if len(times) != chunks {
+					t.Fatalf("driver %d: %d completions, want %d", driver, len(times), chunks)
 				}
-			}
-			if convRecomputes >= refRecomputes {
-				t.Errorf("succession recomputed %d times, chained flows %d — the fast path never fired", convRecomputes, refRecomputes)
+				for i := range refTimes {
+					if refTimes[i] != times[i] {
+						t.Errorf("driver %d: segment %d completed at %v via succession, %v via chained flows", driver, i, times[i], refTimes[i])
+					}
+				}
+				if driver == eventwiseSucc && recomputes >= refRecomputes {
+					t.Errorf("succession recomputed %d times, chained flows %d — the fast path never fired", recomputes, refRecomputes)
+				}
 			}
 		})
 	}
@@ -86,7 +112,7 @@ func TestSuccessionPureTrainSkipsRecompute(t *testing.T) {
 	cur := n.Start("train", seg, nil, link)
 	_ = n.NextEvent() // flush the start-up recompute
 	r0 := n.Recomputes()
-	times := driveTrain(n, cur, seg, chunks, 10*units.Second, true)
+	times := driveTrain(n, cur, seg, chunks, 10*units.Second, eventwiseSucc)
 	if len(times) != chunks {
 		t.Fatalf("train completed %d segments, want %d", len(times), chunks)
 	}
@@ -160,6 +186,46 @@ func TestSuccessionSuppressedByThirdFlowCompletion(t *testing.T) {
 	// link and its 512MB segment takes exactly 0.5s more.
 	if times[0] != units.Second || times[1] != 1500*units.Millisecond {
 		t.Errorf("segment completions at %v, want [1s 1.5s]", times)
+	}
+}
+
+// TestSucceedAfterObservationInCallback: a delivery callback that observes
+// a rate sees the allocation without the completed flow, and a Succeed after
+// that observation must not carry the predecessor's rate, which the
+// observation's recompute no longer counts. The allocation must be max-min
+// inside the callback, before and after the Succeed, and after it.
+func TestSucceedAfterObservationInCallback(t *testing.T) {
+	n := New()
+	link := n.AddResource("link", units.GBps(1))
+	a := n.Start("a", 512*units.MB, nil, link) // half the link: done at 1s
+	b := n.Start("b", units.GB, nil, link)
+	delivered := 0
+	n.AdvanceEventwise(1500*units.Millisecond, func(done []*Flow) {
+		for _, f := range done {
+			if f != a {
+				t.Fatalf("unexpected completion of %s", f.Label)
+			}
+			delivered++
+			if r := b.Rate(); r != units.GBps(1) {
+				t.Errorf("b's rate after a completed = %v, want the whole link", r)
+			}
+			if err := n.CheckMaxMin(); err != nil {
+				t.Errorf("inside the callback, before Succeed: %v", err)
+			}
+			n.Succeed(f, 512*units.MB)
+			if err := n.CheckMaxMin(); err != nil {
+				t.Errorf("inside the callback, after Succeed: %v", err)
+			}
+		}
+	})
+	if delivered != 1 {
+		t.Fatalf("delivered %d completions of a, want 1", delivered)
+	}
+	if err := n.CheckMaxMin(); err != nil {
+		t.Errorf("after the callback: %v", err)
+	}
+	if got := n.Successions(); got != 0 {
+		t.Errorf("successions = %d, want 0: a recompute ran between completion and Succeed", got)
 	}
 }
 

@@ -100,8 +100,9 @@ type ClusterParams struct {
 // reports the counters per suite.
 type EngineStats struct {
 	// FlowRecomputes counts max-min rate re-derivations of the flow
-	// network; FlowSuccessions counts completions absorbed in place by the
-	// succession fast path without one.
+	// network; FlowSuccessions counts chunk completions that Succeed
+	// replaced in place carrying the predecessor's rate, confirmed by a
+	// flush that needed no recompute.
 	FlowRecomputes  int64
 	FlowSuccessions int64
 	// ProgressTouches counts per-flow byte-accounting settlements (one per

@@ -691,6 +691,9 @@ func (m *Machine) requestFetch(id int, kind uvm.RequestKind, scheduled bool) boo
 // (Figure 10 steps 2–4): transfer sets are formed fault-first; requests
 // that cannot start yet (a fetch with no free GPU memory) are requeued.
 func (m *Machine) dispatch() {
+	if m.failed {
+		return // aborted: start nothing more; the runner finishes at its next boundary
+	}
 	for {
 		set := m.arb.NextTransferSet(&m.queues)
 		if len(set) == 0 {
@@ -728,7 +731,7 @@ func (m *Machine) startFlow(r *uvm.Request, st *tensorState) bool {
 		}
 		st.mig = mig
 	}
-	return m.startChunk(st)
+	return m.startChunk(st, nil)
 }
 
 // getMigration pops a pooled migration struct (or allocates the pool's
@@ -868,10 +871,14 @@ func (m *Machine) nextChunk(mig *migration) (units.Bytes, bool) {
 	return chunk, true
 }
 
-// startChunk launches the next chunk of a migration as a fresh flow. Fetch
-// chunks claim GPU memory up front and return false (leaving the request
-// queued) when none is free.
-func (m *Machine) startChunk(st *tensorState) bool {
+// startChunk launches the next chunk of a migration. prev is the chunk flow
+// that just finished, nil for the first chunk or a resumed one. With a
+// predecessor and no setup latency owed, the chunk succeeds it in place on
+// the same route (the conveyor); otherwise it starts as a fresh flow after
+// the latency, which only the first chunk pays. Fetch chunks claim GPU
+// memory up front and return false (leaving the request queued) when none
+// is free.
+func (m *Machine) startChunk(st *tensorState, prev *flownet.Flow) bool {
 	mig := st.mig
 	chunk, ok := m.nextChunk(mig)
 	if !ok {
@@ -879,35 +886,14 @@ func (m *Machine) startChunk(st *tensorState) bool {
 	}
 	mig.chunk = chunk
 	flowBytes := units.Bytes(float64(chunk) * mig.inflate)
-	lat := mig.latency
-	mig.latency = 0 // only the first chunk pays setup latency
 	m.untrack(st)
-	st.fly = m.net.StartAt(st.t.Name, flowBytes, m.Now()+lat, mig, mig.route...)
-	st.fly.Owner = m.idx
-	m.inflight++
-	m.track(st)
-	return true
-}
-
-// continueChunk advances a chunk train at one of its boundaries: the just-
-// finished flow is succeeded in place on the same route (the conveyor fast
-// path — no teardown, no recompute unless the flownet detects the event was
-// impure). A chunk that still carries setup latency takes startChunk's
-// fresh-flow path instead, and a memory-tight fetch chunk waits in its
-// queue until startChunk resumes it.
-func (m *Machine) continueChunk(st *tensorState, f *flownet.Flow) bool {
-	mig := st.mig
-	if mig.latency != 0 {
-		return m.startChunk(st)
+	if prev != nil && mig.latency == 0 {
+		st.fly = m.net.Succeed(prev, flowBytes)
+	} else {
+		st.fly = m.net.StartAt(st.t.Name, flowBytes, m.Now()+mig.latency, mig, mig.route...)
+		st.fly.Owner = m.idx
+		mig.latency = 0
 	}
-	chunk, ok := m.nextChunk(mig)
-	if !ok {
-		return false
-	}
-	mig.chunk = chunk
-	flowBytes := units.Bytes(float64(chunk) * mig.inflate)
-	m.untrack(st)
-	st.fly = m.net.Succeed(f, flowBytes)
 	m.inflight++
 	m.track(st)
 	return true
@@ -992,7 +978,7 @@ func (m *Machine) onComplete(f *flownet.Flow) {
 	if mig.moved < mig.size {
 		// Continue the chain. A blocked fetch chunk goes back to its
 		// metadata queue and resumes when memory frees.
-		if !m.continueChunk(st, f) {
+		if !m.startChunk(st, f) {
 			m.queues.Push(st.pend)
 		}
 		return
@@ -1060,30 +1046,6 @@ func (m *Machine) cancelStalledFetches(pinned map[int]bool) units.Bytes {
 		m.putMigration(mig)
 	}
 	return freed
-}
-
-// advanceTo moves simulated time forward, delivering flow completions at
-// the moment they land (a test helper; production runs are advanced by the
-// driver in cluster.go, which uses the same event-wise semantics).
-func (m *Machine) advanceTo(t units.Time) {
-	m.net.AdvanceEventwise(t, func(done []*flownet.Flow) {
-		for _, f := range done {
-			deliver(f)
-		}
-		m.dispatch()
-	})
-	m.dispatch()
-}
-
-// waitNext advances to the next network event; reports false if the
-// network is idle (nothing will ever complete).
-func (m *Machine) waitNext() bool {
-	e := m.net.NextEvent()
-	if e == units.Forever {
-		return false
-	}
-	m.advanceTo(e)
-	return true
 }
 
 // touch records a use for LRU ordering and models the translation lookup.

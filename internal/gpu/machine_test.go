@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"g10sim/internal/dnn"
+	"g10sim/internal/flownet"
 	"g10sim/internal/profile"
 	"g10sim/internal/units"
 	"g10sim/internal/uvm"
@@ -334,4 +335,27 @@ func TestGCDegradesSSDWriteCapacity(t *testing.T) {
 	if after > before {
 		t.Errorf("SSD write capacity rose: %v -> %v", before, after)
 	}
+}
+
+// advanceTo moves a lone machine's simulated time forward, delivering flow
+// completions at the moment they land, as the cluster driver does.
+func (m *Machine) advanceTo(t units.Time) {
+	m.net.AdvanceEventwise(t, func(done []*flownet.Flow) {
+		for _, f := range done {
+			deliver(f)
+		}
+		m.dispatch()
+	})
+	m.dispatch()
+}
+
+// waitNext advances to the next network event; reports false if the
+// network is idle (nothing will ever complete).
+func (m *Machine) waitNext() bool {
+	e := m.net.NextEvent()
+	if e == units.Forever {
+		return false
+	}
+	m.advanceTo(e)
+	return true
 }
