@@ -34,9 +34,6 @@ type MultiGPURow struct {
 	StaticAggregateEx float64
 }
 
-// Delta reports cosim minus static per-GPU normalized performance.
-func (r MultiGPURow) Delta() float64 { return r.CosimPerGPUNorm - r.StaticPerGPUNorm }
-
 // multiGPUCounts reports the (GPUs, SSDs) grid under the session's scope.
 func (s *Session) multiGPUCounts() ([]int, []int) {
 	if s.opt.Short {

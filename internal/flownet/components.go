@@ -19,17 +19,12 @@
 // (Network.forceGlobalFill).
 package flownet
 
-import (
-	"cmp"
-	"slices"
-)
-
 // component is one connected group of active flows and the busy resources
-// they traverse. res is kept in registration order so the bottleneck search
-// breaks ties exactly as a scan over every registered resource would; flow
-// order is free — a filling round freezes the set of flows using the
-// bottleneck, and every one subtracts the same share, so the fill is
-// flow-order-independent bit for bit.
+// they traverse, each in discovery order. Resource order is free because
+// both fills break bottleneck ties by regIdx, as a scan over every
+// registered resource would; flow order is free — a filling round freezes
+// the set of flows using the bottleneck, and every one subtracts the same
+// share, so the fill is flow-order-independent bit for bit.
 type component struct {
 	flows []*Flow
 	res   []*Resource
@@ -161,7 +156,6 @@ func (n *Network) dirtyComponents(stamp uint64) (ncomp int, overlap bool) {
 				}
 			}
 		}
-		sortByRegIdx(c.res)
 	}
 	n.resStack = stack[:0]
 	return ncomp, overlap
@@ -186,7 +180,6 @@ func (n *Network) globalComponent(stamp uint64) int {
 			r.count++
 		}
 	}
-	sortByRegIdx(c.res)
 	return 1
 }
 
@@ -215,11 +208,4 @@ func (r *Resource) claim(stamp uint64) bool {
 	r.avail = r.capacity
 	r.count = 0
 	return true
-}
-
-// sortByRegIdx orders a component's resources by registration index, so
-// the bottleneck search visits them in the order a scan over every
-// registered resource would. regIdx is unique, so the order is total.
-func sortByRegIdx(rs []*Resource) {
-	slices.SortFunc(rs, func(a, b *Resource) int { return cmp.Compare(a.regIdx, b.regIdx) })
 }

@@ -12,10 +12,11 @@
 // Two layers replace that, bit-identically (DESIGN.md §13):
 //
 //  1. Heap-driven filling. Resources sit in an indexed min-heap keyed by
-//     (avail/count, component-local resource order). The key's second field
-//     replicates the reference scan's tie-break exactly: the scan keeps the
-//     first strict minimum over resources in registration order, and the
-//     min of the set under the lexicographic key is that same resource.
+//     (avail/count, regIdx). The key's second field replicates the
+//     reference scan's tie-break exactly: the scan keeps the first strict
+//     minimum over resources sorted by regIdx, and the min of the set under
+//     the lexicographic key is that same resource, whatever order the
+//     component discovered its resources in.
 //     Flows through the bottleneck come from the per-resource adjacency
 //     (Resource.flows, maintained since PR 7) instead of a scan with an
 //     O(routelen) membership test, and are frozen in component-local
@@ -36,7 +37,9 @@
 package flownet
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -74,14 +77,14 @@ type levelRec struct {
 // fillTrace is the recorded trace of one component's most recent fill,
 // kept current across frontier refills (a refill truncates the trace at the
 // restart level and re-records the suffix). gen ties the per-resource and
-// per-flow trace fields (traceGen, freezeLevel, hist, removedLevel,
-// orderIdx) to this trace; invalidation is O(1) — the generation moves on
-// and stale stamps simply stop matching.
+// per-flow trace fields (traceGen, freezeLevel, hist, removedLevel) to
+// this trace; invalidation is O(1) — the generation moves on and stale
+// stamps simply stop matching.
 type fillTrace struct {
 	gen       uint32
 	levels    []levelRec
 	frozenSeq []*Flow
-	res       []*Resource // component resources in registration order
+	res       []*Resource // the traced component's resources
 }
 
 // attachRec / detachRec accumulate the flow delta between recomputes — the
@@ -202,7 +205,7 @@ func resLess(a, b *Resource) bool {
 	if a.fillShare != b.fillShare {
 		return a.fillShare < b.fillShare
 	}
-	return a.orderIdx < b.orderIdx
+	return a.regIdx < b.regIdx
 }
 
 func resHeapSiftDown(h []*Resource, i int) {
@@ -269,13 +272,13 @@ func resHeapRemove(h *[]*Resource, r *Resource) {
 
 // heapFill runs progressive filling over the given unfrozen flows and their
 // resources, starting at round number `level`. Resources must arrive with
-// avail/count primed, orderIdx assigned in registration order, touchRound
-// reset to -1, and flows with frozen=false; candidates come from the
-// per-resource adjacency (Resource.flows). When rec is non-nil the fill records its trace (level records,
-// freeze sequence, per-resource history and removal levels).
+// avail/count primed, touchRound reset to -1, and flows with frozen=false;
+// candidates come from the per-resource adjacency (Resource.flows). When
+// rec is non-nil the fill records its trace (level records, freeze
+// sequence, per-resource history and removal levels).
 //
 // Bit-identity with the reference loop: the bottleneck each round is the
-// heap minimum under (avail/count, orderIdx) — the same resource the
+// heap minimum under (avail/count, regIdx) — the same resource the
 // reference scan's first-strict-minimum rule keeps, computing the same
 // division. Its candidates come from the bottleneck's adjacency (the frozen
 // mark set at freeze time collapses duplicate-route entries) in adjacency
@@ -363,12 +366,13 @@ func heapFill(flows []*Flow, res []*Resource, fs *fillState, rec *fillTrace, lev
 }
 
 // fillComponentRef is the reference progressive-filling loop over one
-// component: per round, a full scan of the component's resources for the
-// first strict minimum of avail/count, then a full scan of the component's
-// flows for bottleneck users. Retained, on networks whose refFill latch
+// component: per round, a full scan of the component's resources, sorted
+// by regIdx, for the first strict minimum of avail/count, then a full scan
+// of the component's flows for bottleneck users. Retained, on networks whose refFill latch
 // is set, as the executable specification the heap fill and the frontier
 // refill are differentially pinned against.
 func fillComponentRef(c *component, fs *fillState) {
+	slices.SortFunc(c.res, func(a, b *Resource) int { return cmp.Compare(a.regIdx, b.regIdx) })
 	for _, f := range c.flows {
 		f.frozen = false
 		f.rate = 0
@@ -422,8 +426,7 @@ func fillComponent(c *component, fs *fillState) {
 		fillComponentRef(c, fs)
 		return
 	}
-	for i, r := range c.res {
-		r.orderIdx = int32(i)
+	for _, r := range c.res {
 		r.touchRound = -1
 		r.fillHeap = -1
 	}
@@ -560,7 +563,7 @@ func (n *Network) frontierLevel(t *fillTrace) int {
 			r.histP = p
 			e := h[p]
 			s := e.avail / float64(e.count+dc)
-			if s < lv.share || (s == lv.share && r.orderIdx < lv.bneck.orderIdx) {
+			if s < lv.share || (s == lv.share && r.regIdx < lv.bneck.regIdx) {
 				return l
 			}
 		}

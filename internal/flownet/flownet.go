@@ -29,9 +29,8 @@ type Resource struct {
 	// scratch fields used by the allocator.
 	avail float64
 	count int
-	// regIdx is the registration order; a component's resource list is
-	// sorted by it so bottleneck ties resolve exactly as a scan over every
-	// registered resource would.
+	// regIdx is the registration order; bottleneck ties resolve by it,
+	// exactly as a scan over every registered resource would.
 	regIdx int
 	// busyStamp marks discovery by the current recompute's component flood.
 	busyStamp uint64
@@ -44,11 +43,9 @@ type Resource struct {
 	// refill cannot absorb one (shares depend on capacity from round zero),
 	// so it forces a full fill of the resource's component.
 	capDirty bool
-	// Heap-fill scratch and fill-trace state (see fill.go). orderIdx is the
-	// component-local registration order backing the heap key's tie-break;
+	// Heap-fill scratch and fill-trace state (see fill.go).
 	// hist/removedLevel/traceGen record this resource's history under the
 	// current fill trace; the delta* fields are per-refill scan scratch.
-	orderIdx     int32
 	fillHeap     int32
 	touchRound   int32
 	fillShare    float64

@@ -43,23 +43,18 @@ import (
 )
 
 // checkInvariants asserts the invariants above on the driver's tenants at
-// the current clock.
-func checkInvariants(net *flownet.Network, tenants []*runner) error {
+// the current clock; ledgers is the run's own pool and ledger check
+// (checkMachines for a cluster, infEngine.checkLedgers for serving).
+func checkInvariants(net *flownet.Network, tenants []tenant, ledgers func() error) error {
 	if err := net.CheckMaxMin(); err != nil {
 		return fmt.Errorf("gpu: check at %v: %w", net.Now(), err)
 	}
-	for _, r := range tenants {
-		if err := r.checkWake(net.Now()); err != nil {
-			return fmt.Errorf("gpu: check at %v: tenant %d: %w", net.Now(), r.idx, err)
+	for _, t := range tenants {
+		if err := checkWake(t, net.Now()); err != nil {
+			return fmt.Errorf("gpu: check at %v: tenant %d: %w", net.Now(), t.core().idx, err)
 		}
 	}
-	var err error
-	if q := tenants[0].inf; q != nil {
-		err = q.eng.checkLedgers()
-	} else {
-		err = checkMachines(tenants)
-	}
-	if err != nil {
+	if err := ledgers(); err != nil {
 		return fmt.Errorf("gpu: check at %v: %w", net.Now(), err)
 	}
 	return nil
@@ -89,34 +84,37 @@ type tenantDigest struct {
 // struct by value costs a block copy per call, and a checked serving run
 // digests every waiting request at every clock advance.
 func (r *runner) digest(d *tenantDigest) {
-	d.phase, d.execEnd = r.phase, r.execEnd
-	if q := r.inf; q != nil {
-		d.state, d.blocks, d.gpu, d.host = q.state, q.blocks, q.gpu, q.host
-		d.granted, d.homed, d.free = q.granted, q.homed, q.srv.free
-		return
-	}
 	m := r.m
+	d.phase, d.execEnd = r.phase, r.execEnd
 	d.iter, d.k, d.inflight = r.iter, r.k, m.inflight
 	d.gpuUsed, d.hostUsed, d.ledger = m.gpuUsed, m.host.Used(), m.ledger
 	d.flows = m.net.FlowAllocs()
 }
 
+// digest records q's state in d, like runner.digest.
+func (q *infReq) digest(d *tenantDigest) {
+	d.phase, d.execEnd = q.phase, q.execEnd
+	d.state, d.blocks, d.gpu, d.host = q.state, q.blocks, q.gpu, q.host
+	d.granted, d.homed, d.free = q.granted, q.homed, q.srv.free
+}
+
 // checkWake steps a live tenant the driver did not wake and reports a
 // missed wake if the step changed anything. A tenant whose kernel is still
 // running is skipped: its step only compares the clock with execEnd.
-func (r *runner) checkWake(now units.Time) error {
+func checkWake(t tenant, now units.Time) error {
+	s := t.core()
 	switch {
-	case r.phase == phaseDone, r.phase == phasePending, r.phase == phaseCrashed,
-		r.phase == phaseExec && now < r.execEnd:
+	case s.phase == phaseDone, s.phase == phasePending, s.phase == phaseCrashed,
+		s.phase == phaseExec && now < s.execEnd:
 		return nil
 	}
 	var before, after tenantDigest
-	r.digest(&before)
-	r.step()
-	if r.err != nil {
-		return r.err
+	t.digest(&before)
+	t.step()
+	if s.err != nil {
+		return s.err
 	}
-	if r.digest(&after); after != before {
+	if t.digest(&after); after != before {
 		return fmt.Errorf("stepping it un-woken moved %+v to %+v (missed wake)", before, after)
 	}
 	return nil

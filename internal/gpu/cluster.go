@@ -194,6 +194,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 	net := flownet.New()
 	var sh *Shared
 	runners := make([]*runner, len(p.Tenants))
+	tenants := make([]tenant, len(p.Tenants))
 	for i, t := range p.Tenants {
 		cfg := t.Config.withDefaults()
 		cfg.SSD = shCfg.SSD
@@ -226,9 +227,12 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 		}
 		r.idx = i
 		r.arrival = t.ArrivalTime
-		runners[i] = r
+		runners[i], tenants[i] = r, r
 	}
-	opt := driveOptions{check: p.Check, steps: p.StepCount}
+	opt := driveOptions{steps: p.StepCount}
+	if p.Check {
+		opt.check = func() error { return checkMachines(runners) }
+	}
 	if !p.Faults.Empty() {
 		opt.faults = newFaultClock(p.Faults, runners, sh, net)
 		mtbf := p.Faults.MTBF(len(p.Tenants))
@@ -254,7 +258,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 			r.ckptEvery = t.Recovery.CheckpointInterval(r.exec.Total(), units.TransferTime(snap, bw), mtbf)
 		}
 	}
-	if err := driveEvents(net, runners, opt); err != nil {
+	if err := driveEvents(net, tenants, opt); err != nil {
 		return ClusterResult{}, err
 	}
 	out := ClusterResult{
@@ -275,16 +279,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 	out.SSDStats = sh.dev.Stats()
 	out.WriteAmp = sh.dev.WriteAmplification()
 	if p.Engine != nil {
-		es := EngineStats{
-			FlowRecomputes:  net.Recomputes(),
-			FlowSuccessions: net.Successions(),
-			ProgressTouches: net.ProgressTouches(),
-			ReapScans:       net.ReapScans(),
-			FillRounds:      net.FillRounds(),
-			FillResScans:    net.FillResScans(),
-			FrontierReuses:  net.FrontierReuses(),
-			FlowAllocs:      net.FlowAllocs(),
-		}
+		es := netStats(net)
 		for _, r := range runners {
 			es.TenantAborts += int64(r.abortedKerns + r.abortedFlows)
 			es.TenantRestarts += int64(r.restarts)
@@ -295,11 +290,71 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 	return out, nil
 }
 
-// driveOptions is the per-run scheduler configuration: check runs
-// checkInvariants at every clock advance, steps (when non-nil) accumulates
+// netStats reads the flow network's work counters (the EngineStats fields
+// every run reports; RunCluster adds its tenants' fault counters).
+func netStats(net *flownet.Network) EngineStats {
+	return EngineStats{
+		FlowRecomputes:  net.Recomputes(),
+		FlowSuccessions: net.Successions(),
+		ProgressTouches: net.ProgressTouches(),
+		ReapScans:       net.ReapScans(),
+		FillRounds:      net.FillRounds(),
+		FillResScans:    net.FillResScans(),
+		FrontierReuses:  net.FrontierReuses(),
+		FlowAllocs:      net.FlowAllocs(),
+	}
+}
+
+// tenant is one job the event driver schedules: a training runner (run.go)
+// or a serving request (inference.go). Each kind keeps its own state; the
+// driver and the Check wake test see only this interface and the sched
+// core both kinds embed.
+type tenant interface {
+	core() *sched
+	// admit makes the tenant steppable at the current clock: at time zero,
+	// or when its arrival comes due.
+	admit() error
+	// step advances the tenant as far as it can go without consuming
+	// simulated time.
+	step()
+	// queuedWork reports migration metadata to re-dispatch after network
+	// events; redispatch pumps it.
+	queuedWork() bool
+	redispatch()
+	// digest records the state a step can change (check.go).
+	digest(d *tenantDigest)
+}
+
+// sched is the part of a tenant the driver reads and writes. phase is the
+// step machine's state; execEnd is when the executing kernel or decode
+// step finishes (phaseExec only); doneAt is the clock value when the tenant
+// reached phaseDone, and err a hard simulator error that ends the run. idx
+// is the tenant slot and arrival its admission time (<= 0 = present from
+// the start). inExecHeap marks a live entry in the driver's kernel-end heap.
+// onHostWake, set by the driver, marks the tenant ready: a training tenant
+// registers it with the shared host pool after a blocked wait that followed
+// a denied reservation (hostSubscribed dedupes), and a serving server calls
+// it when it grants the request blocks.
+type sched struct {
+	phase          stepPhase
+	execEnd        units.Time
+	doneAt         units.Time
+	err            error
+	idx            int
+	arrival        units.Time
+	onHostWake     func()
+	inExecHeap     bool
+	hostSubscribed bool
+}
+
+func (s *sched) core() *sched { return s }
+
+// driveOptions is the per-run scheduler configuration: check, when
+// non-nil, is the run's own ledger check, and makes the driver run
+// checkInvariants at every clock advance; steps (when non-nil) accumulates
 // the run's step-machine invocations, and faults injects a fault schedule.
 type driveOptions struct {
-	check  bool
+	check  func() error
 	steps  *int64
 	faults *faultClock
 }
@@ -462,7 +517,7 @@ func (s *wakeSet) forEach(fn func(i int)) {
 // Re-dispatch of the migration metadata queues per network event is
 // likewise confined to machines with queued requests (for the others the
 // arbiter pop/requeue cycle is observationally empty).
-func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) error {
+func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error {
 	var steps int64
 	if opt.steps != nil {
 		defer func() { *opt.steps += steps }()
@@ -476,14 +531,14 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 
 	// Jobs arriving mid-simulation, ordered by (arrival, index).
 	var arrivals []int
-	for i, r := range tenants {
-		if r.arrival > 0 {
-			r.phase = phasePending
+	for i, t := range tenants {
+		if s := t.core(); s.arrival > 0 {
+			s.phase = phasePending
 			arrivals = append(arrivals, i)
 		}
 	}
 	sort.Slice(arrivals, func(i, j int) bool {
-		a, b := tenants[arrivals[i]], tenants[arrivals[j]]
+		a, b := tenants[arrivals[i]].core(), tenants[arrivals[j]].core()
 		if a.arrival != b.arrival {
 			return a.arrival < b.arrival
 		}
@@ -492,26 +547,26 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 	arrCursor := 0
 
 	// Host-pool grant subscriptions wake their tenant by marking it ready.
-	for _, r := range tenants {
-		r := r
-		r.onHostWake = func() {
-			r.hostSubscribed = false
-			ready.set(r.idx)
+	for _, t := range tenants {
+		s := t.core()
+		s.onHostWake = func() {
+			s.hostSubscribed = false
+			ready.set(s.idx)
 		}
 	}
 
-	// Global tensors of day-zero tenants seed in tenant order before the
-	// clock moves (their initial host/flash placement contends on the
+	// Day-zero tenants are admitted in tenant order before the clock moves
+	// (training tenants' initial host/flash placement contends on the
 	// shared pool and array).
 	remaining := n
-	for _, r := range tenants {
-		if r.phase == phasePending {
+	for i, t := range tenants {
+		if t.core().phase == phasePending {
 			continue
 		}
-		if err := r.start(); err != nil {
+		if err := t.admit(); err != nil {
 			return err
 		}
-		ready.set(r.idx)
+		ready.set(i)
 	}
 
 	for {
@@ -520,25 +575,26 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 		// a follow-up round at the same clock before time advances.
 		wake = ready.drain(wake[:0])
 		for _, i := range wake {
-			r := tenants[i]
-			if r.phase == phaseDone || r.phase == phasePending || r.phase == phaseCrashed {
+			t := tenants[i]
+			s := t.core()
+			if s.phase == phaseDone || s.phase == phasePending || s.phase == phaseCrashed {
 				continue
 			}
 			steps++
-			r.step()
-			if r.err != nil {
-				return r.err
+			t.step()
+			if s.err != nil {
+				return s.err
 			}
-			switch r.phase {
+			switch s.phase {
 			case phaseDone:
 				remaining--
 			case phaseExec:
-				if !r.inExecHeap {
-					r.inExecHeap = true
-					execH.push(execEntry{at: r.execEnd, idx: i})
+				if !s.inExecHeap {
+					s.inExecHeap = true
+					execH.push(execEntry{at: s.execEnd, idx: i})
 				}
 			}
-			if r.queuedWork() {
+			if t.queuedWork() {
 				queued.set(i)
 			} else {
 				queued.clear(i)
@@ -547,8 +603,8 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 		if ready.any() {
 			continue
 		}
-		if opt.check {
-			if err := checkInvariants(net, tenants); err != nil {
+		if opt.check != nil {
+			if err := checkInvariants(net, tenants, opt.check); err != nil {
 				return err
 			}
 		}
@@ -562,7 +618,7 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 			next = execH[0].at
 		}
 		if arrCursor < len(arrivals) {
-			next = units.MinTime(next, tenants[arrivals[arrCursor]].arrival)
+			next = units.MinTime(next, tenants[arrivals[arrCursor]].core().arrival)
 		}
 		next = units.MinTime(next, units.MinTime(net.NextEvent(), faults.next()))
 		if next == units.Forever {
@@ -595,9 +651,9 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 			// after each event, in index order: the arbiter's transfer-set
 			// rotation.
 			queued.forEach(func(i int) {
-				r := tenants[i]
-				r.redispatch()
-				if !r.queuedWork() {
+				t := tenants[i]
+				t.redispatch()
+				if !t.queuedWork() {
 					queued.clear(i)
 				}
 			})
@@ -605,7 +661,7 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 		now := net.Now()
 		for len(execH) > 0 && execH[0].at <= now {
 			e := execH.pop()
-			tenants[e.idx].inExecHeap = false
+			tenants[e.idx].core().inExecHeap = false
 			ready.set(e.idx)
 		}
 		// Fault pump point: after the network advance and kernel-end pops,
@@ -619,13 +675,13 @@ func driveEvents(net *flownet.Network, tenants []*runner, opt driveOptions) erro
 			}
 			remaining -= finished
 		}
-		for arrCursor < len(arrivals) && tenants[arrivals[arrCursor]].arrival <= now {
-			r := tenants[arrivals[arrCursor]]
+		for arrCursor < len(arrivals) && tenants[arrivals[arrCursor]].core().arrival <= now {
+			i := arrivals[arrCursor]
 			arrCursor++
-			if err := r.admit(); err != nil {
+			if err := tenants[i].admit(); err != nil {
 				return err
 			}
-			ready.set(r.idx)
+			ready.set(i)
 		}
 	}
 }

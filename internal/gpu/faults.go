@@ -306,14 +306,11 @@ type ckptOp struct {
 }
 
 // crash tears the tenant's server down at the current clock: the in-flight
-// kernel and every flow abort, all resident tensor/KV state is discarded,
+// kernel and every flow abort, all resident tensor state is discarded,
 // and the tenant either waits for repair (phaseCrashed) or — when the crash
 // is permanent — fails. Idle tenants (done, pending, already crashed) lose
 // nothing. Reports whether the tenant reached phaseDone.
 func (r *runner) crash(permanent bool) bool {
-	if r.m == nil {
-		return false // inference request tenants have no server to crash
-	}
 	switch r.phase {
 	case phaseDone, phasePending, phaseCrashed:
 		return false
@@ -356,13 +353,10 @@ func (r *runner) crash(permanent bool) bool {
 // durable checkpoint restores it (a real SSD→GPU flow) before resuming from
 // that iteration; everyone else restarts from iteration zero.
 func (r *runner) repair() error {
-	m := r.m
-	r.phase = phaseBoundary
 	r.k = 0
 	r.iter = r.lastCkpt
-	r.sig0 = m.lat
-	r.progressMark = m.Now()
-	if err := r.start(); err != nil {
+	r.sig0 = r.m.lat
+	if err := r.admit(); err != nil {
 		return err
 	}
 	if r.lastCkpt > 0 && r.hasCkptRng {

@@ -1,12 +1,13 @@
 // Inference serving workload: LLM requests as short-lived tenants on the
-// cluster engine.
+// cluster engine's event driver.
 //
-// Each request is a lightweight tenant — no Machine, no page table — whose
-// step machine walks an admission queue, a prefill burst, and a per-token
-// decode loop. The hot tensor is the request's KV cache: it grows by one
-// block every BlockTokens decoded tokens, out of a fixed per-server block
-// pool that every request assigned to that server (round-robin by index)
-// contends on. Memory pressure is resolved by the KVPolicy: the single-tier
+// Each request is an infReq: the driver's sched core plus its own serving
+// state — no Machine, no page table, no training state. Its step machine
+// walks an admission queue, a prefill burst, and a per-token decode loop.
+// The hot tensor is the request's KV cache: it grows by one block every
+// BlockTokens decoded tokens, out of a fixed per-server block pool that
+// every request assigned to that server (round-robin by index) contends
+// on. Memory pressure is resolved by the KVPolicy: the single-tier
 // baseline preempts the youngest admitted request (vLLM-style recompute —
 // the KV is dropped and rebuilt by a later re-prefill over prompt plus the
 // tokens already decoded), while the tiered policy swaps the victim's
@@ -29,8 +30,8 @@
 // just-evicted request cannot instantly readmit into the same full pool
 // and burn a prefill for zero progress.
 //
-// The cluster driver advances request tenants like training ones.
-// Determinism rests on the same two invariants the training runner obeys:
+// The event driver advances requests through the same tenant interface as
+// training runners, and determinism rests on the same two invariants:
 // woken tenants step in ascending index order within a round, and stepping
 // an un-woken request is a strict no-op — blocked states change only
 // through explicit grants and evictions (applied by the server's pump at
@@ -182,8 +183,8 @@ type InferenceResult struct {
 }
 
 // reqState is the explicit state of a request's serving lifecycle; the
-// runner phases (phaseWait / phaseExec / phaseDone / phasePending) carry
-// the driver-facing view of the same machine.
+// sched phases (phaseWait / phaseExec / phaseDone / phasePending) carry the
+// driver-facing view of the same machine.
 type reqState uint8
 
 const (
@@ -208,9 +209,10 @@ const (
 	reqDone
 )
 
-// infReq is one request tenant's private state (runner.inf).
+// infReq is one serving request: a tenant whose sched core the driver
+// steps, and the request's KV lifecycle on its server.
 type infReq struct {
-	r    *runner
+	sched
 	eng  *infEngine
 	srv  *infServer
 	spec RequestSpec
@@ -402,7 +404,8 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 	eng.tierOut = net.AddResource("kvtier-out", p.TierBandwidth)
 	eng.host = uvm.NewMemPool(units.Bytes(p.HostBlocks) * p.BlockBytes)
 
-	runners := make([]*runner, len(p.Requests))
+	reqs := make([]infReq, len(p.Requests))
+	tenants := make([]tenant, len(p.Requests))
 	for i, spec := range p.Requests {
 		if spec.PromptTokens < 1 || spec.OutputTokens < 1 {
 			return InferenceResult{}, fmt.Errorf("gpu: request %d: prompt %d / output %d tokens (both must be >= 1)",
@@ -412,28 +415,31 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 			return InferenceResult{}, fmt.Errorf("gpu: request %d KV span %d blocks exceeds the %d-block server pool",
 				i, need, p.GPUBlocks)
 		}
-		q := &infReq{eng: eng, srv: eng.servers[i%p.Servers], spec: spec}
-		r := &runner{inf: q, idx: i, arrival: spec.Arrival}
-		q.r = r
-		runners[i] = r
+		q := &reqs[i]
+		q.eng, q.srv, q.spec = eng, eng.servers[i%p.Servers], spec
+		q.idx, q.arrival = i, spec.Arrival
+		tenants[i] = q
 	}
-	opt := driveOptions{check: p.Check, steps: p.StepCount}
-	if err := driveEvents(net, runners, opt); err != nil {
+	opt := driveOptions{steps: p.StepCount}
+	if p.Check {
+		opt.check = eng.checkLedgers
+	}
+	if err := driveEvents(net, tenants, opt); err != nil {
 		return InferenceResult{}, err
 	}
-	out := InferenceResult{Requests: make([]RequestStat, len(runners))}
-	for i, r := range runners {
-		q := r.inf
+	out := InferenceResult{Requests: make([]RequestStat, len(reqs))}
+	for i := range reqs {
+		q := &reqs[i]
 		out.Requests[i] = RequestStat{
-			Arrival:    units.MaxTime(0, r.arrival),
+			Arrival:    units.MaxTime(0, q.arrival),
 			FirstToken: q.firstToken,
-			Finish:     r.doneAt,
+			Finish:     q.doneAt,
 			Server:     q.srv.idx,
 			Preempts:   q.preempts,
 			Offloads:   q.offloads,
 			Reloads:    q.reloads,
 		}
-		if d := units.Duration(r.doneAt); d > out.Makespan {
+		if d := units.Duration(q.doneAt); d > out.Makespan {
 			out.Makespan = d
 		}
 	}
@@ -442,16 +448,7 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 	out.Reloads = eng.reloads
 	out.OffloadedBytes = eng.offloadedBytes
 	if p.Engine != nil {
-		p.Engine.Add(EngineStats{
-			FlowRecomputes:  net.Recomputes(),
-			FlowSuccessions: net.Successions(),
-			ProgressTouches: net.ProgressTouches(),
-			ReapScans:       net.ReapScans(),
-			FillRounds:      net.FillRounds(),
-			FillResScans:    net.FillResScans(),
-			FrontierReuses:  net.FrontierReuses(),
-			FlowAllocs:      net.FlowAllocs(),
-		})
+		p.Engine.Add(netStats(net))
 	}
 	return out, nil
 }
@@ -460,28 +457,38 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 // class FCFS by arrival, the reload class behind it.
 func (q *infReq) enqueue(st reqState) {
 	q.state = st
-	q.r.phase = phaseWait
+	q.phase = phaseWait
 	reload := st == reqSwapQueued
 	if !reload {
 		q.srv.admitPrefill++
 	}
-	q.srv.admit.push(admitEntry{reload: reload, key: units.MaxTime(0, q.spec.Arrival), idx: q.r.idx, q: q})
+	q.srv.admit.push(admitEntry{reload: reload, key: units.MaxTime(0, q.spec.Arrival), idx: q.idx, q: q})
 	q.srv.pump()
 }
 
-// stepServe advances the request as far as it can go without consuming
-// simulated time — the inference arm of runner.step.
-func (r *runner) stepServe() {
-	q := r.inf
+// admit joins the request to its server's admission queue.
+func (q *infReq) admit() error {
+	q.enqueue(reqQueued)
+	return nil
+}
+
+// queuedWork and redispatch are no-ops: a request has no migration
+// queues.
+func (q *infReq) queuedWork() bool { return false }
+func (q *infReq) redispatch()      {}
+
+// step advances the request as far as it can go without consuming
+// simulated time.
+func (q *infReq) step() {
 	for {
 		if a := q.eng.p.audit; a != nil {
 			a(q)
 		}
-		switch r.phase {
+		switch q.phase {
 		case phaseDone, phasePending:
 			return
 		case phaseExec:
-			if q.eng.net.Now() < r.execEnd {
+			if q.eng.net.Now() < q.execEnd {
 				return // still executing; the driver advances the clock
 			}
 			q.execDone()
@@ -558,8 +565,8 @@ func (q *infReq) beginPrefill() {
 	p := &q.eng.p
 	tokens := q.spec.PromptTokens + q.decoded
 	q.state = reqPrefill
-	q.r.execEnd = q.eng.net.Now() + p.PrefillBase + units.Duration(tokens)*p.PrefillPerToken
-	q.r.phase = phaseExec
+	q.execEnd = q.eng.net.Now() + p.PrefillBase + units.Duration(tokens)*p.PrefillPerToken
+	q.phase = phaseExec
 }
 
 // beginDecode grows the KV when the next token crosses a block boundary —
@@ -570,7 +577,7 @@ func (q *infReq) beginDecode() {
 	if q.blocks < need {
 		if !q.srv.takeOne(q) {
 			q.state = reqBlockWait
-			q.r.phase = phaseWait
+			q.phase = phaseWait
 			q.srv.waiters = append(q.srv.waiters, q)
 			q.srv.pump()
 			return
@@ -590,19 +597,19 @@ func (q *infReq) beginDecode() {
 func (q *infReq) startDecodeExec() {
 	p := &q.eng.p
 	q.state = reqDecode
-	q.r.execEnd = q.eng.net.Now() + p.DecodeBase + units.Duration(q.blocks)*p.DecodePerBlock
-	q.r.phase = phaseExec
+	q.execEnd = q.eng.net.Now() + p.DecodeBase + units.Duration(q.blocks)*p.DecodePerBlock
+	q.phase = phaseExec
 }
 
 // beginSwapIn starts the reload flow into the re-granted GPU blocks.
 func (q *infReq) beginSwapIn() {
 	eng := q.eng
 	q.state = reqSwapIn
-	q.r.phase = phaseWait
+	q.phase = phaseWait
 	bytes := units.Bytes(q.blocks) * eng.p.BlockBytes
 	f := eng.net.StartAt(q.srv.inLabel, bytes, eng.net.Now()+eng.p.TierLatency,
 		&kvTransfer{q: q}, eng.tierOut, q.srv.in)
-	f.Owner = q.r.idx
+	f.Owner = q.idx
 }
 
 // abortExec cancels the victim's in-flight kernel (an eviction does not
@@ -610,8 +617,8 @@ func (q *infReq) beginSwapIn() {
 // kernel-end heap entry goes stale — clearing inExecHeap lets the victim's
 // next phaseExec entry be re-scheduled, and the stale pop is a no-op step.
 func (q *infReq) abortExec() {
-	if q.r.phase == phaseExec {
-		q.r.inExecHeap = false
+	if q.phase == phaseExec {
+		q.inExecHeap = false
 	}
 }
 
@@ -621,12 +628,12 @@ func (q *infReq) swapOut() {
 	eng := q.eng
 	q.abortExec()
 	q.state = reqSwapOut
-	q.r.phase = phaseWait
+	q.phase = phaseWait
 	q.host = q.blocks
 	bytes := units.Bytes(q.blocks) * eng.p.BlockBytes
 	f := eng.net.StartAt(q.srv.outLabel, bytes, eng.net.Now()+eng.p.TierLatency,
 		&kvTransfer{q: q, out: true}, q.srv.out, eng.tierIn)
-	f.Owner = q.r.idx
+	f.Owner = q.idx
 	q.srv.pressure = q
 	q.offloads++
 	eng.offloads++
@@ -655,8 +662,8 @@ func (q *infReq) finish() {
 	q.gpu = 0
 	q.blocks = 0
 	q.state = reqDone
-	q.r.phase = phaseDone
-	q.r.doneAt = q.eng.net.Now()
+	q.phase = phaseDone
+	q.doneAt = q.eng.net.Now()
 	srv.dropActive(q)
 	srv.pump()
 }
@@ -764,7 +771,7 @@ func (srv *infServer) pump() {
 			q.gpu++
 			q.alloc++
 			q.granted = true
-			q.r.onHostWake()
+			q.onHostWake()
 		}
 		for len(srv.admit) > 0 {
 			head := srv.admit[0].q
@@ -807,7 +814,7 @@ func (srv *infServer) grantAdmit(q *infReq, need int) {
 	q.alloc += need
 	srv.active = append(srv.active, q)
 	q.granted = true
-	q.r.onHostWake()
+	q.onHostWake()
 }
 
 // demand resolves decode pressure immediately: the youngest admitted
@@ -875,11 +882,11 @@ func (srv *infServer) pickVictim() *infReq {
 		if q == protect || q.granted || q.homed {
 			continue
 		}
-		if q.state != reqBlockWait && !(q.state == reqDecode && q.r.phase == phaseExec) {
+		if q.state != reqBlockWait && !(q.state == reqDecode && q.phase == phaseExec) {
 			continue
 		}
 		if v == nil || q.spec.Arrival > v.spec.Arrival ||
-			(q.spec.Arrival == v.spec.Arrival && q.r.idx > v.r.idx) {
+			(q.spec.Arrival == v.spec.Arrival && q.idx > v.idx) {
 			v = q
 		}
 	}

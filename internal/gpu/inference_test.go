@@ -3,6 +3,7 @@ package gpu
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestInferenceKVAccounting(t *testing.T) {
 				pd := q.spec.PromptTokens + q.decoded
 				fail := func(why string) {
 					t.Fatalf("seed %#x %s req %d state %d: %s (blocks %d gpu %d host %d alloc %d freed %d decoded %d)",
-						seed, pol.Name(), q.r.idx, q.state, why, q.blocks, q.gpu, q.host, q.alloc, q.freed, q.decoded)
+						seed, pol.Name(), q.idx, q.state, why, q.blocks, q.gpu, q.host, q.alloc, q.freed, q.decoded)
 				}
 				if q.alloc != q.freed+q.gpu {
 					fail("alloc != freed + resident")
@@ -147,7 +148,7 @@ func TestInferenceKVAccounting(t *testing.T) {
 					// between steps (a reload just landed, or the aborted
 					// step's block survived the swap round-trip) the span is
 					// within one block of the decoded tokens.
-					if q.r.phase == phaseExec {
+					if q.phase == phaseExec {
 						if q.blocks != span(pd+1) {
 							fail("decode-exec accounting")
 						}
@@ -296,6 +297,30 @@ func percentileDuration(ds []units.Duration, q float64) units.Duration {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
+}
+
+// TestInferenceAllocPerRequest bounds the heap bytes a serving run
+// allocates per request on BenchmarkInferenceDrive's trace. A request
+// carries only the driver's sched core and its own KV state, about 350 B
+// per request in all; the bound sits well below the ~980 B a request costs
+// when it also carries a training runner's state.
+func TestInferenceAllocPerRequest(t *testing.T) {
+	const maxPerRequest = 640
+	p := InferenceParams{
+		Requests: servingTrace(5000, 1, 8*units.Millisecond, 512, 160, 1024, 160, 512),
+		Policy:   tieredKV(),
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunInference(p); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(p.Requests))
+	t.Logf("serving run allocated %d B per request", per)
+	if per > maxPerRequest {
+		t.Errorf("serving run allocated %d B per request, want <= %d", per, maxPerRequest)
+	}
 }
 
 // BenchmarkInferenceDrive is the serving driver's layer benchmark: 5k

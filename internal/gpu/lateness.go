@@ -59,26 +59,6 @@ func (s LatenessSignal) EvictInflation() float64 {
 	return inflation(s.EvictRealized, s.EvictExclusive)
 }
 
-// FetchLateness reports the mean extra wire time per fetch flow.
-func (s LatenessSignal) FetchLateness() units.Duration {
-	return meanLateness(s.FetchRealized, s.FetchExclusive, s.FetchFlows)
-}
-
-// EvictLateness reports the mean extra wire time per evict flow.
-func (s LatenessSignal) EvictLateness() units.Duration {
-	return meanLateness(s.EvictRealized, s.EvictExclusive, s.EvictFlows)
-}
-
-// FetchAchievedBW reports the realized fetch bandwidth share (0 when idle).
-func (s LatenessSignal) FetchAchievedBW() units.Bandwidth {
-	return achievedBW(s.FetchBytes, s.FetchRealized)
-}
-
-// EvictAchievedBW reports the realized evict bandwidth share (0 when idle).
-func (s LatenessSignal) EvictAchievedBW() units.Bandwidth {
-	return achievedBW(s.EvictBytes, s.EvictRealized)
-}
-
 func inflation(realized, exclusive units.Duration) float64 {
 	if exclusive <= 0 {
 		return 1
@@ -88,20 +68,6 @@ func inflation(realized, exclusive units.Duration) float64 {
 		return 1
 	}
 	return f
-}
-
-func meanLateness(realized, exclusive units.Duration, flows int64) units.Duration {
-	if flows <= 0 || realized <= exclusive {
-		return 0
-	}
-	return (realized - exclusive) / units.Duration(flows)
-}
-
-func achievedBW(bytes units.Bytes, realized units.Duration) units.Bandwidth {
-	if realized <= 0 {
-		return 0
-	}
-	return units.Bandwidth(float64(bytes) / realized.Seconds())
 }
 
 // Replanner is implemented by policies that re-time their instrumented

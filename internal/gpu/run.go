@@ -51,7 +51,7 @@ func Run(p RunParams) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	err = driveEvents(m.net, []*runner{r}, driveOptions{})
+	err = driveEvents(m.net, []tenant{r}, driveOptions{})
 	return r.result(), err
 }
 
@@ -85,13 +85,14 @@ const (
 	phaseRestore
 )
 
-// runner is one tenant: a resumable step machine that replays its workload
-// on a Machine whose clock a driver — Run's single-tenant loop or the
-// cluster scheduler — advances. step never consumes simulated time; it runs
-// the tenant to the point where only the clock can unblock it.
+// runner is a training tenant: a resumable step machine that replays its
+// workload on its own Machine, whose clock a driver — Run's one-tenant
+// drive or the cluster scheduler — advances. step never consumes simulated
+// time; it runs the tenant to the point where only the clock can unblock
+// it.
 type runner struct {
+	sched
 	m       *Machine
-	cfg     Config
 	program *planner.Program
 	exec    *profile.Trace
 
@@ -101,36 +102,15 @@ type runner struct {
 	rp   Replanner
 	sig0 LatenessSignal
 
-	phase   stepPhase
 	iter, k int
-	// execEnd is when the executing kernel finishes (phaseExec only).
-	execEnd units.Time
 	// checkFail mirrors the original blocking loop's control flow: machine
 	// failure is noticed after each wait on the network, not before the
 	// first working-set scan.
 	checkFail bool
-	// doneAt is the clock value when the tenant reached phaseDone.
-	doneAt units.Time
-	err    error
-
-	// Scheduler bookkeeping (cluster wakeup subscriptions). idx is the
-	// tenant slot; arrival the admission time (<= 0 = present from the
-	// start); inExecHeap marks a live entry in the driver's kernel-end
-	// heap; onHostWake, set by the driver, is registered with the shared
-	// host pool after a blocked wait that followed a denied reservation
-	// (hostSubscribed dedupes; hostRejects0 is the per-step denial
-	// snapshot).
-	idx            int
-	arrival        units.Time
-	inExecHeap     bool
-	hostSubscribed bool
-	hostRejects0   int64
-	onHostWake     func()
-
-	// inf, when non-nil, makes this runner an inference request tenant
-	// (inference.go): step/start/admit dispatch to the serving step machine
-	// and m stays nil — request tenants have no Machine.
-	inf *infReq
+	// hostRejects0 is the machine's host-reservation denial count when the
+	// current step began: a blocked wait after a new denial subscribes
+	// onHostWake to the shared host pool's grant queue.
+	hostRejects0 int64
 
 	// Fault-injection and recovery state (faults.go). ckptEvery > 0
 	// checkpoints every that-many iterations (RunCluster derives it from the
@@ -185,21 +165,21 @@ func newRunner(m *Machine, exec *profile.Trace) (*runner, error) {
 	if program == nil {
 		program = planner.EmptyProgram(a)
 	}
-	r := &runner{m: m, cfg: m.cfg, program: program, exec: exec}
+	r := &runner{m: m, program: program, exec: exec}
 	if rp, ok := m.pol.(Replanner); ok {
 		r.rp = rp
 	}
 	return r, nil
 }
 
-// start seeds global (weight) tensors into the unified space — those that
-// do not fit in GPU memory start in host memory or flash, exactly as a
-// first-touch UVM program would find them. Called once before stepping.
-func (r *runner) start() error {
-	if r.inf != nil {
-		r.inf.enqueue(reqQueued)
-		return nil
-	}
+// admit makes the tenant steppable at the current clock — at time zero, on
+// arrival, or on repair after a crash — and seeds its global (weight)
+// tensors into the unified space: those that do not fit in GPU memory start
+// in host memory or flash, exactly as a first-touch UVM program would find
+// them.
+func (r *runner) admit() error {
+	r.phase = phaseBoundary
+	r.progressMark = r.m.Now()
 	for id, t := range r.m.g.Tensors {
 		if t.Kind != dnn.Global {
 			continue
@@ -211,40 +191,18 @@ func (r *runner) start() error {
 	return nil
 }
 
-// admit seeds a dynamically arriving tenant at the current clock and makes
-// it steppable.
-func (r *runner) admit() error {
-	if r.inf != nil {
-		r.inf.enqueue(reqQueued)
-		return nil
-	}
-	r.phase = phaseBoundary
-	r.progressMark = r.m.Now()
-	return r.start()
-}
-
 // queuedWork reports pending migration metadata to re-dispatch after
-// network events (always false for inference tenants, which have no
-// Machine).
-func (r *runner) queuedWork() bool { return r.m != nil && r.m.queues.Len() > 0 }
+// network events.
+func (r *runner) queuedWork() bool { return r.m.queues.Len() > 0 }
 
-// redispatch pumps the machine's migration metadata queues (no-op for
-// inference tenants).
-func (r *runner) redispatch() {
-	if r.m != nil {
-		r.m.dispatch()
-	}
-}
+// redispatch pumps the machine's migration metadata queues.
+func (r *runner) redispatch() { r.m.dispatch() }
 
 // step advances the tenant as far as it can go without consuming simulated
 // time: it stops when the run finishes, when the tenant is executing a
 // kernel (waiting for the clock to reach execEnd), or when it is blocked on
 // its in-flight migrations (waiting for a network event).
 func (r *runner) step() {
-	if r.inf != nil {
-		r.stepServe()
-		return
-	}
 	m := r.m
 	r.hostRejects0 = m.hostRejects
 	n := len(m.g.Kernels)
@@ -255,14 +213,14 @@ func (r *runner) step() {
 			// restore phases wait for their snapshot flow to land.
 			return
 		case phaseBoundary:
-			if r.k == 0 && r.iter == r.cfg.Iterations-1 {
+			if r.k == 0 && r.iter == m.cfg.Iterations-1 {
 				r.beginMeasurement()
 			}
 			r.boundary(r.iter, r.k)
 			if r.k == n { // iteration-closing boundary
 				r.iter++
 				r.k = 0
-				if r.iter == r.cfg.Iterations {
+				if r.iter == m.cfg.Iterations {
 					r.finish()
 					return
 				}
@@ -594,7 +552,7 @@ func (r *runner) result() Result {
 		res.GPUToHost = m.ledger.hostOut - r.ledger0.hostOut
 		res.Faults = m.faults - r.faults0
 		res.FaultedBytes = m.faultedBytes - r.faultBytes0
-		res.FaultedPages = int64(units.PagesFor(res.FaultedBytes, r.cfg.PageSize))
+		res.FaultedPages = int64(units.PagesFor(res.FaultedBytes, m.cfg.PageSize))
 		res.OverflowBytes = m.overflowBytes - r.overflow0
 		res.OverflowKernels = m.overflowKerns - r.overflowK0
 	}
