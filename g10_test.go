@@ -287,6 +287,29 @@ func TestSimulateClusterRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestSimulateInferenceRejectsBadConfig: a serving configuration no
+// cluster can have returns an error rather than panicking.
+func TestSimulateInferenceRejectsBadConfig(t *testing.T) {
+	reqs := []InferenceRequest{{PromptTokens: 64, OutputTokens: 32}}
+	for _, tc := range []struct {
+		name string
+		cfg  InferenceConfig
+	}{
+		{"negative servers", InferenceConfig{Servers: -1}},
+		{"negative GPU blocks", InferenceConfig{GPUBlocks: -8}},
+		{"negative host blocks", InferenceConfig{HostBlocks: -1, Tiered: true}},
+		{"negative block tokens", InferenceConfig{BlockTokens: -16}},
+		{"negative block size", InferenceConfig{BlockMB: -2}},
+	} {
+		if _, err := SimulateInference(reqs, tc.cfg); err == nil {
+			t.Errorf("%s: accepted %+v", tc.name, tc.cfg)
+		}
+	}
+	if _, err := SimulateInference(reqs, InferenceConfig{}); err != nil {
+		t.Errorf("default config rejected: %v", err)
+	}
+}
+
 func TestGraphBuilderValidates(t *testing.T) {
 	gb := NewGraphBuilder("bad", 1)
 	gb.Tensor("orphan", Intermediate, 1024)

@@ -18,6 +18,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -353,19 +354,39 @@ func (s *sched) core() *sched { return s }
 // non-nil, is the run's own ledger check, and makes the driver run
 // checkInvariants at every clock advance; steps (when non-nil) accumulates
 // the run's step-machine invocations, and faults injects a fault schedule.
+// round, when non-nil, is where the driver publishes its round cursor.
 type driveOptions struct {
 	check  func() error
 	steps  *int64
 	faults *faultClock
+	round  *roundCursor
+}
+
+// roundCursor is how far the driver's step rounds have got: at is the
+// clock of the latest step round (-1 before the first), and idx the tenant
+// the first round at that clock is stepping, or math.MaxInt once that round
+// is over. Tenants woken at a clock all step in its first round, so the
+// cursor tells which of them a round has already stepped.
+type roundCursor struct {
+	at  units.Time
+	idx int
+}
+
+// passed reports whether the driver has already stepped tenant idx at now,
+// had the tenant been woken at now: a round has started at now and has
+// moved past idx.
+func (c *roundCursor) passed(idx int, now units.Time) bool {
+	return c.at == now && c.idx > idx
 }
 
 // execHeap is a typed binary min-heap of executing tenants ordered by
 // (kernel-end time, index), so wake order is deterministic. It is
-// hand-rolled rather than a container/heap user because serving pops it
-// once per decoded token: the interface dispatch and the boxing of every
-// pushed and popped entry cost more than the heap itself. The order is
-// total and duplicate entries (stale ones left by abortExec) are
-// indistinguishable, so any correct heap pops the same sequence.
+// hand-rolled rather than a container/heap user because it is popped once
+// per kernel and once per serving request's decode run: the interface
+// dispatch and the boxing of every pushed and popped entry cost more than
+// the heap itself. The order is total and duplicate entries (stale ones
+// left by abortExec) are indistinguishable, so any correct heap pops the
+// same sequence.
 type execEntry struct {
 	at  units.Time
 	idx int
@@ -523,6 +544,11 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 		defer func() { *opt.steps += steps }()
 	}
 	faults := opt.faults
+	round := opt.round
+	if round == nil {
+		round = new(roundCursor)
+	}
+	round.at = -1
 	n := len(tenants)
 	ready := newWakeSet(n)
 	queued := newWakeSet(n)
@@ -574,7 +600,12 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 		// during the round (e.g. a freed host reservation) are stepped in
 		// a follow-up round at the same clock before time advances.
 		wake = ready.drain(wake[:0])
+		first := round.at != net.Now()
+		round.at = net.Now()
 		for _, i := range wake {
+			if first {
+				round.idx = i
+			}
 			t := tenants[i]
 			s := t.core()
 			if s.phase == phaseDone || s.phase == phasePending || s.phase == phaseCrashed {
@@ -600,6 +631,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 				queued.clear(i)
 			}
 		}
+		round.idx = math.MaxInt
 		if ready.any() {
 			continue
 		}

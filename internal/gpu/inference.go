@@ -3,7 +3,7 @@
 //
 // Each request is an infReq: the driver's sched core plus its own serving
 // state — no Machine, no page table, no training state. Its step machine
-// walks an admission queue, a prefill burst, and a per-token decode loop.
+// walks an admission queue, a prefill burst, and a decode loop of runs.
 // The hot tensor is the request's KV cache: it grows by one block every
 // BlockTokens decoded tokens, out of a fixed per-server block pool that
 // every request assigned to that server (round-robin by index) contends
@@ -19,16 +19,21 @@
 // policy additionally offloads proactively, so queued prefills start sooner
 // (the TTFT mechanism the H10-style tiered-KV studies measure).
 //
+// A decode step costs DecodeBase + blocks·DecodePerBlock and touches no
+// shared state until the KV must grow, so the request decodes in runs: one
+// exec covers every token up to the next block boundary (or the last
+// output token), and the request steps once per run, not once per token.
+//
 // Three scheduling rules keep the pool from thrashing, mirroring vLLM's
-// scheduler: pressure resolves immediately (the victim's in-flight decode
-// step is aborted, its token not counted, so the demanding request gets its
-// block now rather than a kernel-end later, and never targets the
-// demanding request itself); preempted requests re-enter the admission
-// queue in arrival order (FCFS — not at the back of the line), while
-// swapped-out KV reloads rank behind every queued prefill; and admission
-// requires a free-block watermark beyond the request's span, so a
-// just-evicted request cannot instantly readmit into the same full pool
-// and burn a prefill for zero progress.
+// scheduler: pressure resolves immediately (the victim's decode run is
+// aborted, keeping the tokens that ended before the eviction but not the
+// one in flight, so the demanding request gets its block now rather than a
+// kernel-end later, and never targets the demanding request itself);
+// preempted requests re-enter the admission queue in arrival order (FCFS —
+// not at the back of the line), while swapped-out KV reloads rank behind
+// every queued prefill; and admission requires a free-block watermark
+// beyond the request's span, so a just-evicted request cannot instantly
+// readmit into the same full pool and burn a prefill for zero progress.
 //
 // The event driver advances requests through the same tenant interface as
 // training runners, and determinism rests on the same two invariants:
@@ -155,6 +160,44 @@ func (p InferenceParams) withDefaults() InferenceParams {
 	return p
 }
 
+// validate rejects parameters that describe no serving cluster. It runs
+// after withDefaults, which replaced every zero field, so each count, size,
+// duration and bandwidth must be positive here; a bandwidth must also not
+// be NaN.
+func (p InferenceParams) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Servers", int64(p.Servers)},
+		{"GPUBlocks", int64(p.GPUBlocks)},
+		{"HostBlocks", int64(p.HostBlocks)},
+		{"BlockTokens", int64(p.BlockTokens)},
+		{"BlockBytes", int64(p.BlockBytes)},
+		{"PrefillBase", int64(p.PrefillBase)},
+		{"PrefillPerToken", int64(p.PrefillPerToken)},
+		{"DecodeBase", int64(p.DecodeBase)},
+		{"DecodePerBlock", int64(p.DecodePerBlock)},
+		{"TierLatency", int64(p.TierLatency)},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("gpu: inference %s %d must be positive", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    units.Bandwidth
+	}{
+		{"KVLinkBandwidth", p.KVLinkBandwidth},
+		{"TierBandwidth", p.TierBandwidth},
+	} {
+		if !(f.v > 0) {
+			return fmt.Errorf("gpu: inference %s %v must be positive", f.name, float64(f.v))
+		}
+	}
+	return nil
+}
+
 // RequestStat is one request's measured outcome.
 type RequestStat struct {
 	Arrival units.Time
@@ -193,8 +236,8 @@ const (
 	reqQueued reqState = iota
 	// reqPrefill: the prefill burst executes until execEnd.
 	reqPrefill
-	// reqDecode: a decode step executes until execEnd (or, with homed set,
-	// a reload just landed and the next step resumes the loop).
+	// reqDecode: a decode run executes until execEnd (or, with homed set,
+	// a reload just landed and the next step starts a run).
 	reqDecode
 	// reqBlockWait: the KV must grow by one block and the pool is empty;
 	// waiting for a server grant.
@@ -219,11 +262,12 @@ type infReq struct {
 
 	state reqState
 	// blocks is the KV span in blocks; decoded the decode progress in
-	// tokens; gpu/host the block counts currently held on each tier (both
-	// at once while a swap is in flight). alloc accumulates blocks ever
-	// granted from the pool and freed blocks ever returned (preemption
-	// drops, swap-out landings, completion) — alloc == freed + gpu at every
-	// step, the conservation half of the KV-accounting property test.
+	// tokens, as of the start of the executing decode run; gpu/host the
+	// block counts currently held on each tier (both at once while a swap
+	// is in flight). alloc accumulates blocks ever granted from the pool
+	// and freed blocks ever returned (preemption drops, swap-out landings,
+	// completion) — alloc == freed + gpu at every step, the conservation
+	// half of the KV-accounting property test.
 	blocks  int
 	decoded int
 	gpu     int
@@ -357,6 +401,9 @@ type infEngine struct {
 
 	tierIn, tierOut *flownet.Resource
 	servers         []*infServer
+	// round is the driver's round cursor: abortExec reads it to settle a
+	// decode run's token that ends exactly at the eviction.
+	round roundCursor
 
 	preemptions    int64
 	offloads       int64
@@ -380,6 +427,9 @@ func (e *infEngine) blocksFor(tokens int) int {
 // returns per-request stats.
 func RunInference(p InferenceParams) (InferenceResult, error) {
 	p = p.withDefaults()
+	if err := p.validate(); err != nil {
+		return InferenceResult{}, err
+	}
 	if len(p.Requests) == 0 {
 		return InferenceResult{}, fmt.Errorf("gpu: inference with no requests")
 	}
@@ -420,7 +470,7 @@ func RunInference(p InferenceParams) (InferenceResult, error) {
 		q.idx, q.arrival = i, spec.Arrival
 		tenants[i] = q
 	}
-	opt := driveOptions{steps: p.StepCount}
+	opt := driveOptions{steps: p.StepCount, round: &eng.round}
 	if p.Check {
 		opt.check = eng.checkLedgers
 	}
@@ -537,9 +587,9 @@ func (q *infReq) resume() bool {
 	return false // reqSwapOut / reqSwapIn: flow landings transition state
 }
 
-// execDone handles a kernel end: prefill completion records TTFT and enters
-// the decode loop; a decode completion advances the token count, then
-// finishes or decodes on.
+// execDone handles an exec end: prefill completion records TTFT and enters
+// the decode loop; a decode run's end adds its tokens, then finishes or
+// decodes on.
 func (q *infReq) execDone() {
 	switch q.state {
 	case reqPrefill:
@@ -549,7 +599,8 @@ func (q *infReq) execDone() {
 		q.state = reqDecode
 		q.beginDecode()
 	case reqDecode:
-		q.decoded++
+		n, _ := q.decodeRun()
+		q.decoded += n
 		if q.decoded >= q.spec.OutputTokens {
 			q.finish()
 			return
@@ -570,7 +621,7 @@ func (q *infReq) beginPrefill() {
 }
 
 // beginDecode grows the KV when the next token crosses a block boundary —
-// stealing a free block or joining the wait queue — then starts the step.
+// stealing a free block or joining the wait queue — then starts a run.
 func (q *infReq) beginDecode() {
 	need := q.eng.blocksFor(q.spec.PromptTokens + q.decoded + 1)
 	grew := false
@@ -594,11 +645,24 @@ func (q *infReq) beginDecode() {
 	}
 }
 
+// startDecodeExec starts a decode run: one exec for every token the
+// request can decode on its current span.
 func (q *infReq) startDecodeExec() {
-	p := &q.eng.p
+	n, step := q.decodeRun()
 	q.state = reqDecode
-	q.execEnd = q.eng.net.Now() + p.DecodeBase + units.Duration(q.blocks)*p.DecodePerBlock
+	q.execEnd = q.eng.net.Now() + units.Duration(n)*step
 	q.phase = phaseExec
+}
+
+// decodeRun is the shape of the decode run that starts at q.decoded: n
+// tokens, each step long. The run covers every token the span holds room
+// for, up to the output length; blocks and decoded do not change until the
+// run ends or aborts, so the shape is the same whenever it is read. Every
+// token attends over the same blocks, so the steps are equally long.
+func (q *infReq) decodeRun() (n int, step units.Duration) {
+	p := &q.eng.p
+	n = min(q.blocks*p.BlockTokens-q.spec.PromptTokens-q.decoded, q.spec.OutputTokens-q.decoded)
+	return n, p.DecodeBase + units.Duration(q.blocks)*p.DecodePerBlock
 }
 
 // beginSwapIn starts the reload flow into the re-granted GPU blocks.
@@ -612,14 +676,37 @@ func (q *infReq) beginSwapIn() {
 	f.Owner = q.idx
 }
 
-// abortExec cancels the victim's in-flight kernel (an eviction does not
-// wait for the step to end; the aborted token is not counted). The driver's
-// kernel-end heap entry goes stale — clearing inExecHeap lets the victim's
-// next phaseExec entry be re-scheduled, and the stale pop is a no-op step.
+// abortExec cancels the victim's in-flight exec (an eviction does not wait
+// for the exec to end). A decode run keeps the tokens that ended before
+// now; the token in flight is not counted. A token that ends exactly now
+// counts only if the driver has already stepped the victim at now, had the
+// run been one exec per token (roundCursor.passed): outside a step round,
+// and in the first round before the victim's index, it would still be
+// pending. The driver's kernel-end heap entry goes stale — clearing
+// inExecHeap lets the victim's next phaseExec entry be re-scheduled, and
+// the stale pop is a no-op step.
 func (q *infReq) abortExec() {
-	if q.phase == phaseExec {
-		q.inExecHeap = false
+	if q.phase != phaseExec {
+		return
 	}
+	q.inExecHeap = false
+	if q.state != reqDecode {
+		return
+	}
+	now := q.eng.net.Now()
+	n, step := q.decodeRun()
+	elapsed := now - (q.execEnd - units.Duration(n)*step)
+	done := int(elapsed / step)
+	if done > 0 && elapsed%step == 0 && !q.eng.round.passed(q.idx, now) {
+		done--
+	}
+	if done >= n {
+		// Every token of the run has ended, so the driver should have
+		// stepped the run's end before anything could evict the request.
+		q.err = fmt.Errorf("gpu: request %d: decode run ending at %v aborted at %v, after its end", q.idx, q.execEnd, now)
+		return
+	}
+	q.decoded += done
 }
 
 // swapOut starts the victim's KV flight to the host tier (the tier

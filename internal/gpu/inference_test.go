@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"g10sim/internal/units"
@@ -144,13 +145,19 @@ func TestInferenceKVAccounting(t *testing.T) {
 						fail("prefill accounting")
 					}
 				case reqDecode:
-					// Executing a step always holds the grown span; parked
-					// between steps (a reload just landed, or the aborted
-					// step's block survived the swap round-trip) the span is
-					// within one block of the decoded tokens.
+					// Executing a run always holds the grown span, and the
+					// run decodes at least one token, never past its span or
+					// the output length; parked between runs (a reload just
+					// landed, or the aborted run's block survived the swap
+					// round-trip) the span is within one block of the
+					// decoded tokens.
 					if q.phase == phaseExec {
 						if q.blocks != span(pd+1) {
 							fail("decode-exec accounting")
+						}
+						n, _ := q.decodeRun()
+						if n < 1 || pd+n > q.blocks*eng.p.BlockTokens || q.decoded+n > q.spec.OutputTokens {
+							fail("decode-run shape")
 						}
 					} else if q.blocks != span(pd) && q.blocks != span(pd+1) {
 						fail("decode-wait accounting")
@@ -306,10 +313,7 @@ func percentileDuration(ds []units.Duration, q float64) units.Duration {
 // when it also carries a training runner's state.
 func TestInferenceAllocPerRequest(t *testing.T) {
 	const maxPerRequest = 640
-	p := InferenceParams{
-		Requests: servingTrace(5000, 1, 8*units.Millisecond, 512, 160, 1024, 160, 512),
-		Policy:   tieredKV(),
-	}
+	p := driveParams()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := RunInference(p); err != nil {
@@ -323,16 +327,79 @@ func TestInferenceAllocPerRequest(t *testing.T) {
 	}
 }
 
-// BenchmarkInferenceDrive is the serving driver's layer benchmark: 5k
-// requests of the benchmark's chat-service shape (125 req/s, prompts
-// N(512, 160), outputs Exp(160)) under tiered KV on the default four
-// servers. Each decoded token is one tenant exec, so the kernel-end heap
-// and the admission heap carry this loop; steps/op is its exact work count.
-func BenchmarkInferenceDrive(b *testing.B) {
-	p := InferenceParams{
+// TestInferenceStepsPerRequest bounds the driver steps a serving request
+// costs on BenchmarkInferenceDrive's trace. A request steps once per decode
+// run, and a run covers every token its KV span holds room for: about 12.7
+// steps per request, against about 154 when every decoded token is its own
+// exec.
+func TestInferenceStepsPerRequest(t *testing.T) {
+	const maxPerRequest = 16
+	p := driveParams()
+	var steps int64
+	p.StepCount = &steps
+	if _, err := RunInference(p); err != nil {
+		t.Fatal(err)
+	}
+	per := float64(steps) / float64(len(p.Requests))
+	t.Logf("serving run took %.1f steps per request", per)
+	if per > maxPerRequest {
+		t.Errorf("serving run took %.1f steps per request, want <= %d", per, maxPerRequest)
+	}
+}
+
+// TestInferenceRejectsBadParams: parameters that describe no serving
+// cluster fail at the API boundary with an error, not a panic or a
+// meaningless run.
+func TestInferenceRejectsBadParams(t *testing.T) {
+	nan := units.Bandwidth(math.NaN())
+	for _, tc := range []struct {
+		name string
+		set  func(p *InferenceParams)
+		want string
+	}{
+		{"negative servers", func(p *InferenceParams) { p.Servers = -1 }, "Servers"},
+		{"negative GPU blocks", func(p *InferenceParams) { p.GPUBlocks = -4 }, "GPUBlocks"},
+		{"negative host blocks", func(p *InferenceParams) { p.HostBlocks = -1 }, "HostBlocks"},
+		{"negative block tokens", func(p *InferenceParams) { p.BlockTokens = -16 }, "BlockTokens"},
+		{"negative block bytes", func(p *InferenceParams) { p.BlockBytes = -1 }, "BlockBytes"},
+		{"negative prefill base", func(p *InferenceParams) { p.PrefillBase = -1 }, "PrefillBase"},
+		{"negative prefill per token", func(p *InferenceParams) { p.PrefillPerToken = -1 }, "PrefillPerToken"},
+		{"negative decode base", func(p *InferenceParams) { p.DecodeBase = -6 * units.Millisecond }, "DecodeBase"},
+		{"negative decode per block", func(p *InferenceParams) { p.DecodePerBlock = -1 }, "DecodePerBlock"},
+		{"negative tier latency", func(p *InferenceParams) { p.TierLatency = -1 }, "TierLatency"},
+		{"negative kv link", func(p *InferenceParams) { p.KVLinkBandwidth = -1 }, "KVLinkBandwidth"},
+		{"NaN kv link", func(p *InferenceParams) { p.KVLinkBandwidth = nan }, "KVLinkBandwidth"},
+		{"NaN tier bus", func(p *InferenceParams) { p.TierBandwidth = nan }, "TierBandwidth"},
+		{"no requests", func(p *InferenceParams) { p.Requests = nil }, "no requests"},
+		{"no policy", func(p *InferenceParams) { p.Policy = nil }, "no KV policy"},
+		{"empty prompt", func(p *InferenceParams) { p.Requests = []RequestSpec{{OutputTokens: 1}} }, "both must be >= 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := churnParams(8, 1, tieredKV())
+			tc.set(&p)
+			if _, err := RunInference(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// driveParams is BenchmarkInferenceDrive's serving run.
+func driveParams() InferenceParams {
+	return InferenceParams{
 		Requests: servingTrace(5000, 1, 8*units.Millisecond, 512, 160, 1024, 160, 512),
 		Policy:   tieredKV(),
 	}
+}
+
+// BenchmarkInferenceDrive is the serving driver's layer benchmark: 5k
+// requests of the benchmark's chat-service shape (125 req/s, prompts
+// N(512, 160), outputs Exp(160)) under tiered KV on the default four
+// servers. Each decode run (every token up to the next KV block boundary)
+// is one tenant exec, so the kernel-end heap and the admission heap carry
+// this loop; steps/op is its exact work count.
+func BenchmarkInferenceDrive(b *testing.B) {
+	p := driveParams()
 	var steps int64
 	p.StepCount = &steps
 	b.ReportAllocs()
