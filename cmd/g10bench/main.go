@@ -165,7 +165,6 @@ type engineRecord struct {
 	ReapScans       int64 `json:"reap_scans"`
 	FillRounds      int64 `json:"fill_rounds"`
 	FillResScans    int64 `json:"fill_res_scans"`
-	FrontierReuses  int64 `json:"frontier_reuses"`
 	FlowAllocs      int64 `json:"flow_allocs"`
 	TenantAborts    int64 `json:"tenant_aborts"`
 	TenantRestarts  int64 `json:"tenant_restarts"`
@@ -448,7 +447,6 @@ func run(fig string, short bool, models string, workers int, jsonPath string, be
 			ReapScans:       es.ReapScans,
 			FillRounds:      es.FillRounds,
 			FillResScans:    es.FillResScans,
-			FrontierReuses:  es.FrontierReuses,
 			FlowAllocs:      es.FlowAllocs,
 			TenantAborts:    es.TenantAborts,
 			TenantRestarts:  es.TenantRestarts,

@@ -18,6 +18,7 @@ package g10sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"g10sim/internal/adapt"
@@ -71,6 +72,39 @@ func DefaultConfig() Config {
 		SSDCapacityGB:     3200,
 		Iterations:        2,
 	}
+}
+
+// validate rejects a configuration no system can have: a NaN, infinite or
+// negative size or bandwidth, or a negative iteration count. Zero keeps
+// meaning "default" where the field's doc says so.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"GPUMemoryGB", c.GPUMemoryGB},
+		{"HostMemoryGB", c.HostMemoryGB},
+		{"PCIeBandwidthGBps", c.PCIeBandwidthGBps},
+		{"SSDReadGBps", c.SSDReadGBps},
+		{"SSDWriteGBps", c.SSDWriteGBps},
+		{"SSDCapacityGB", c.SSDCapacityGB},
+	} {
+		if !validFloat(f.v) {
+			return floatError(f.name, f.v)
+		}
+	}
+	if c.Iterations < 0 {
+		return fmt.Errorf("g10sim: Iterations %d must not be negative", c.Iterations)
+	}
+	return nil
+}
+
+// validFloat reports whether v is finite and not negative (NaN is not).
+func validFloat(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// floatError describes a field value validFloat rejects.
+func floatError(field string, v float64) error {
+	return fmt.Errorf("g10sim: %s %v must be finite and non-negative", field, v)
 }
 
 func (c Config) toInternal() gpu.Config {
@@ -183,6 +217,9 @@ type Report struct {
 
 // Simulate runs the workload under the named policy.
 func Simulate(w *Workload, policyName string, cfg Config) (Report, error) {
+	if err := cfg.validate(); err != nil {
+		return Report{}, err
+	}
 	pol, err := newPolicy(policyName, cfg.Adaptive)
 	if err != nil {
 		return Report{}, err
@@ -284,6 +321,21 @@ type ClusterConfig struct {
 	CheckpointEvery int
 }
 
+// validate rejects a cluster no array can have: an invalid Config, or a
+// negative drive count or checkpoint cadence (zero keeps its default).
+func (c ClusterConfig) validate() error {
+	if err := c.Config.validate(); err != nil {
+		return err
+	}
+	if c.SSDs < 0 {
+		return fmt.Errorf("g10sim: SSDs %d must not be negative", c.SSDs)
+	}
+	if c.CheckpointEvery < 0 {
+		return fmt.Errorf("g10sim: CheckpointEvery %d must not be negative", c.CheckpointEvery)
+	}
+	return nil
+}
+
 // ServerCrash kills one job's server AtSeconds into the run. RepairSeconds
 // later the server is rebuilt and the job re-admitted (from scratch or its
 // last checkpoint, per ClusterJob.Recovery); Permanent crashes never repair
@@ -378,12 +430,18 @@ func SimulateCluster(jobs []ClusterJob, ccfg ClusterConfig) (ClusterReport, erro
 	if len(jobs) == 0 {
 		return ClusterReport{}, fmt.Errorf("g10sim: cluster with no jobs")
 	}
+	if err := ccfg.validate(); err != nil {
+		return ClusterReport{}, err
+	}
 	shared := ccfg.Config.toInternal()
 	shared.SSD = shared.SSD.Array(ccfg.SSDs)
 	tenants := make([]gpu.ClusterTenant, len(jobs))
 	for i, j := range jobs {
 		if j.Workload == nil {
 			return ClusterReport{}, fmt.Errorf("g10sim: job %d has no workload", i)
+		}
+		if !validFloat(j.ArrivalSeconds) {
+			return ClusterReport{}, floatError(fmt.Sprintf("job %d ArrivalSeconds", i), j.ArrivalSeconds)
 		}
 		pol, err := newPolicy(j.Policy, ccfg.Adaptive)
 		if err != nil {
@@ -494,8 +552,17 @@ type InferenceReport struct {
 // pressure resolves by preemption (single-tier) or by swapping cold KV over
 // the tier edge to host DRAM (Tiered).
 func SimulateInference(reqs []InferenceRequest, cfg InferenceConfig) (InferenceReport, error) {
+	if !validFloat(cfg.BlockMB) {
+		return InferenceReport{}, floatError("BlockMB", cfg.BlockMB)
+	}
+	if !validFloat(cfg.OffloadThreshold) {
+		return InferenceReport{}, floatError("OffloadThreshold", cfg.OffloadThreshold)
+	}
 	specs := make([]gpu.RequestSpec, len(reqs))
 	for i, rq := range reqs {
+		if !validFloat(rq.ArrivalSeconds) {
+			return InferenceReport{}, floatError(fmt.Sprintf("request %d ArrivalSeconds", i), rq.ArrivalSeconds)
+		}
 		specs[i] = gpu.RequestSpec{
 			Arrival:      units.Time(rq.ArrivalSeconds * float64(units.Second)),
 			PromptTokens: rq.PromptTokens,

@@ -2,6 +2,7 @@ package g10sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -287,8 +288,56 @@ func TestSimulateClusterRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestSimulateInferenceRejectsBadConfig: a serving configuration no
-// cluster can have returns an error rather than panicking.
+// TestSimulateClusterRejectsBadConfig: a cluster configuration or job no
+// system can have returns an error rather than running as some default.
+func TestSimulateClusterRejectsBadConfig(t *testing.T) {
+	w, err := BuildModel("BERT", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	withCfg := func(mut func(c *Config)) ClusterConfig {
+		c := smallConfig()
+		mut(&c)
+		return ClusterConfig{Config: c}
+	}
+	for _, tc := range []struct {
+		name    string
+		arrival float64
+		cfg     ClusterConfig
+	}{
+		{"NaN arrival", nan, ClusterConfig{Config: smallConfig()}},
+		{"negative arrival", -5, ClusterConfig{Config: smallConfig()}},
+		{"infinite arrival", inf, ClusterConfig{Config: smallConfig()}},
+		{"negative SSDs", 0, ClusterConfig{Config: smallConfig(), SSDs: -1}},
+		{"negative checkpoint cadence", 0, ClusterConfig{Config: smallConfig(), CheckpointEvery: -2}},
+		{"NaN host memory", 0, withCfg(func(c *Config) { c.HostMemoryGB = nan })},
+		{"negative host memory", 0, withCfg(func(c *Config) { c.HostMemoryGB = -1 })},
+		{"negative GPU memory", 0, withCfg(func(c *Config) { c.GPUMemoryGB = -40 })},
+		{"infinite PCIe", 0, withCfg(func(c *Config) { c.PCIeBandwidthGBps = inf })},
+		{"NaN SSD read", 0, withCfg(func(c *Config) { c.SSDReadGBps = nan })},
+		{"negative SSD write", 0, withCfg(func(c *Config) { c.SSDWriteGBps = -3 })},
+		{"infinite SSD capacity", 0, withCfg(func(c *Config) { c.SSDCapacityGB = inf })},
+		{"negative iterations", 0, withCfg(func(c *Config) { c.Iterations = -1 })},
+	} {
+		jobs := []ClusterJob{{Workload: w, Policy: "G10", ArrivalSeconds: tc.arrival}}
+		if _, err := SimulateCluster(jobs, tc.cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := Simulate(w, "G10", withCfg(func(c *Config) { c.HostMemoryGB = nan }).Config); err == nil {
+		t.Error("Simulate accepted a NaN host memory size")
+	}
+	// Zero still selects the defaults.
+	jobs := []ClusterJob{{Workload: w, Policy: "G10"}}
+	if _, err := SimulateCluster(jobs, ClusterConfig{Config: smallConfig()}); err != nil {
+		t.Errorf("default cluster rejected: %v", err)
+	}
+}
+
+// TestSimulateInferenceRejectsBadConfig: a serving configuration or
+// request no cluster can have returns an error rather than panicking or
+// running as some default.
 func TestSimulateInferenceRejectsBadConfig(t *testing.T) {
 	reqs := []InferenceRequest{{PromptTokens: 64, OutputTokens: 32}}
 	for _, tc := range []struct {
@@ -300,9 +349,17 @@ func TestSimulateInferenceRejectsBadConfig(t *testing.T) {
 		{"negative host blocks", InferenceConfig{HostBlocks: -1, Tiered: true}},
 		{"negative block tokens", InferenceConfig{BlockTokens: -16}},
 		{"negative block size", InferenceConfig{BlockMB: -2}},
+		{"NaN block size", InferenceConfig{BlockMB: math.NaN()}},
+		{"NaN offload threshold", InferenceConfig{Tiered: true, OffloadThreshold: math.NaN()}},
 	} {
 		if _, err := SimulateInference(reqs, tc.cfg); err == nil {
 			t.Errorf("%s: accepted %+v", tc.name, tc.cfg)
+		}
+	}
+	for _, a := range []float64{math.NaN(), -5, math.Inf(1)} {
+		bad := []InferenceRequest{{ArrivalSeconds: a, PromptTokens: 64, OutputTokens: 32}}
+		if _, err := SimulateInference(bad, InferenceConfig{}); err == nil {
+			t.Errorf("arrival %v accepted", a)
 		}
 	}
 	if _, err := SimulateInference(reqs, InferenceConfig{}); err != nil {

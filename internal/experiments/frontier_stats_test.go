@@ -6,12 +6,13 @@ import (
 	"g10sim/internal/gpu"
 )
 
-// TestFleetFrontierReuses pins the PR 8 perf mechanism on the workload it
-// targets: the fleet study's real dynamic-arrival trace couples most
-// tenants through the shared array channels into one giant component, so a
-// healthy share of rate re-derivations must be served by frontier refills
-// of the recorded fill trace. (That the refill is bit-identical to the
-// reference fill is pinned in flownet, on the op stream the drivers issue.)
+// TestFleetFrontierReuses: the fleet study's real dynamic-arrival trace
+// couples most tenants through the shared array channels into one giant
+// component, and the cluster driver must report the fill-work counters of
+// its rate re-derivations, with the retired frontier-reuse count at 0.
+// (That the heap fill is bit-identical to the reference fill is pinned in
+// flownet, on the op stream the drivers issue. The name is kept from the
+// frontier-incremental refill this test once measured; DESIGN.md §13.)
 func TestFleetFrontierReuses(t *testing.T) {
 	s := NewSession(Options{Short: true})
 	jobs, err := s.fleetTrace(16)
@@ -31,10 +32,9 @@ func TestFleetFrontierReuses(t *testing.T) {
 	if es.FillRounds <= 0 || es.FillResScans <= 0 {
 		t.Fatalf("fill counters not populated: %+v", es)
 	}
-	if es.FrontierReuses <= 0 {
-		t.Errorf("fleet trace produced no frontier reuses (recomputes=%d)", es.FlowRecomputes)
+	if es.FrontierReuses != 0 {
+		t.Errorf("fleet trace reported %d frontier reuses, want 0", es.FrontierReuses)
 	}
-	t.Logf("fleet trace: recomputes=%d frontier reuses=%d (%.0f%%); resScans=%d",
-		es.FlowRecomputes, es.FrontierReuses,
-		100*float64(es.FrontierReuses)/float64(es.FlowRecomputes), es.FillResScans)
+	t.Logf("fleet trace: recomputes=%d rounds=%d resScans=%d",
+		es.FlowRecomputes, es.FillRounds, es.FillResScans)
 }

@@ -1,13 +1,12 @@
-// Max-min fill study: the PR 8 engine mechanism on its target topology.
-// A synthetic one-giant-component network (F flows crossing 8 shared
+// Max-min fill study: the heap-driven fill on its target topology. A
+// synthetic one-giant-component network (F flows crossing 8 shared
 // channels, every route chaining two channels so all tenants couple into
 // one component) runs a fixed number of attach/detach churn events — the
 // fleet regime's hot loop — and the figure reports the engine's fill
-// counters: bottleneck rounds, resource scans, and how many rate
-// re-derivations the frontier-incremental refill served from the recorded
-// fill trace. Every printed number is a pure function of the seeded
-// workload, so the golden snapshot pins the mechanism; the figure's wall
-// time in `g10bench -bench` is the regression-gated cost of the same loop.
+// counters: bottleneck rounds and resource scans. Every printed number is a
+// pure function of the seeded workload, so the golden snapshot pins the
+// mechanism; the figure's wall time in `g10bench -bench` is the
+// regression-gated cost of the same loop.
 package experiments
 
 import (
@@ -37,11 +36,6 @@ type MaxMinFillRow struct {
 	// builds plus per-round touched sets).
 	FillRounds   int64
 	FillResScans int64
-	// FrontierReuses counts the re-derivations served by replaying the
-	// recorded fill trace from the first delta-affected level instead of
-	// refilling the whole component.
-	FrontierReuses int64
-	ReuseFrac      float64
 }
 
 // MaxMinFill runs the max-min fill churn study. Each event advances the
@@ -51,8 +45,8 @@ type MaxMinFillRow struct {
 func MaxMinFill(s *Session) ([]MaxMinFillRow, error) {
 	w := s.opt.writer()
 	sizes, events := s.maxMinFillSizes()
-	fmt.Fprintln(w, "=== Max-min fill study: heap fill + frontier refill on giant-component churn ===")
-	fmt.Fprintf(w, "%7s %7s %10s %12s %10s %7s\n", "flows", "events", "rounds", "res-scans", "frontier", "reuse")
+	fmt.Fprintln(w, "=== Max-min fill study: heap fill on giant-component churn ===")
+	fmt.Fprintf(w, "%7s %7s %10s %12s\n", "flows", "events", "rounds", "res-scans")
 
 	var rows []MaxMinFillRow
 	for _, F := range sizes {
@@ -77,17 +71,12 @@ func MaxMinFill(s *Session) ([]MaxMinFillRow, error) {
 		}
 		row := MaxMinFillRow{
 			Flows: F, Events: events,
-			FillRounds:     n.FillRounds(),
-			FillResScans:   n.FillResScans(),
-			FrontierReuses: n.FrontierReuses(),
-		}
-		if n.Recomputes() > 0 {
-			row.ReuseFrac = float64(row.FrontierReuses) / float64(n.Recomputes())
+			FillRounds:   n.FillRounds(),
+			FillResScans: n.FillResScans(),
 		}
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%7d %7d %10d %12d %10d %6.1f%%\n",
-			row.Flows, row.Events, row.FillRounds, row.FillResScans,
-			row.FrontierReuses, 100*row.ReuseFrac)
+		fmt.Fprintf(w, "%7d %7d %10d %12d\n",
+			row.Flows, row.Events, row.FillRounds, row.FillResScans)
 	}
 	return rows, nil
 }

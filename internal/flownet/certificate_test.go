@@ -115,9 +115,8 @@ func (l *byteLedger) check(t *testing.T) {
 }
 
 // traceTopology registers ch (80 GB/s) and the 40 per-tenant links of
-// 1 GB/s whose flows through ch form a component above
-// defaultFrontierMinFlows, so the first fill records a trace; each tenant
-// link is its own bottleneck level, leaving ch 40 GB/s of headroom.
+// 1 GB/s whose flows through ch form one 40-flow component; each tenant
+// link is its own bottleneck round, leaving ch 40 GB/s of headroom.
 func traceTopology(n *Network) (ch *Resource, pcie []*Resource) {
 	ch = n.AddResource("ch", units.GBps(80))
 	for i := 0; i < 40; i++ {
@@ -129,12 +128,13 @@ func traceTopology(n *Network) (ch *Resource, pcie []*Resource) {
 	return ch, pcie
 }
 
-// TestIdleTracedCapacityCutDropsTrace: a traced resource that has gone
-// idle and then has its capacity cut must not keep feeding its recorded
-// capacity to later frontier refills. The cut's recompute cannot be a
-// frontier refill (capacity changed), and the component discovery it
-// falls back to must still see the idle resource as overlapping the
-// trace.
+// TestIdleTracedCapacityCutDropsTrace: a resource that leaves the giant
+// component, goes idle, and then has its capacity cut must give a later
+// flow the cut capacity, not the one it had while coupled. The cut's
+// recompute finds no busy component at the idle resource; the next
+// arrival's component discovery must read its capacity afresh. (The name
+// is kept from the frontier refill's fill trace, which once recorded the
+// old capacity; DESIGN.md §13.)
 func TestIdleTracedCapacityCutDropsTrace(t *testing.T) {
 	n := New()
 	ch, _ := traceTopology(n)
@@ -155,12 +155,12 @@ func TestIdleTracedCapacityCutDropsTrace(t *testing.T) {
 	}
 }
 
-// TestIdleTracedResourceBesideCapacityChange: a traced resource loses its
-// last flow in the same event as a capacity change on an untraced busy
-// resource. That recompute falls back to component discovery and drops
-// the completion's delta record, so the trace must go with it, or the
-// departed flow stays counted on the resource in every later frontier
-// refill.
+// TestIdleTracedResourceBesideCapacityChange: a resource of the giant
+// component loses its last flow in the same event as a capacity change on
+// an unrelated busy resource. The departed flow must not stay counted on
+// the idle resource: a later flow through it gets its whole capacity.
+// (The name is kept from the frontier refill's fill trace, whose delta
+// records that recompute once dropped; DESIGN.md §13.)
 func TestIdleTracedResourceBesideCapacityChange(t *testing.T) {
 	n := New()
 	ch, _ := traceTopology(n)

@@ -13,10 +13,9 @@
 // unchanged since the last recompute (no dirty resource) keep their
 // allocation verbatim and skip filling entirely — in a fleet, one tenant's
 // chunk completion re-derives that tenant's coupling group, not every flow
-// in the cluster. Every recompute the frontier refill cannot serve comes
-// through here, whatever the network's size; the one fill over every active
-// flow survives only as the reference side of the differential tests
-// (Network.forceGlobalFill).
+// in the cluster. Every recompute comes through here, whatever the
+// network's size; the one fill over every active flow survives only as the
+// reference side of the differential tests (Network.forceGlobalFill).
 package flownet
 
 // component is one connected group of active flows and the busy resources
@@ -28,10 +27,7 @@ package flownet
 type component struct {
 	flows []*Flow
 	res   []*Resource
-	// rec, when non-nil, asks the fill to record its trace for frontier
-	// refills; ref pins the fill to the reference scan loop
-	// (Network.refFill).
-	rec *fillTrace
+	// ref pins the fill to the reference scan loop (Network.refFill).
 	ref bool
 }
 
@@ -61,41 +57,15 @@ func (n *Network) recomputeComponents() {
 	n.busyStamp++
 	stamp := n.busyStamp
 	var ncomp int
-	var overlap bool
 	if n.forceGlobalFill {
-		// Never records a trace, so nothing can overlap one.
 		ncomp = n.globalComponent(stamp)
 	} else {
-		ncomp, overlap = n.dirtyComponents(stamp)
+		ncomp = n.dirtyComponents(stamp)
 	}
 	comps := n.comps[:ncomp]
 	n.touched = n.touched[:0]
 	for i := range comps {
 		n.touched = append(n.touched, comps[i].flows...)
-	}
-
-	// Trace bookkeeping: a full fill of any component touching the traced
-	// one supersedes the trace (the refilled state no longer matches the
-	// recording); with no valid trace left, record the largest dirty
-	// component worth refilling incrementally — in the one-giant-component
-	// regime that is the coupling group nearly every future delta lands in.
-	if overlap {
-		n.invalidateTrace()
-	}
-	if n.trace == nil && !n.refFill && !n.forceGlobalFill {
-		best := -1
-		for i := range comps {
-			if len(comps[i].flows) >= n.frontierMinFlows && (best < 0 || len(comps[i].flows) > len(comps[best].flows)) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			n.trace = n.newTrace()
-			comps[best].rec = n.trace
-		}
-	}
-
-	for i := range comps {
 		fillComponent(&comps[i], &n.fill)
 	}
 	// Settle the flows whose rate the fill changed, replaying elapsed
@@ -109,22 +79,10 @@ func (n *Network) recomputeComponents() {
 }
 
 // dirtyComponents discovers the components holding a dirty resource into
-// n.comps and returns their count, and whether any of them, or any idle
-// dirty resource, belongs to the fill trace.
-func (n *Network) dirtyComponents(stamp uint64) (ncomp int, overlap bool) {
-	traceGen := uint32(0)
-	if n.trace != nil {
-		traceGen = n.trace.gen
-	}
+// n.comps and returns their count.
+func (n *Network) dirtyComponents(stamp uint64) (ncomp int) {
 	stack := n.resStack[:0]
 	for _, seed := range n.dirtyRes {
-		if traceGen != 0 && seed.traceGen == traceGen {
-			// Checked before the idle skip: an idle traced resource still
-			// carries its recorded capacity and count in the trace, and
-			// this recompute drops the delta records that would correct
-			// them.
-			overlap = true
-		}
 		if seed.busyStamp == stamp || len(seed.flows) == 0 {
 			// Already flooded into an earlier component, or idle: a dirty
 			// resource with no active flows constrains nothing.
@@ -147,9 +105,6 @@ func (n *Network) dirtyComponents(stamp uint64) (ncomp int, overlap bool) {
 				c.flows = append(c.flows, f)
 				for _, r2 := range f.route {
 					if r2.claim(stamp) {
-						if traceGen != 0 && r2.traceGen == traceGen {
-							overlap = true
-						}
 						stack = append(stack, r2)
 					}
 					r2.count++
@@ -158,7 +113,7 @@ func (n *Network) dirtyComponents(stamp uint64) (ncomp int, overlap bool) {
 		}
 	}
 	n.resStack = stack[:0]
-	return ncomp, overlap
+	return ncomp
 }
 
 // globalComponent builds one component holding every active flow, in
@@ -192,7 +147,6 @@ func (n *Network) component(i int) *component {
 	c := &n.comps[i]
 	c.flows = c.flows[:0]
 	c.res = c.res[:0]
-	c.rec = nil
 	c.ref = n.refFill
 	return c
 }

@@ -39,24 +39,10 @@ type Resource struct {
 	// recompute. A connected component with no dirty resource kept its exact
 	// allocation and is skipped.
 	dirty bool
-	// capDirty marks a capacity change since the last recompute; a frontier
-	// refill cannot absorb one (shares depend on capacity from round zero),
-	// so it forces a full fill of the resource's component.
-	capDirty bool
-	// Heap-fill scratch and fill-trace state (see fill.go).
-	// hist/removedLevel/traceGen record this resource's history under the
-	// current fill trace; the delta* fields are per-refill scan scratch.
-	fillHeap     int32
-	touchRound   int32
-	fillShare    float64
-	traceGen     uint32
-	removedLevel int32
-	histP        int32
-	deltaStamp   uint32
-	attachMark   uint32
-	deltaAdd     int32
-	deltaSub     int32
-	hist         []histEntry
+	// Heap-fill scratch (see fill.go).
+	fillHeap   int32
+	touchRound int32
+	fillShare  float64
 	// flows lists the active flows routed through this resource (arbitrary
 	// order, swap-removed on completion) — the adjacency the scoped
 	// recompute flood-fills dirty components through, so discovery cost
@@ -75,8 +61,8 @@ func (r *Resource) Capacity() units.Bandwidth { return units.Bandwidth(r.capacit
 // completion belongs to the caller that received it (from AdvanceTo or an
 // AdvanceEventwise delivery), which either succeeds it in place (Succeed)
 // or hands it back with Release once nothing of its own still names it. A
-// released flow is reused by a later StartAt, but only after the next rate
-// recompute, so no pending delta record or fill trace can name it by then.
+// released flow may be reused by the very next StartAt: the network itself
+// keeps no reference to a completed flow.
 type Flow struct {
 	ID    int64
 	Label string
@@ -125,13 +111,6 @@ type Flow struct {
 	resSlot   []int32
 	slotBuf   [4]int32
 	fillStamp uint64
-	// Fill-trace state (see fill.go): freezeLevel/traceGen stamp the filling
-	// round that froze this flow under the current trace; attachRec/detachRec
-	// are 1-based indices into the pending delta lists (0 = none).
-	freezeLevel int32
-	traceGen    uint32
-	attachRec   int32
-	detachRec   int32
 	// doneGen is the network's recompute count when the flow completed:
 	// Succeed carries the flow's rate only while no recompute has run since.
 	doneGen int64
@@ -195,32 +174,14 @@ type Network struct {
 	comps    []component
 	resStack []*Resource
 	touched  []*Flow // flows in this recompute's dirty components
-	// Fill trace and frontier-refill state (see fill.go). trace is the
-	// recorded fill of the traced component (nil when none); traceBuf is the
-	// reused backing object; the delta lists accumulate flow attach/detach
-	// records between recomputes; refillRes is refill scratch.
-	trace       *fillTrace
-	traceBuf    *fillTrace
-	traceGenSrc uint32
-	deltaAttach []attachRec
-	deltaDetach []detachRec
-	deltaRes    []*Resource
-	deltaStamp  uint32
-	refillRes   []*Resource
 	// refFill pins this network to the reference per-round-scan fill (no
-	// heap, no trace, no frontier refills). Only this package's tests set
-	// it, on the reference side of their differentials.
+	// heap). Only this package's tests set it, on the reference side of
+	// their differentials.
 	refFill bool
-	// frontierMinFlows is the smallest component whose fill records a
-	// trace (defaultFrontierMinFlows; only this package's tests lower it).
-	frontierMinFlows int
 	// doneBuf accumulates one AdvanceTo call's completions; reused.
 	doneBuf []*Flow
-	// retired holds flows handed back by Release since the last recompute;
-	// free holds flows StartAt may reuse. recompute moves retired to free
-	// once it has consumed the delta records that could still name them.
+	// free holds flows handed back by Release, for StartAt to reuse;
 	// flowAllocs counts the Flow objects StartAt allocated fresh.
-	retired    []*Flow
 	free       []*Flow
 	flowAllocs int64
 
@@ -260,10 +221,8 @@ type Network struct {
 	reapScans       int64
 	// fill is the fill scratch, and counts progressive-filling rounds
 	// (bottleneck selections) and the resource examinations those rounds
-	// performed; frontierReuses counts recomputes served by a frontier
-	// refill of the recorded fill trace instead of a full component fill.
-	fill           fillState
-	frontierReuses int64
+	// performed.
+	fill fillState
 
 	// nextEvCache memoises NextEvent between state changes: the drivers ask
 	// for the next event several times per consumed event (the advance
@@ -385,9 +344,8 @@ type segment struct {
 // New returns an empty network at time zero.
 func New() *Network {
 	return &Network{
-		resIndex:         make(map[string]*Resource),
-		segLog:           []segment{{}},
-		frontierMinFlows: defaultFrontierMinFlows,
+		resIndex: make(map[string]*Resource),
+		segLog:   []segment{{}},
 	}
 }
 
@@ -439,7 +397,6 @@ func (n *Network) SetCapacity(r *Resource, cap units.Bandwidth) {
 		return
 	}
 	r.capacity = float64(cap)
-	r.capDirty = true
 	n.markDirty(r)
 	n.dirtyRates()
 }
@@ -502,22 +459,28 @@ func (n *Network) newFlow() *Flow {
 // Release hands a completed flow back to the network for reuse. Call it
 // on a delivered flow that was not succeeded, once the caller holds no
 // other reference to it. Release clears the flow's payload and route; the
-// flow is reused only after the next rate recompute. Releasing an active,
-// dormant, succeeded or already released flow panics.
+// next StartAt may reuse the flow. Releasing an active, dormant, succeeded
+// or already released flow panics.
+//
+// Nothing inside the network names a completed flow: it left the active
+// set, the dormant heap and every resource's adjacency when it finished;
+// its completion-heap entries are stale by generation (newFlow moves the
+// generation on); and the fill's component scratch is rebuilt by every
+// recompute before it is read. The completion batch that delivered it is
+// not read again once the delivery returns.
 func (n *Network) Release(f *Flow) {
 	if !f.done || f.active || f.route == nil {
 		panic("flownet: Release of a flow that is not a completed one")
 	}
 	f.Data = nil
 	f.route = nil
-	n.retired = append(n.retired, f)
+	n.free = append(n.free, f)
 }
 
-// activate brings f into the active set as an arrival: a delta record for
-// the frontier refill, and a recompute at the next observation.
+// activate brings f into the active set as an arrival, with a recompute at
+// the next observation.
 func (n *Network) activate(f *Flow) {
 	n.attachFlow(f)
-	n.noteAttach(f)
 	n.markRouteDirty(f.route)
 	n.dirtyRates()
 }
@@ -729,11 +692,10 @@ func (n *Network) AdvanceEventwise(t units.Time, deliver func(done []*Flow)) {
 // exactly as a StartAt of the successor would have produced.
 //
 // If no recompute has run since the flow completed, the successor carries
-// its predecessor's rate: the completion's detach record is cancelled, so
-// the fill trace still describes the same object on the same route. When
-// every completion is carried this way and nothing else changed, the route
-// multiset is unchanged, so by max-min uniqueness the next observation
-// needs no recompute. If a recompute has run since (a Rate or NextEvent
+// its predecessor's rate on the same route. When every completion is
+// carried this way and nothing else changed, the route multiset is
+// unchanged, so by max-min uniqueness the next observation needs no
+// recompute. If a recompute has run since (a Rate or NextEvent
 // query after the completion), that allocation no longer counts the
 // predecessor, and the successor enters as an ordinary arrival.
 func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
@@ -753,7 +715,6 @@ func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 		return f
 	}
 	n.attachFlow(f)
-	n.cancelDetach(f)
 	n.unreplaced--
 	n.carried++
 	n.nextEvOK = false
@@ -943,7 +904,6 @@ func (n *Network) finish(f *Flow) {
 	f.CompletedAt = n.now
 	f.doneGen = n.recomputes
 	n.detachFlow(f)
-	n.noteDetach(f)
 	n.markRouteDirty(f.route)
 	n.doneBuf = append(n.doneBuf, f)
 }
@@ -976,7 +936,6 @@ func (n *Network) Abort(f *Flow) {
 	f.inComp = false
 	f.CompletedAt = n.now
 	n.detachFlow(f)
-	n.noteDetach(f)
 	n.markRouteDirty(f.route)
 	n.dirtyRates()
 }
@@ -996,35 +955,23 @@ func (n *Network) removeActive(f *Flow) {
 
 // recompute derives max-min fair rates for all active flows by progressive
 // filling: repeatedly find the most constrained resource, give its flows
-// their equal share, freeze them, and remove that capacity. When the whole
-// delta since the last recompute lies inside the recorded fill trace, a
-// frontier refill re-derives only the affected suffix (fill.go); otherwise
-// the dirty connected components of the flow/resource graph refill
-// (components.go), and components untouched since the last recompute keep
-// their allocation verbatim — bit-identical to one fill over every flow,
-// because the max-min allocation factors across components. Either way the
-// completion index is re-keyed only for the refilled flows whose rate
-// actually changed.
+// their equal share, freeze them, and remove that capacity. Only the dirty
+// connected components of the flow/resource graph refill (components.go);
+// components untouched since the last recompute keep their allocation
+// verbatim — bit-identical to one fill over every flow, because the max-min
+// allocation factors across components. The completion index is re-keyed
+// only for the refilled flows whose rate actually changed.
 func (n *Network) recompute() {
 	n.recomputes++
 	n.ratesDirty = false
 	n.unreplaced = 0
 	n.carried = 0
 	n.nextEvOK = false
-	if !n.tryFrontier() {
-		n.recomputeComponents()
-	}
+	n.recomputeComponents()
 	for _, r := range n.dirtyRes {
 		r.dirty = false
-		r.capDirty = false
 	}
 	n.dirtyRes = n.dirtyRes[:0]
-	n.clearDeltas()
-	// No delta record names a retired flow any more, and the fill just
-	// dropped every departed flow from the trace: they may be reused.
-	n.free = append(n.free, n.retired...)
-	clear(n.retired)
-	n.retired = n.retired[:0]
 	n.rekeyCompletions(n.touched)
 	// Restore the steady-state invariant prevRate == rate, so the next
 	// scoped recompute and re-key can trust that untouched flows carry

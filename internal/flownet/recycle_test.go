@@ -19,14 +19,14 @@ type recycleLeg struct {
 	live    []*Flow
 	batches []string
 	// release hands every delivered, non-succeeded flow back to the
-	// network; heldUntil maps a released flow to the recompute count at its
-	// release, so a reuse before the next recompute is caught.
-	release   bool
-	heldUntil map[*Flow]int64
+	// network; freed is the stack of released flows no StartAt has reused
+	// yet, in release order, so the reuse order is checked.
+	release bool
+	freed   []*Flow
 }
 
 func newRecycleLeg(name string, tenants int, release bool) *recycleLeg {
-	l := &recycleLeg{name: name, n: New(), release: release, heldUntil: make(map[*Flow]int64)}
+	l := &recycleLeg{name: name, n: New(), release: release}
 	l.shared = append(l.shared, l.n.AddResource("chanA", units.GBps(4)), l.n.AddResource("chanB", units.GBps(4)))
 	for i := 0; i < tenants; i++ {
 		l.links = append(l.links, l.n.AddResource(fmt.Sprintf("gpu%d/pcie", i), units.GBps(16)))
@@ -35,16 +35,18 @@ func newRecycleLeg(name string, tenants int, release bool) *recycleLeg {
 }
 
 // start launches a flow from tenant ti through shared channel si, lat
-// after now, and checks that a recycled object was released before the
-// last recompute.
+// after now, and checks that reuse is immediate: while any released flow
+// waits, StartAt hands back the most recently released one, with or
+// without a recompute since, and allocates nothing.
 func (l *recycleLeg) start(t *testing.T, label string, size units.Bytes, lat units.Duration, ti, si int) {
 	t.Helper()
+	allocs := l.n.FlowAllocs()
 	f := l.n.StartAt(label, size, l.n.Now()+lat, label, l.links[ti], l.shared[si])
-	if at, ok := l.heldUntil[f]; ok {
-		if l.n.Recomputes() <= at {
-			t.Fatalf("flow %s reused an object released after the last recompute", label)
+	if k := len(l.freed) - 1; k >= 0 {
+		if f != l.freed[k] || l.n.FlowAllocs() != allocs {
+			t.Fatalf("flow %s did not reuse the last released flow", label)
 		}
-		delete(l.heldUntil, f)
+		l.freed = l.freed[:k]
 	}
 	l.live = append(l.live, f)
 }
@@ -101,7 +103,7 @@ func (l *recycleLeg) advance(t *testing.T, to units.Time, seed int64) {
 				if f.Data != nil || f.Route() != nil {
 					t.Fatalf("released flow %d keeps its payload or route", f.ID)
 				}
-				l.heldUntil[f] = l.n.Recomputes()
+				l.freed = append(l.freed, f)
 			}
 			switch rng.Intn(4) {
 			case 0:
@@ -124,18 +126,14 @@ func (l *recycleLeg) advance(t *testing.T, to units.Time, seed int64) {
 // ("release"), and a never-releasing one latched to the reference fill
 // ("reference"). After every step the other two must match keep exactly —
 // completion batches, next events, and every live flow's rate and remaining
-// bytes — and all three allocations must be max-min fair. minFlows is each
-// network's frontierMinFlows. It returns the keep and release networks'
-// fresh-flow allocation counts.
-func recycleDifferential(t *testing.T, seed int64, tenants, steps, minFlows int) (keepAllocs, recAllocs int64) {
+// bytes — and all three allocations must be max-min fair. It returns the
+// keep and release networks' fresh-flow allocation counts.
+func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllocs, recAllocs int64) {
 	t.Helper()
 	keep, rec := newRecycleLeg("keep", tenants, false), newRecycleLeg("release", tenants, true)
 	ref := newRecycleLeg("reference", tenants, false)
 	ref.n.refFill = true
 	legs := []*recycleLeg{keep, rec, ref}
-	for _, l := range legs {
-		l.n.frontierMinFlows = minFlows
-	}
 	rng := rand.New(rand.NewSource(seed))
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
@@ -197,9 +195,6 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps, minFlows int)
 			}
 		}
 	}
-	if ref.n.FrontierReuses() != 0 {
-		t.Fatalf("reference network reported %d frontier reuses, want 0", ref.n.FrontierReuses())
-	}
 	return keep.n.FlowAllocs(), rec.n.FlowAllocs()
 }
 
@@ -208,20 +203,17 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps, minFlows int)
 // bit-identical to one that never does, through dormant starts, carried
 // successions, aborts, capacity changes and recomputes between a
 // completion and its Succeed, and it
-// must actually reuse flows. The traced run lowers frontierMinFlows so
-// fill traces and frontier refills are live while flows are recycled. The
-// reference-fill leg holds the heap fill and the frontier refill to the
-// executable specification on the op stream the GPU drivers issue.
+// must actually reuse flows, at the first StartAt after a Release. The
+// reference-fill leg holds the heap fill to the executable specification
+// on the op stream the GPU drivers issue.
 func TestReleaseReuseMatchesNoReuse(t *testing.T) {
-	for _, minFlows := range []int{defaultFrontierMinFlows, 1} {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("minFlows=%d/seed=%d", minFlows, seed), func(t *testing.T) {
-				keepAllocs, recAllocs := recycleDifferential(t, seed, 16, 600, minFlows)
-				if recAllocs >= keepAllocs {
-					t.Fatalf("releasing network allocated %d flows, non-releasing %d: nothing was reused", recAllocs, keepAllocs)
-				}
-			})
-		}
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			keepAllocs, recAllocs := recycleDifferential(t, seed, 16, 600)
+			if recAllocs >= keepAllocs {
+				t.Fatalf("releasing network allocated %d flows, non-releasing %d: nothing was reused", recAllocs, keepAllocs)
+			}
+		})
 	}
 }
 

@@ -119,11 +119,12 @@ type EngineStats struct {
 	// FillRounds counts progressive-filling rounds (bottleneck selections)
 	// and FillResScans the resource examinations they performed — the heap
 	// fill pays per touched resource where the reference scan pays the whole
-	// component every round. FrontierReuses counts rate re-derivations
-	// served by a frontier refill of the recorded fill trace (prefix rates
-	// reused verbatim) instead of a full component fill.
-	FillRounds     int64
-	FillResScans   int64
+	// component every round.
+	FillRounds   int64
+	FillResScans int64
+	// FrontierReuses is always 0: every rate re-derivation is a
+	// dirty-component heap fill, with no incremental refill of a recorded
+	// fill trace. The field stays because the perfbench module reads it.
 	FrontierReuses int64
 	// FlowAllocs counts flow objects the network allocated fresh rather than
 	// reusing a released one.
@@ -145,7 +146,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.ReapScans += o.ReapScans
 	s.FillRounds += o.FillRounds
 	s.FillResScans += o.FillResScans
-	s.FrontierReuses += o.FrontierReuses
 	s.FlowAllocs += o.FlowAllocs
 	s.TenantAborts += o.TenantAborts
 	s.TenantRestarts += o.TenantRestarts
@@ -301,7 +301,6 @@ func netStats(net *flownet.Network) EngineStats {
 		ReapScans:       net.ReapScans(),
 		FillRounds:      net.FillRounds(),
 		FillResScans:    net.FillResScans(),
-		FrontierReuses:  net.FrontierReuses(),
 		FlowAllocs:      net.FlowAllocs(),
 	}
 }
