@@ -25,8 +25,9 @@ func compTopology(n *Network, tenants int) (pcie []*Resource, shared []*Resource
 // and fails if their observable state (rates, next event, clock, remaining
 // bytes) ever diverges, or if either breaks the max-min certificate or
 // per-flow byte conservation. mutate configures each network before the
-// run.
-func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network)) {
+// run. It returns how many of the steps ended in a dut recompute that
+// refilled fewer flows than were active.
+func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network)) (partial int) {
 	t.Helper()
 	const tenants = 10
 	ref, dut := New(), New()
@@ -98,8 +99,13 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 				}
 			}
 		}
+		before := dut.Recomputes()
 		check(fmt.Sprintf("step %d", step))
+		if dut.Recomputes() > before && len(dut.touched) < len(dut.active) {
+			partial++
+		}
 	}
+	return partial
 }
 
 // TestComponentFillMatchesGlobal: the component-decomposed recompute (with

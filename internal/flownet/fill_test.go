@@ -21,6 +21,29 @@ func TestHeapFillMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFrontierRefillMatchesReference: refilling only the components a
+// change dirtied must be bit-identical to refilling every active flow at
+// every recompute. Both networks run the reference scan loop, so the only
+// difference is the refill scope (dirty components vs one global
+// component). The partial-refill assertion guards against the scoping
+// silently refilling every active flow, in which case this test would only
+// re-prove the reference fill. (The name is kept from the frontier-
+// incremental refill this test once pinned; DESIGN.md §13.)
+func TestFrontierRefillMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			partial := driveDifferential(t, seed, func(ref, dut *Network) {
+				ref.forceGlobalFill = true
+				dut.refFill = true
+			})
+			if partial == 0 {
+				t.Fatal("every recompute refilled all active flows; the scoped refill skipped nothing")
+			}
+			t.Logf("steps ending in a partial refill: %d", partial)
+		})
+	}
+}
+
 // giantDifferential drives a one-giant-component workload — every flow
 // crosses one of two shared channels, so all tenants couple — with
 // mid-run arrivals, successive completion churn, and occasional capacity

@@ -126,16 +126,28 @@ func (l *recycleLeg) advance(t *testing.T, to units.Time, seed int64) {
 // ("release"), and a never-releasing one latched to the reference fill
 // ("reference"). After every step the other two must match keep exactly —
 // completion batches, next events, and every live flow's rate and remaining
-// bytes — and all three allocations must be max-min fair. It returns the
-// keep and release networks' fresh-flow allocation counts.
-func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllocs, recAllocs int64) {
+// bytes — and all three allocations must be max-min fair. Before every
+// step the stream starts flows until at least minFlows are live, so a high
+// floor keeps the networks dense (NextEvent on the completion heap) and a
+// floor of 1 lets them run sparse (the linear scan). It returns the keep
+// and release networks' fresh-flow allocation counts.
+func recycleDifferential(t *testing.T, seed int64, tenants, steps, minFlows int) (keepAllocs, recAllocs int64) {
 	t.Helper()
 	keep, rec := newRecycleLeg("keep", tenants, false), newRecycleLeg("release", tenants, true)
 	ref := newRecycleLeg("reference", tenants, false)
 	ref.n.refFill = true
 	legs := []*recycleLeg{keep, rec, ref}
 	rng := rand.New(rand.NewSource(seed))
+	heapSteps := 0
 	for step := 0; step < steps; step++ {
+		for i := 0; len(keep.live) < minFlows; i++ {
+			label := fmt.Sprintf("m%d.%d", step, i)
+			size := units.Bytes(1+rng.Intn(32)) * units.MB
+			ti, si := rng.Intn(tenants), rng.Intn(2)
+			for _, l := range legs {
+				l.start(t, label, size, 0, ti, si)
+			}
+		}
 		switch op := rng.Intn(10); {
 		case op < 4:
 			label := fmt.Sprintf("f%d", step)
@@ -194,6 +206,12 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllo
 				}
 			}
 		}
+		if keep.n.heapMode {
+			heapSteps++
+		}
+	}
+	if minFlows > compHeapThreshold && heapSteps == 0 {
+		t.Fatalf("at least %d live flows, yet NextEvent never used the completion heap", minFlows)
 	}
 	return keep.n.FlowAllocs(), rec.n.FlowAllocs()
 }
@@ -205,15 +223,18 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps int) (keepAllo
 // completion and its Succeed, and it
 // must actually reuse flows, at the first StartAt after a Release. The
 // reference-fill leg holds the heap fill to the executable specification
-// on the op stream the GPU drivers issue.
+// on the op stream the GPU drivers issue. The stream runs dense (at least
+// 32 live flows, above compHeapThreshold) and sparse (at least 1).
 func TestReleaseReuseMatchesNoReuse(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			keepAllocs, recAllocs := recycleDifferential(t, seed, 16, 600)
-			if recAllocs >= keepAllocs {
-				t.Fatalf("releasing network allocated %d flows, non-releasing %d: nothing was reused", recAllocs, keepAllocs)
-			}
-		})
+	for _, minFlows := range []int{32, 1} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("minFlows=%d/seed=%d", minFlows, seed), func(t *testing.T) {
+				keepAllocs, recAllocs := recycleDifferential(t, seed, 16, 600, minFlows)
+				if recAllocs >= keepAllocs {
+					t.Fatalf("releasing network allocated %d flows, non-releasing %d: nothing was reused", recAllocs, keepAllocs)
+				}
+			})
+		}
 	}
 }
 
