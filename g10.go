@@ -48,7 +48,7 @@ type Config struct {
 	PCIeBandwidthGBps float64 // per-direction GPU link bandwidth (default 15.754)
 	SSDReadGBps       float64 // sustained flash read bandwidth (default 3.2)
 	SSDWriteGBps      float64 // sustained flash write bandwidth (default 3.0)
-	SSDCapacityGB     float64 // flash capacity (default 3200)
+	SSDCapacityGB     float64 // flash capacity per drive (default 3200; an array's FTL indexes up to ~1.9 PB)
 	Iterations        int     // training iterations; the last is measured (default 2)
 
 	// Adaptive attaches the online replanning layer to the G10 policies:
@@ -75,8 +75,9 @@ func DefaultConfig() Config {
 }
 
 // validate rejects a configuration no system can have: a NaN, infinite or
-// negative size or bandwidth, or a negative iteration count. Zero keeps
-// meaning "default" where the field's doc says so.
+// negative size or bandwidth, an SSD capacity past 2^63 bytes, or a
+// negative iteration count. Zero keeps meaning "default" where the field's
+// doc says so.
 func (c Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -93,11 +94,20 @@ func (c Config) validate() error {
 			return floatError(f.name, f.v)
 		}
 	}
+	if c.SSDCapacityGB*float64(units.GB) >= maxSSDBytes {
+		return fmt.Errorf("g10sim: SSDCapacityGB %v is too large for a byte count", c.SSDCapacityGB)
+	}
 	if c.Iterations < 0 {
 		return fmt.Errorf("g10sim: Iterations %d must not be negative", c.Iterations)
 	}
 	return nil
 }
+
+// maxSSDBytes bounds a flash size in bytes: a float at or past 2^63 does
+// not convert to units.Bytes, and the overflowed value would read as
+// "default". The FTL's own page-index limit, which ssd.New enforces with an
+// error, sits far below.
+const maxSSDBytes = float64(math.MaxInt64)
 
 // validFloat reports whether v is finite and not negative (NaN is not).
 func validFloat(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
@@ -321,14 +331,18 @@ type ClusterConfig struct {
 	CheckpointEvery int
 }
 
-// validate rejects a cluster no array can have: an invalid Config, or a
-// negative drive count or checkpoint cadence (zero keeps its default).
+// validate rejects a cluster no array can have: an invalid Config, a
+// negative drive count or checkpoint cadence (zero keeps its default), or
+// an array whose drives together pass 2^63 bytes.
 func (c ClusterConfig) validate() error {
 	if err := c.Config.validate(); err != nil {
 		return err
 	}
 	if c.SSDs < 0 {
 		return fmt.Errorf("g10sim: SSDs %d must not be negative", c.SSDs)
+	}
+	if drive := c.Config.toInternal().SSD.Capacity; float64(drive)*float64(max(c.SSDs, 1)) >= maxSSDBytes {
+		return fmt.Errorf("g10sim: an array of %d drives of %v is too large for a byte count", c.SSDs, drive)
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("g10sim: CheckpointEvery %d must not be negative", c.CheckpointEvery)

@@ -318,6 +318,10 @@ func TestSimulateClusterRejectsBadConfig(t *testing.T) {
 		{"NaN SSD read", 0, withCfg(func(c *Config) { c.SSDReadGBps = nan })},
 		{"negative SSD write", 0, withCfg(func(c *Config) { c.SSDWriteGBps = -3 })},
 		{"infinite SSD capacity", 0, withCfg(func(c *Config) { c.SSDCapacityGB = inf })},
+		{"SSD capacity past a byte count", 0, withCfg(func(c *Config) { c.SSDCapacityGB = 1e10 })},
+		{"SSD capacity past the FTL's page index", 0, withCfg(func(c *Config) { c.SSDCapacityGB = 1e9 })},
+		{"SSD array past a byte count", 0, ClusterConfig{Config: withCfg(func(c *Config) { c.SSDCapacityGB = 5e9 }).Config, SSDs: 4}},
+		{"many drives in an array past a byte count", 0, ClusterConfig{Config: smallConfig(), SSDs: 1 << 40}},
 		{"negative iterations", 0, withCfg(func(c *Config) { c.Iterations = -1 })},
 	} {
 		jobs := []ClusterJob{{Workload: w, Policy: "G10", ArrivalSeconds: tc.arrival}}
@@ -327,6 +331,11 @@ func TestSimulateClusterRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Simulate(w, "G10", withCfg(func(c *Config) { c.HostMemoryGB = nan }).Config); err == nil {
 		t.Error("Simulate accepted a NaN host memory size")
+	}
+	for _, gb := range []float64{1e10, 1e9} {
+		if _, err := Simulate(w, "G10", withCfg(func(c *Config) { c.SSDCapacityGB = gb }).Config); err == nil {
+			t.Errorf("Simulate accepted SSDCapacityGB %v", gb)
+		}
 	}
 	// Zero still selects the defaults.
 	jobs := []ClusterJob{{Workload: w, Policy: "G10"}}

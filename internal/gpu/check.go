@@ -27,6 +27,11 @@
 //     holds no entry for the tensor. Machine.remap asserts this at the
 //     change itself and keeps the first violation for the next check.
 //
+// A checked cluster run also ends with the flash array's own FTL check
+// (ssd.Device.CheckConsistency: forward and reverse page maps agree, and
+// per-block valid counts match them). It walks every page the run wrote,
+// so it runs once, after the last tenant finishes, not at every advance.
+//
 // The first violation fails the run with an error. A run that passes is
 // the run an unchecked one would have been: the wake check's extra steps
 // are no-ops by what it asserts, and the certificate's rate flush is the

@@ -37,6 +37,21 @@ func (p *flashLeakPolicy) AtBoundary(iter, b int) {
 	}
 }
 
+// staleReversePolicy is a testPolicy that, at its first boundary, makes
+// the shared flash array's FTL leave the reverse entry of every page it
+// invalidates from then on mapped.
+type staleReversePolicy struct {
+	testPolicy
+	planted bool
+}
+
+func (p *staleReversePolicy) AtBoundary(iter, b int) {
+	if !p.planted {
+		p.m.sh.dev.InjectStaleReverse()
+		p.planted = true
+	}
+}
+
 // staleTLBPolicy is a testPolicy that, at the first boundary of the second
 // iteration, re-inserts the GPU translation every unmapped tensor had
 // before its free: TLB entries a skipped shootdown would have left behind,
@@ -122,6 +137,14 @@ func TestCheckCatchesLeakedHostGrant(t *testing.T) {
 func TestCheckCatchesLeakedFlashRange(t *testing.T) {
 	checkCatches(t, func() Policy { return &flashLeakPolicy{testPolicy: testPolicy{name: "leaky"}} },
 		"flash array has")
+}
+
+// TestCheckCatchesStaleFTLReverse: an FTL that leaves a page's reverse
+// entry mapped when it invalidates the page fails the checked run's
+// end-of-run FTL consistency check, while the unchecked run completes.
+func TestCheckCatchesStaleFTLReverse(t *testing.T) {
+	checkCatches(t, func() Policy { return &staleReversePolicy{testPolicy: testPolicy{name: "stale"}} },
+		"check at end of run: ssd: page")
 }
 
 // TestCheckCatchesStaleTLBEntry: a TLB entry that survives its tensor's

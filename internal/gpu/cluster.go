@@ -262,6 +262,11 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 	if err := driveEvents(net, tenants, opt); err != nil {
 		return ClusterResult{}, err
 	}
+	if p.Check {
+		if err := sh.dev.CheckConsistency(); err != nil {
+			return ClusterResult{}, fmt.Errorf("gpu: check at end of run: %w", err)
+		}
+	}
 	out := ClusterResult{
 		Tenants: make([]Result, len(runners)),
 		Spans:   make([]TenantSpan, len(runners)),

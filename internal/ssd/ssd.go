@@ -18,6 +18,7 @@ package ssd
 
 import (
 	"fmt"
+	"math"
 
 	"g10sim/internal/units"
 )
@@ -111,13 +112,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Page states.
-const (
-	pageFree uint8 = iota
-	pageValid
-	pageInvalid
-)
-
 const unmapped = int64(-1)
 
 // LogicalRange is a contiguous run of logical pages assigned to a tensor.
@@ -140,107 +134,84 @@ type Stats struct {
 	Erases         int64
 }
 
-// chunkBits sizes the lazily-materialised FTL array chunks (entries per
-// chunk). 8K entries (64KB for int64 chunks) keeps materialisation close to
-// the pages actually touched; GC-churned physical regions still amortise the
-// chunk header over thousands of entries.
+// chunkBits sizes the lazily-materialised FTL map chunks (entries per
+// chunk). 8K entries (32KB chunks) keeps materialisation close to the pages
+// actually touched; GC-churned physical regions still amortise the chunk
+// header over thousands of entries.
 const chunkBits = 13
 
-// pagedI64 is a chunked int64 array: untouched chunks read as def and cost
-// nothing. Chunking avoids both the O(capacity) zero-fill of an eager array
-// and the copy churn of a growing one — the simulator touches a few percent
-// of a multi-TB device per run. Entries are stored biased by -def, so a
-// freshly materialised chunk is plain zeroed memory (no fill loop) yet reads
-// back as def.
-type pagedI64 struct {
-	chunks [][]int64
-	def    int64
+// pageMap is a chunked page-index map whose untouched chunks read as
+// unmapped and cost nothing. Chunking avoids both the O(capacity) zero-fill
+// of an eager array and the copy churn of a growing one — the simulator
+// touches a few percent of a multi-TB device per run. Entries are int32
+// (New bounds the page counts) stored biased by +1, so a freshly
+// materialised chunk is plain zeroed memory (no fill loop) yet reads back
+// as unmapped.
+type pageMap struct {
+	chunks [][]int32
 }
 
-func newPagedI64(size int64, def int64) pagedI64 {
-	return pagedI64{chunks: make([][]int64, (size+(1<<chunkBits)-1)>>chunkBits), def: def}
+func newPageMap(size int64) pageMap {
+	return pageMap{chunks: make([][]int32, (size+(1<<chunkBits)-1)>>chunkBits)}
 }
 
-func (p *pagedI64) at(i int64) int64 {
+func (p *pageMap) at(i int64) int64 {
 	c := p.chunks[i>>chunkBits]
 	if c == nil {
-		return p.def
+		return unmapped
 	}
-	return c[i&(1<<chunkBits-1)] + p.def
+	return int64(c[i&(1<<chunkBits-1)]) - 1
 }
 
-func (p *pagedI64) set(i int64, v int64) {
+func (p *pageMap) set(i int64, v int64) {
 	ci := i >> chunkBits
 	c := p.chunks[ci]
 	if c == nil {
-		c = make([]int64, 1<<chunkBits)
+		c = make([]int32, 1<<chunkBits)
 		p.chunks[ci] = c
 	}
-	c[i&(1<<chunkBits-1)] = v - p.def
-}
-
-// pagedU8 is the uint8 counterpart (untouched chunks read as zero).
-type pagedU8 struct {
-	chunks [][]uint8
-}
-
-func newPagedU8(size int64) pagedU8 {
-	return pagedU8{chunks: make([][]uint8, (size+(1<<chunkBits)-1)>>chunkBits)}
-}
-
-func (p *pagedU8) at(i int64) uint8 {
-	c := p.chunks[i>>chunkBits]
-	if c == nil {
-		return 0
-	}
-	return c[i&(1<<chunkBits-1)]
-}
-
-func (p *pagedU8) set(i int64, v uint8) {
-	ci := i >> chunkBits
-	c := p.chunks[ci]
-	if c == nil {
-		if v == 0 {
-			return // already the implicit default
-		}
-		c = make([]uint8, 1<<chunkBits)
-		p.chunks[ci] = c
-	}
-	c[i&(1<<chunkBits-1)] = v
+	c[i&(1<<chunkBits-1)] = int32(v + 1)
 }
 
 // Device is one simulated SSD.
 //
-// The FTL arrays (logical→physical mapping, reverse mapping, page states)
-// are materialised lazily in chunks: the simulator builds one device per
-// run over a multi-TB logical space of which a workload touches a few
-// percent, so construction allocates O(chips) state and memory follows the
-// pages actually written. Untouched indices read as unmapped/free;
-// semantics are identical to fully-allocated arrays.
+// FTL state is sized by the pages a run writes, not by the drive: the
+// simulator builds one device per run over a multi-TB logical space of
+// which a workload touches a few percent. The logical→physical and reverse
+// maps are materialised lazily in chunks, and the per-block tables grow as
+// the log hands out blocks, so construction allocates O(chips) state plus
+// each map's chunk-pointer slice (one pointer per 8K pages).
+// Untouched indices read as unmapped and untouched blocks as virgin;
+// semantics are identical to fully-allocated arrays. A physical page is
+// valid exactly when its reverse entry is mapped: a page is free until
+// programmed, and a programmed page becomes invalid (unmapped in reverse)
+// when overwritten, trimmed or relocated, so no per-page state is kept.
 type Device struct {
 	cfg Config
 
-	totalPhysPages int64
-	logicalPages   int64
-	blocks         int64 // total physical blocks
-	chips          int
+	logicalPages int64
+	blocks       int64 // total physical blocks
+	chips        int
 
-	mapping   pagedI64 // logical page -> physical page (or unmapped)
-	reverse   pagedI64 // physical page -> logical page (or unmapped)
-	pageState pagedU8
+	mapping pageMap // logical page -> physical page (or unmapped)
+	reverse pageMap // physical page -> logical page (or unmapped)
 
+	// validInBlock and onFreeList are indexed by block and cover every
+	// block a chip has popped: blocks at or past virginNext[chip] are
+	// virgin, with no valid pages and not on a recycled list, so the
+	// tables grow only when popFreeBlock hands out a virgin block.
 	validInBlock []int32 // valid-page count per block
-	writePtr     []int64 // per chip: next physical page in its active block
-	activeBlock  []int64 // per chip: current log block (-1 = none)
+	// onFreeList marks blocks currently in a recycled list, so GC's victim
+	// scan tests membership in O(1) instead of scanning the list per block.
+	onFreeList  []bool
+	writePtr    []int64 // per chip: next physical page in its active block
+	activeBlock []int64 // per chip: current log block (-1 = none)
 	// The per-chip free-block list is [remaining virgin blocks in block-
 	// number order] ++ [GC-recycled blocks FIFO]. Virgin blocks of chip c
 	// are the arithmetic sequence c, c+chips, c+2·chips, …, represented by
 	// the next unpopped element instead of a materialised slice.
 	virginNext []int64   // per chip: next never-used block, ≥ blocks when exhausted
 	recycled   [][]int64 // per chip: erased blocks, pop from the front
-	// onFreeList marks blocks currently in a recycled list, so GC's victim
-	// scan tests membership in O(1) instead of scanning the list per block.
-	onFreeList []bool
 	nextChip   int
 
 	allocCursor int64
@@ -255,6 +226,8 @@ type Device struct {
 	// mapping is lost, but the alive fraction scales both effective
 	// bandwidths and caps how far Alloc may extend the logical tail.
 	deadChips int
+	// staleReverse is the planted FTL fault of InjectStaleReverse.
+	staleReverse bool
 
 	stats Stats
 	// effWrite caches EffectiveWriteBandwidth between writes: the GPU layer
@@ -271,7 +244,8 @@ type Device struct {
 }
 
 // New builds a device. Geometry must divide evenly; use ZNAND() or the test
-// helpers for consistent configs.
+// helpers for consistent configs. A geometry with more than math.MaxInt32
+// physical pages is rejected: the FTL maps store 32-bit page indices.
 func New(cfg Config) (*Device, error) {
 	cfg = cfg.withDefaults()
 	logicalPages := int64(cfg.Capacity / cfg.PageSize)
@@ -287,26 +261,25 @@ func New(cfg Config) (*Device, error) {
 	if blocks < int64(2*chips) {
 		return nil, fmt.Errorf("ssd: capacity too small for geometry (%d blocks, %d chips)", blocks, chips)
 	}
+	if blocks > math.MaxInt32/int64(cfg.PagesPerBlock) {
+		return nil, fmt.Errorf("ssd: capacity too large for the FTL (%d blocks of %d pages exceed %d physical pages)", blocks, cfg.PagesPerBlock, math.MaxInt32)
+	}
 	physPages = blocks * int64(cfg.PagesPerBlock)
 	if physPages <= logicalPages {
 		return nil, fmt.Errorf("ssd: physical pages (%d) not above logical (%d); raise OverProvision", physPages, logicalPages)
 	}
 
 	d := &Device{
-		cfg:            cfg,
-		totalPhysPages: physPages,
-		logicalPages:   logicalPages,
-		blocks:         blocks,
-		chips:          chips,
-		mapping:        newPagedI64(logicalPages, unmapped),
-		reverse:        newPagedI64(physPages, unmapped),
-		pageState:      newPagedU8(physPages),
-		validInBlock:   make([]int32, blocks),
-		onFreeList:     make([]bool, blocks),
-		writePtr:       make([]int64, chips),
-		activeBlock:    make([]int64, chips),
-		virginNext:     make([]int64, chips),
-		recycled:       make([][]int64, chips),
+		cfg:          cfg,
+		logicalPages: logicalPages,
+		blocks:       blocks,
+		chips:        chips,
+		mapping:      newPageMap(logicalPages),
+		reverse:      newPageMap(physPages),
+		writePtr:     make([]int64, chips),
+		activeBlock:  make([]int64, chips),
+		virginNext:   make([]int64, chips),
+		recycled:     make([][]int64, chips),
 	}
 	for c := 0; c < chips; c++ {
 		d.activeBlock[c] = -1
@@ -328,9 +301,12 @@ func (d *Device) freeBlockCount(chip int) int64 {
 // virgin blocks first (in block order), then recycled blocks FIFO. Returns
 // -1 when none are free.
 func (d *Device) popFreeBlock(chip int) int64 {
-	if d.virginNext[chip] < d.blocks {
-		b := d.virginNext[chip]
+	if b := d.virginNext[chip]; b < d.blocks {
 		d.virginNext[chip] += int64(d.chips)
+		for int64(len(d.validInBlock)) <= b {
+			d.validInBlock = append(d.validInBlock, 0)
+			d.onFreeList = append(d.onFreeList, false)
+		}
 		return b
 	}
 	if rs := d.recycled[chip]; len(rs) > 0 {
@@ -340,11 +316,6 @@ func (d *Device) popFreeBlock(chip int) int64 {
 		return b
 	}
 	return -1
-}
-
-// isFree reports whether block b (owned by chip) is on the free list.
-func (d *Device) isFree(chip int, b int64) bool {
-	return b >= d.virginNext[chip] /* virgin, never popped */ || d.onFreeList[b]
 }
 
 // MustNew is New for known-good configs.
@@ -418,13 +389,20 @@ func (d *Device) AllocatedPages() int64 { return d.allocated }
 // LogicalPages reports the device's logical capacity in pages.
 func (d *Device) LogicalPages() int64 { return d.logicalPages }
 
+// invalidate retires the valid physical page pp that a logical page maps
+// to (callers hold the mapping, so pp is valid).
 func (d *Device) invalidate(pp int64) {
-	if d.pageState.at(pp) == pageValid {
-		d.pageState.set(pp, pageInvalid)
-		d.validInBlock[pp/int64(d.cfg.PagesPerBlock)]--
+	d.validInBlock[pp/int64(d.cfg.PagesPerBlock)]--
+	if !d.staleReverse {
 		d.reverse.set(pp, unmapped)
 	}
 }
+
+// InjectStaleReverse plants an FTL fault for mutation tests: every later
+// invalidation leaves its page's reverse entry mapped, so the device keeps
+// a retired page as valid. Host-visible behaviour is unchanged until GC
+// relocates such a page; CheckConsistency reports the fault.
+func (d *Device) InjectStaleReverse() { d.staleReverse = true }
 
 // Write programs every page of the range (a tensor eviction). Previously
 // mapped pages are invalidated, new pages are appended log-structured, and
@@ -469,14 +447,15 @@ func (d *Device) Read(r LogicalRange) error {
 // (round-robin striping), running GC if the chip is out of blocks.
 func (d *Device) program(lp int64) (int64, error) {
 	chip := d.nextChip
-	d.nextChip = (d.nextChip + 1) % d.chips
+	if d.nextChip++; d.nextChip == d.chips {
+		d.nextChip = 0
+	}
 	pp, err := d.appendOnChip(chip)
 	if err != nil {
 		return 0, err
 	}
-	d.pageState.set(pp, pageValid)
 	d.reverse.set(pp, lp)
-	d.validInBlock[pp/int64(d.cfg.PagesPerBlock)]++
+	d.validInBlock[d.activeBlock[chip]]++
 	return pp, nil
 }
 
@@ -487,7 +466,9 @@ func (d *Device) appendOnChip(chip int) (int64, error) {
 		d.writePtr[chip]++
 		return pp, nil
 	}
-	// Need a fresh block; collect if the chip is low.
+	// Need a fresh block; collect if the chip is low. The pop below replaces
+	// the active block even when collect's relocations left a partly
+	// filled one there, whose tail then stays unwritten until it is erased.
 	if d.lowOnBlocks(chip) {
 		if err := d.collect(chip); err != nil {
 			return 0, err
@@ -517,8 +498,9 @@ func (d *Device) collect(chip int) error {
 	for d.lowOnBlocks(chip) {
 		victim := int64(-1)
 		best := int32(d.cfg.PagesPerBlock) + 1
-		for b := int64(chip); b < d.blocks; b += int64(d.chips) {
-			if b == d.activeBlock[chip] || d.isFree(chip, b) {
+		// Blocks at or past virginNext[chip] are virgin, hence free.
+		for b := int64(chip); b < d.virginNext[chip]; b += int64(d.chips) {
+			if b == d.activeBlock[chip] || d.onFreeList[b] {
 				continue
 			}
 			if d.validInBlock[b] < best {
@@ -534,11 +516,10 @@ func (d *Device) collect(chip int) error {
 		}
 		// Relocate valid pages into the chip's active block stream.
 		for pp := victim * ppb; pp < (victim+1)*ppb; pp++ {
-			if d.pageState.at(pp) != pageValid {
+			lp := d.reverse.at(pp)
+			if lp == unmapped {
 				continue
 			}
-			lp := d.reverse.at(pp)
-			d.pageState.set(pp, pageInvalid)
 			d.validInBlock[victim]--
 			d.reverse.set(pp, unmapped)
 
@@ -546,17 +527,13 @@ func (d *Device) collect(chip int) error {
 			if err != nil {
 				return err
 			}
-			d.pageState.set(np, pageValid)
 			d.reverse.set(np, lp)
-			d.validInBlock[np/ppb]++
+			d.validInBlock[d.activeBlock[chip]]++
 			d.mapping.set(lp, np)
 			d.stats.GCRelocated++
 			d.stats.NANDWriteBytes += d.cfg.PageSize
 		}
-		// Erase the victim (untouched pages are already free).
-		for pp := victim * ppb; pp < (victim+1)*ppb; pp++ {
-			d.pageState.set(pp, pageFree)
-		}
+		// Erase the victim: relocation left none of its pages valid.
 		d.stats.Erases++
 		d.recycled[chip] = append(d.recycled[chip], victim)
 		d.onFreeList[victim] = true
@@ -663,56 +640,64 @@ func (c Config) LifetimeYears(writeRate units.Bandwidth) float64 {
 	return seconds / (365.25 * 24 * 3600)
 }
 
-// FreePhysicalPages reports unwritten physical pages (for tests).
-// Unmaterialised chunks are wholly free.
+// FreePhysicalPages reports the physical pages the log can still program
+// before GC must erase (for tests): the pages of free blocks (virgin or
+// recycled) plus the unwritten tail of each chip's active block. It omits
+// the unwritten tail of a GC destination block that a host write replaced
+// before it filled (see appendOnChip); nothing programs those pages until
+// the block is erased.
 func (d *Device) FreePhysicalPages() int64 {
-	n := d.totalPhysPages
-	for _, c := range d.pageState.chunks {
-		for _, s := range c {
-			if s != pageFree {
-				n--
-			}
+	ppb := int64(d.cfg.PagesPerBlock)
+	var n int64
+	for c := 0; c < d.chips; c++ {
+		n += d.freeBlockCount(c) * ppb
+		if b := d.activeBlock[c]; b >= 0 {
+			n += (b+1)*ppb - d.writePtr[c]
 		}
 	}
 	return n
 }
 
-// CheckConsistency validates FTL invariants: every mapped logical page
-// points at a valid physical page that points back, and per-block valid
-// counts match page states. For tests.
+// CheckConsistency validates FTL invariants: every valid physical page
+// (mapped in reverse) lies in a written part of a block in use and is what
+// its logical page maps to, every mapped logical page points at a physical
+// page that points back, and per-block valid counts match a recount.
 func (d *Device) CheckConsistency() error {
-	counts := make([]int32, d.blocks)
-	for ci, c := range d.pageState.chunks {
+	ppb := int64(d.cfg.PagesPerBlock)
+	counts := make([]int32, len(d.validInBlock))
+	for ci, c := range d.reverse.chunks {
 		base := int64(ci) << chunkBits
-		for j, st := range c {
-			if st != pageValid {
-				continue
-			}
+		for j := range c {
 			pp := base + int64(j)
-			counts[pp/int64(d.cfg.PagesPerBlock)]++
 			lp := d.reverse.at(pp)
 			if lp == unmapped {
-				return fmt.Errorf("ssd: valid page %d has no reverse mapping", pp)
+				continue
 			}
-			if d.mapping.at(lp) != pp {
-				return fmt.Errorf("ssd: page %d reverse-maps to %d whose mapping is %d", pp, lp, d.mapping.at(lp))
+			b := pp / ppb
+			chip := int(b % int64(d.chips))
+			if b >= d.virginNext[chip] || d.onFreeList[b] {
+				return fmt.Errorf("ssd: valid page %d lies in free block %d", pp, b)
+			}
+			if b == d.activeBlock[chip] && pp >= d.writePtr[chip] {
+				return fmt.Errorf("ssd: valid page %d lies past chip %d's write pointer %d", pp, chip, d.writePtr[chip])
+			}
+			counts[b]++
+			if got := d.mapping.at(lp); got != pp {
+				return fmt.Errorf("ssd: page %d reverse-maps to %d whose mapping is %d", pp, lp, got)
 			}
 		}
 	}
-	for b := int64(0); b < d.blocks; b++ {
-		if counts[b] != d.validInBlock[b] {
-			return fmt.Errorf("ssd: block %d valid count %d, recount %d", b, d.validInBlock[b], counts[b])
+	for b, n := range counts {
+		if n != d.validInBlock[b] {
+			return fmt.Errorf("ssd: block %d valid count %d, recount %d", b, d.validInBlock[b], n)
 		}
 	}
 	for ci, c := range d.mapping.chunks {
 		base := int64(ci) << chunkBits
-		for j, raw := range c {
-			pp := raw + d.mapping.def // entries are stored biased by -def
-			if pp == unmapped {
-				continue
-			}
-			if d.pageState.at(pp) != pageValid {
-				return fmt.Errorf("ssd: logical %d maps to non-valid physical %d", base+int64(j), pp)
+		for j := range c {
+			lp := base + int64(j)
+			if pp := d.mapping.at(lp); pp != unmapped && d.reverse.at(pp) != lp {
+				return fmt.Errorf("ssd: logical %d maps to physical %d, which reverse-maps to %d", lp, pp, d.reverse.at(pp))
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package ssd
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -122,6 +124,7 @@ func TestGCReclaimsSpaceUnderChurn(t *testing.T) {
 		if _, err := d.Write(r); err != nil {
 			t.Fatalf("rewrite %d: %v", i, err)
 		}
+		checkFreeLedger(t, d)
 	}
 	if d.Stats().GCRuns == 0 {
 		t.Error("GC never ran under churn")
@@ -132,6 +135,22 @@ func TestGCReclaimsSpaceUnderChurn(t *testing.T) {
 	}
 	if err := d.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkFreeLedger compares FreePhysicalPages with the program/erase
+// ledger, which debits a page per program and credits a block per erase.
+// They agree until GC runs. After it the count sits below the ledger by
+// the unwritten tails of GC destination blocks that a host write replaced
+// before they filled: those pages are not free, and erasing such a block
+// frees fewer programmed pages than the ledger credits.
+func checkFreeLedger(t *testing.T, d *Device) {
+	t.Helper()
+	st := d.Stats()
+	ppb := int64(d.cfg.PagesPerBlock)
+	ledger := d.blocks*ppb - int64(st.NANDWriteBytes/d.PageSize()) + st.Erases*ppb
+	if got := d.FreePhysicalPages(); got > ledger || st.GCRuns == 0 && got != ledger {
+		t.Fatalf("%d free physical pages, program/erase ledger says %d after %d GC runs", got, ledger, st.GCRuns)
 	}
 }
 
@@ -264,6 +283,54 @@ func TestNewRejectsTinyGeometry(t *testing.T) {
 	}
 }
 
+// TestNewRejectsOversizedGeometry: the FTL maps store 32-bit page indices,
+// so New refuses a geometry with more than math.MaxInt32 physical pages
+// with an error, and a page index just below the limit round-trips.
+func TestNewRejectsOversizedGeometry(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Capacity = 8 * units.TB // 2^31 logical 4KB pages, 2.47e9 physical
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Errorf("8TB of 4KB pages: err = %v, want a too-large error", err)
+	}
+	cfg.Capacity = 6 * units.TB // 1.85e9 physical pages
+	if _, err := New(cfg); err != nil {
+		t.Errorf("6TB of 4KB pages rejected: %v", err)
+	}
+	m := newPageMap(math.MaxInt32)
+	const top = math.MaxInt32 - 1
+	if m.at(top) != unmapped {
+		t.Errorf("untouched entry reads %d, want unmapped", m.at(top))
+	}
+	m.set(top, top)
+	if got := m.at(top); got != top {
+		t.Errorf("entry %d round-trips to %d", int64(top), got)
+	}
+}
+
+// TestDeviceAllocPerPage bounds the heap bytes a device allocates, from
+// New on, per page BenchmarkFTL's train stream programs without GC. The
+// 32-bit forward and reverse maps cost 8 B for each page whose chunk is
+// touched, and freed logical ranges are reused, so the stream costs about
+// 5.3 B per page; 64-bit maps, a page-state byte and drive-sized block
+// tables cost about 10.9 B.
+func TestDeviceAllocPerPage(t *testing.T) {
+	const maxPerPage = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := MustNew(ZNAND())
+	trainStream(t, d)
+	runtime.ReadMemStats(&after)
+	pages := int64(d.Stats().HostWriteBytes / d.PageSize())
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(pages)
+	t.Logf("device allocated %.2f B per programmed page over %d pages", per, pages)
+	if per > maxPerPage {
+		t.Errorf("device allocated %.2f B per programmed page, want <= %d", per, maxPerPage)
+	}
+	if d.Stats().GCRuns != 0 {
+		t.Errorf("train stream ran GC %d times, want a no-GC stream", d.Stats().GCRuns)
+	}
+}
+
 func TestAllocRejectsNonPositive(t *testing.T) {
 	d := MustNew(smallConfig())
 	if _, err := d.Alloc(0); err == nil {
@@ -326,6 +393,7 @@ func TestRandomChurnConsistency(t *testing.T) {
 			if err := d.CheckConsistency(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
+			checkFreeLedger(t, d)
 		}
 	}
 	if err := d.CheckConsistency(); err != nil {
