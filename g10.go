@@ -665,6 +665,8 @@ type TensorID int
 type GraphBuilder struct {
 	b       *dnn.Builder
 	tensors []*dnn.Tensor
+	// err is the first bad Kernel call; Workload reports it.
+	err error
 }
 
 // NewGraphBuilder starts a custom model.
@@ -679,22 +681,49 @@ func (gb *GraphBuilder) Tensor(name string, kind TensorKind, sizeBytes int64) Te
 	return TensorID(t.ID)
 }
 
-// Kernel appends a kernel in execution order.
+// Kernel appends a kernel in execution order. A kernel with a NaN,
+// infinite or negative FLOP count, or naming a tensor this builder did not
+// declare, is not added: Workload reports the first such call.
 func (gb *GraphBuilder) Kernel(name string, phase Phase, flops float64, inputs, outputs []TensorID) {
-	gb.b.Kernel(name, dnn.Phase(phase), flops, gb.resolve(inputs), gb.resolve(outputs))
+	in, err := gb.resolve(inputs)
+	var out []*dnn.Tensor
+	if err == nil {
+		out, err = gb.resolve(outputs)
+	}
+	if err == nil && !validFloat(flops) {
+		err = fmt.Errorf("FLOP count %v must be finite and non-negative", flops)
+	}
+	if err != nil {
+		if gb.err == nil {
+			gb.err = fmt.Errorf("g10sim: kernel %q: %w", name, err)
+		}
+		return
+	}
+	gb.b.Kernel(name, dnn.Phase(phase), flops, in, out)
 }
 
-func (gb *GraphBuilder) resolve(ids []TensorID) []*dnn.Tensor {
+func (gb *GraphBuilder) resolve(ids []TensorID) ([]*dnn.Tensor, error) {
 	out := make([]*dnn.Tensor, len(ids))
 	for i, id := range ids {
+		if id < 0 || int(id) >= len(gb.tensors) {
+			return nil, fmt.Errorf("unknown tensor %d (%d declared)", id, len(gb.tensors))
+		}
 		out[i] = gb.tensors[id]
 	}
-	return out
+	return out, nil
 }
 
 // Workload profiles the custom graph (on the calibrated A100 timing model
-// scaled by timeScale; 1.0 = raw roofline) and analyzes tensor vitality.
+// scaled by timeScale; 1.0 = raw roofline, <= 0 means 1) and analyzes
+// tensor vitality. It fails on the builder's first bad Kernel call, on a
+// NaN or infinite timeScale, and on a graph that does not validate.
 func (gb *GraphBuilder) Workload(timeScale float64) (*Workload, error) {
+	if gb.err != nil {
+		return nil, gb.err
+	}
+	if math.IsNaN(timeScale) || math.IsInf(timeScale, 0) {
+		return nil, fmt.Errorf("g10sim: time scale %v must be finite", timeScale)
+	}
 	g, err := gb.b.Build()
 	if err != nil {
 		return nil, err

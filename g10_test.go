@@ -377,12 +377,66 @@ func TestSimulateInferenceRejectsBadConfig(t *testing.T) {
 }
 
 func TestGraphBuilderValidates(t *testing.T) {
-	gb := NewGraphBuilder("bad", 1)
-	gb.Tensor("orphan", Intermediate, 1024)
-	x := gb.Tensor("x", Intermediate, 1024)
-	gb.Kernel("k", Forward, 1, []TensorID{x}, []TensorID{x})
-	if _, err := gb.Workload(1); err == nil {
-		t.Error("orphan tensor accepted")
+	for _, tc := range []struct {
+		name      string
+		build     func(gb *GraphBuilder)
+		timeScale float64
+		want      string
+	}{
+		{"orphan tensor", func(gb *GraphBuilder) {
+			gb.Tensor("orphan", Intermediate, 1024)
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, 1, []TensorID{x}, []TensorID{x})
+		}, 1, "never used"},
+		{"unknown input", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, 1, []TensorID{7}, []TensorID{x})
+		}, 1, "unknown tensor 7"},
+		{"negative output", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, 1, []TensorID{x}, []TensorID{-1})
+		}, 1, "unknown tensor -1"},
+		{"first bad kernel wins", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("first", Forward, 1, []TensorID{9}, []TensorID{x})
+			gb.Kernel("second", Forward, math.NaN(), []TensorID{x}, []TensorID{x})
+		}, 1, `kernel "first"`},
+		{"NaN flops", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, math.NaN(), []TensorID{x}, []TensorID{x})
+		}, 1, "FLOP count NaN"},
+		{"infinite flops", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, math.Inf(1), []TensorID{x}, []TensorID{x})
+		}, 1, "FLOP count +Inf"},
+		{"negative flops", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, -1, []TensorID{x}, []TensorID{x})
+		}, 1, "FLOP count -1"},
+		{"NaN time scale", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, 1, []TensorID{x}, []TensorID{x})
+		}, math.NaN(), "time scale NaN"},
+		{"infinite time scale", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, 1, []TensorID{x}, []TensorID{x})
+		}, math.Inf(1), "time scale +Inf"},
+		{"zero time scale means 1", func(gb *GraphBuilder) {
+			x := gb.Tensor("x", Intermediate, 1024)
+			gb.Kernel("k", Forward, 1, []TensorID{x}, []TensorID{x})
+		}, 0, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gb := NewGraphBuilder("bad", 1)
+			tc.build(gb)
+			_, err := gb.Workload(tc.timeScale)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

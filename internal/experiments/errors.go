@@ -68,12 +68,7 @@ func Figure19(s *Session) ([]Fig19Row, error) {
 				return gpu.Result{}, err
 			}
 		}
-		return gpu.Run(gpu.RunParams{
-			Analysis:  planAnalysis,
-			Policy:    policy.G10Full(planner.Config{}),
-			Config:    s.baseConfig(aTrue),
-			ExecTrace: aTrue.Trace,
-		})
+		return s.runOne(planAnalysis, policy.G10Full(planner.Config{}), s.baseConfig(aTrue), aTrue.Trace)
 	}
 	parallelDo(len(grid), s.opt.workers(), func(i int) {
 		model, e := mset[i/len(errs)], errs[i%len(errs)]

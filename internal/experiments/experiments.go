@@ -118,10 +118,16 @@ type Session struct {
 	clusters  map[string]*flight[gpu.ClusterResult]
 	inference map[string]*flight[inferenceCell]
 	plans     gpu.PlanCache
-	// engine accumulates engine-internal work counters over every cluster
-	// the session actually ran (cache hits add nothing: the work happened
-	// once). Guarded by mu.
+	// engine accumulates engine-internal work counters over every
+	// co-simulation and serving run the session actually ran through
+	// RunCluster and RunInference (cache hits add nothing: the work
+	// happened once; one-tenant training runs add nothing either). Guarded
+	// by mu.
 	engine gpu.EngineStats
+	// check runs every simulation the session makes under the engine's
+	// invariant check (gpu.ClusterParams.Check, gpu.InferenceParams.Check).
+	// Only the package's tests set it.
+	check bool
 }
 
 // NewSession builds a session.
@@ -212,7 +218,7 @@ func (s *Session) Run(model string, batch int, polName, cfgTag string, cfg gpu.C
 		if polName == "Ideal" {
 			cfg = policy.IdealConfig(cfg)
 		}
-		res, err := gpu.Run(gpu.RunParams{Analysis: a, Policy: pol, Config: cfg, ExecTrace: exec})
+		res, err := s.runOne(a, pol, cfg, exec)
 		if err != nil {
 			return gpu.Result{}, fmt.Errorf("experiments: %s: %w", key, err)
 		}
@@ -230,6 +236,22 @@ func (s *Session) Run(model string, batch int, polName, cfgTag string, cfg gpu.C
 	}
 	s.mu.Unlock()
 	return f.do(run)
+}
+
+// runOne simulates one training job alone, uncached: a one-tenant
+// co-simulation whose shared substrate is the job's own config (what
+// gpu.Run does), under the session's check. exec overrides the replayed
+// kernel durations (nil = the analysis's trace).
+func (s *Session) runOne(a *vitality.Analysis, pol gpu.Policy, cfg gpu.Config, exec *profile.Trace) (gpu.Result, error) {
+	res, err := gpu.RunCluster(gpu.ClusterParams{
+		Tenants: []gpu.ClusterTenant{{Analysis: a, Policy: pol, Config: cfg, ExecTrace: exec}},
+		Shared:  cfg,
+		Check:   s.check,
+	})
+	if err != nil {
+		return gpu.Result{}, err
+	}
+	return res.Tenants[0], nil
 }
 
 // RunCluster co-simulates a multi-tenant cluster, caching by key. build
@@ -256,6 +278,7 @@ func (s *Session) RunCluster(key string, build func() (gpu.ClusterParams, error)
 		if p.Plans == nil {
 			p.Plans = &s.plans
 		}
+		p.Check = p.Check || s.check
 		res, err := gpu.RunCluster(p)
 		if err != nil {
 			return gpu.ClusterResult{}, fmt.Errorf("experiments: cluster %s: %w", key, err)
@@ -294,6 +317,7 @@ func (s *Session) RunInference(key string, build func() (gpu.InferenceParams, er
 		if p.Engine == nil {
 			p.Engine = &es
 		}
+		p.Check = p.Check || s.check
 		t0 := time.Now()
 		res, err := gpu.RunInference(p)
 		wall := time.Since(t0)
@@ -309,7 +333,8 @@ func (s *Session) RunInference(key string, build func() (gpu.InferenceParams, er
 }
 
 // EngineStats reports the engine-internal work counters accumulated over
-// every cluster simulation the session ran (memoized re-reads add nothing).
+// every co-simulation and serving run the session ran through RunCluster
+// and RunInference (memoized re-reads add nothing).
 func (s *Session) EngineStats() gpu.EngineStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

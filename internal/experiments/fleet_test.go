@@ -79,8 +79,8 @@ func TestFleetTraceFixedSeed(t *testing.T) {
 // checked run: for every built-in model under every policy, a two-tenant
 // co-simulation — one tenant arriving mid-simulation — must pass
 // gpu.ClusterParams.Check (wake completeness, the max-min certificate, the
-// host-pool ledger and GPU capacity at every clock advance) and be
-// bit-identical to the unchecked run.
+// host-pool and flash ledgers, PTE coherence and GPU capacity at every
+// clock advance).
 func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 	s := NewSession(Options{Short: true})
 	for _, model := range (Options{}).modelSet() {
@@ -91,41 +91,22 @@ func TestEventDriverMatchesPollingEveryModelPolicy(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				build := func() (gpu.ClusterParams, error) {
-					cfg := scaledConfig(a)
-					shared := cfg
-					shared.HostCapacity = cfg.HostCapacity * 3 / 2
-					var p gpu.ClusterParams
-					p.Shared = shared
-					for i := 0; i < 2; i++ {
-						pol, err := NewPolicy(polName)
-						if err != nil {
-							return gpu.ClusterParams{}, err
-						}
-						tenant := gpu.ClusterTenant{Analysis: a, Policy: pol, Config: cfg}
-						if i == 1 {
-							tenant.ArrivalTime = 50 * units.Millisecond
-						}
-						p.Tenants = append(p.Tenants, tenant)
-					}
-					return p, nil
-				}
-				runOnce := func(check bool) gpu.ClusterResult {
-					params, err := build()
+				cfg := scaledConfig(a)
+				p := gpu.ClusterParams{Shared: cfg, Check: true, Plans: &s.plans}
+				p.Shared.HostCapacity = cfg.HostCapacity * 3 / 2
+				for i := 0; i < 2; i++ {
+					pol, err := NewPolicy(polName)
 					if err != nil {
 						t.Fatal(err)
 					}
-					params.Check = check
-					params.Plans = &s.plans
-					res, err := gpu.RunCluster(params)
-					if err != nil {
-						t.Fatal(err)
+					tenant := gpu.ClusterTenant{Analysis: a, Policy: pol, Config: cfg}
+					if i == 1 {
+						tenant.ArrivalTime = 50 * units.Millisecond
 					}
-					return res
+					p.Tenants = append(p.Tenants, tenant)
 				}
-				res, checked := runOnce(false), runOnce(true)
-				if !reflect.DeepEqual(res, checked) {
-					t.Errorf("checked run diverged from the unchecked one:\nunchecked: %+v\nchecked:   %+v", res, checked)
+				if _, err := gpu.RunCluster(p); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}

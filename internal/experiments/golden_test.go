@@ -72,9 +72,15 @@ func (s *switchWriter) Write(p []byte) (int, error) {
 // themselves — a refactor that drifts any figure's results fails here even
 // if every shape property still holds. Regenerate intentionally with
 // -update and review the diff like code.
+//
+// The session runs every simulation under the engine's invariant check
+// (see internal/gpu/check.go), so matching bytes also show, figure by
+// figure, that the invariants hold and that checking does not perturb a
+// run.
 func TestGoldenFigures(t *testing.T) {
 	sw := &switchWriter{}
 	s := NewSession(Options{Short: true, Models: goldenModels, W: sw})
+	s.check = true
 	for _, fig := range goldenFigures {
 		fig := fig
 		t.Run(fig.name, func(t *testing.T) {

@@ -60,6 +60,7 @@ func Scaling(s *Session) ([]ScalingRow, error) {
 		var steps int64
 		p.StepCount = &steps
 		p.Plans = &s.plans
+		p.Check = s.check
 		res, err := gpu.RunCluster(p)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling %d: %w", n, err)

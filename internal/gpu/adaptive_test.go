@@ -163,7 +163,7 @@ func TestReplannerSignalSeesContention(t *testing.T) {
 }
 
 // TestEventDriverMatchesPollingAdaptive: tenants that re-time their
-// programs mid-run must pass Check and match the unchecked run exactly.
+// programs mid-run must pass Check.
 func TestEventDriverMatchesPollingAdaptive(t *testing.T) {
 	a1 := analyze(t, models.TinyCNN(128), 200)
 	a2 := analyze(t, models.TinyMLP(64), 50)

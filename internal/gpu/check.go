@@ -27,10 +27,28 @@
 //     holds no entry for the tensor. Machine.remap asserts this at the
 //     change itself and keeps the first violation for the next check.
 //
+// A training machine's tensor states change only when the driver steps its
+// tenant, delivers one of its flows, re-dispatches its queues, admits it,
+// or applies a fault, so an advance rescans the tensor states (PTEs, host
+// bytes, flash pages) of just the machines the driver touched in one of
+// those ways since the last check; every other machine's host bytes and
+// flash pages are the ones its last scan cached. The marks need no hook at
+// the sites that change state, so a change that skips remap still gets its
+// machine rescanned at that advance. The cheap per-machine checks (remap's
+// TLB verdict, the host-pool grant against the cached bytes, GPU capacity)
+// and the pool and array totals still run for every machine at every
+// advance, and a full rescan of every machine closes the run.
+//
 // A checked cluster run also ends with the flash array's own FTL check
 // (ssd.Device.CheckConsistency: forward and reverse page maps agree, and
 // per-block valid counts match them). It walks every page the run wrote,
 // so it runs once, after the last tenant finishes, not at every advance.
+//
+// Cost: a checked advance steps every live un-woken tenant once more (the
+// wake check), re-derives the max-min certificate over the active flows,
+// and scans the touched machines' tensor states. The experiments tests run
+// every golden figure checked, at about two to three times the unchecked
+// pass's wall time.
 //
 // The first violation fails the run with an error. A run that passes is
 // the run an unchecked one would have been: the wake check's extra steps
@@ -49,13 +67,14 @@ import (
 
 // checkInvariants asserts the invariants above on the driver's tenants at
 // the current clock; ledgers is the run's own pool and ledger check
-// (checkMachines for a cluster, infEngine.checkLedgers for serving).
-func checkInvariants(net *flownet.Network, tenants []tenant, ledgers func() error) error {
+// (machineCheck.check for a cluster, infEngine.checkLedgers for serving),
+// and dig the run's digest pair for the wake check.
+func checkInvariants(net *flownet.Network, tenants []tenant, ledgers func() error, dig *[2]tenantDigest) error {
 	if err := net.CheckMaxMin(); err != nil {
 		return fmt.Errorf("gpu: check at %v: %w", net.Now(), err)
 	}
 	for _, t := range tenants {
-		if err := checkWake(t, net.Now()); err != nil {
+		if err := checkWake(t, net.Now(), dig); err != nil {
 			return fmt.Errorf("gpu: check at %v: tenant %d: %w", net.Now(), t.core().idx, err)
 		}
 	}
@@ -106,21 +125,27 @@ func (q *infReq) digest(d *tenantDigest) {
 // checkWake steps a live tenant the driver did not wake and reports a
 // missed wake if the step changed anything. A tenant whose kernel is still
 // running is skipped: its step only compares the clock with execEnd.
-func checkWake(t tenant, now units.Time) error {
+//
+// dig holds the before and after digests. The pair is the run's, not the
+// call's: a digest passed through the tenant interface escapes, and a
+// fresh pair per call would be two heap allocations per live tenant per
+// advance. A kind of tenant writes only its own fields, and a check that
+// passes leaves the two equal, so the fields a kind does not write agree.
+func checkWake(t tenant, now units.Time, dig *[2]tenantDigest) error {
 	s := t.core()
 	switch {
 	case s.phase == phaseDone, s.phase == phasePending, s.phase == phaseCrashed,
 		s.phase == phaseExec && now < s.execEnd:
 		return nil
 	}
-	var before, after tenantDigest
-	t.digest(&before)
+	before, after := &dig[0], &dig[1]
+	t.digest(before)
 	t.step()
 	if s.err != nil {
 		return s.err
 	}
-	if t.digest(&after); after != before {
-		return fmt.Errorf("stepping it un-woken moved %+v to %+v (missed wake)", before, after)
+	if t.digest(after); *after != *before {
+		return fmt.Errorf("stepping it un-woken moved %+v to %+v (missed wake)", *before, *after)
 	}
 	return nil
 }
@@ -139,45 +164,99 @@ func (st *tensorState) hostHeld() units.Bytes {
 	return 0
 }
 
-// checkMachines checks the training tenants' PTEs, shared host pool and
-// flash array against their tensor states, their GPU use against capacity,
-// and reports the first TLB coherence violation a remap recorded.
-func checkMachines(tenants []*runner) error {
-	pool, dev := tenants[0].m.host, tenants[0].m.sh.dev
-	var granted units.Bytes
+// machineCheck is a checked cluster run's ledger check. touched is where
+// the driver marks the machines whose tensor states may have changed since
+// the last check; held and flash cache each machine's host bytes and flash
+// pages from its last scan, and granted and pages their sums.
+type machineCheck struct {
+	tenants []*runner
+	touched *wakeSet
+	scan    []int
+	held    []units.Bytes
+	flash   []int64
+	granted units.Bytes
+	pages   int64
+}
+
+func newMachineCheck(tenants []*runner) *machineCheck {
+	return &machineCheck{
+		tenants: tenants,
+		touched: newWakeSet(len(tenants)),
+		held:    make([]units.Bytes, len(tenants)),
+		flash:   make([]int64, len(tenants)),
+	}
+}
+
+// check rescans the touched machines and checks every machine's ledgers
+// against the cache: the driver's per-advance check.
+func (c *machineCheck) check() error {
+	c.scan = c.touched.drain(c.scan[:0])
+	for _, i := range c.scan {
+		if err := c.rescan(i); err != nil {
+			return err
+		}
+	}
+	return c.ledgers()
+}
+
+// full rescans every machine before checking the ledgers: the run's last
+// check, which does not rely on the driver's marks.
+func (c *machineCheck) full() error {
+	for i := range c.tenants {
+		if err := c.rescan(i); err != nil {
+			return err
+		}
+	}
+	return c.ledgers()
+}
+
+// rescan checks machine i's PTEs against its tensor states and refreshes
+// its cached host bytes and flash pages.
+func (c *machineCheck) rescan(i int) error {
+	r := c.tenants[i]
+	m := r.m
+	var held units.Bytes
 	var flash int64
-	for _, r := range tenants {
+	for j := range m.states {
+		st := &m.states[j]
+		if want := st.translation(); st.pte != want {
+			return fmt.Errorf("tenant %d: %s has PTE %+v, its state implies %+v", m.idx, st.t.Name, st.pte, want)
+		}
+		held += st.hostHeld()
+		if st.hasRng {
+			flash += st.flash.Count
+		}
+	}
+	if r.hasCkptRng {
+		flash += r.ckptRng.Count
+	}
+	c.granted += held - c.held[i]
+	c.pages += flash - c.flash[i]
+	c.held[i], c.flash[i] = held, flash
+	return nil
+}
+
+// ledgers checks each machine's TLB verdict, host-pool grant and GPU use,
+// and the shared host pool and flash array against the cached totals.
+func (c *machineCheck) ledgers() error {
+	pool, dev := c.tenants[0].m.host, c.tenants[0].m.sh.dev
+	for i, r := range c.tenants {
 		m := r.m
 		if m.checkErr != nil {
 			return m.checkErr
 		}
-		var held units.Bytes
-		for i := range m.states {
-			st := &m.states[i]
-			if want := st.translation(); st.pte != want {
-				return fmt.Errorf("tenant %d: %s has PTE %+v, its state implies %+v", m.idx, st.t.Name, st.pte, want)
-			}
-			held += st.hostHeld()
-			if st.hasRng {
-				flash += st.flash.Count
-			}
+		if got := pool.OwnedBy(m.idx); got != c.held[i] {
+			return fmt.Errorf("tenant %d holds a %v host-pool grant for %v of host-resident tensors", m.idx, got, c.held[i])
 		}
-		if r.hasCkptRng {
-			flash += r.ckptRng.Count
-		}
-		if got := pool.OwnedBy(m.idx); got != held {
-			return fmt.Errorf("tenant %d holds a %v host-pool grant for %v of host-resident tensors", m.idx, got, held)
-		}
-		granted += held
 		if m.gpuUsed > m.cfg.GPUCapacity {
 			return fmt.Errorf("tenant %d uses %v of GPU memory over capacity %v", m.idx, m.gpuUsed, m.cfg.GPUCapacity)
 		}
 	}
-	if used := pool.Used(); used != granted || used > pool.Capacity() {
-		return fmt.Errorf("host pool uses %v of %v, tenants hold %v", used, pool.Capacity(), granted)
+	if used := pool.Used(); used != c.granted || used > pool.Capacity() {
+		return fmt.Errorf("host pool uses %v of %v, tenants hold %v", used, pool.Capacity(), c.granted)
 	}
-	if alloc := dev.AllocatedPages(); alloc != flash || alloc > dev.LogicalPages() {
-		return fmt.Errorf("flash array has %d of %d logical pages allocated, tenants hold %d", alloc, dev.LogicalPages(), flash)
+	if alloc := dev.AllocatedPages(); alloc != c.pages || alloc > dev.LogicalPages() {
+		return fmt.Errorf("flash array has %d of %d logical pages allocated, tenants hold %d", alloc, dev.LogicalPages(), c.pages)
 	}
 	return nil
 }

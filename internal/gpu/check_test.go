@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,7 +103,10 @@ func (p *unmappedFetchPolicy) AtBoundary(iter, b int) {
 // checkCatches runs a two-tenant cluster whose tenant 1 runs the policy
 // newPol builds (a fresh one per run: the mutant policies latch), and
 // asserts that the unchecked run completes and the checked run fails with
-// an error containing want.
+// an error containing want. Unless want is the end-of-run check's, the
+// violation must be caught at a clock advance before the unchecked run's
+// makespan: by the per-advance scan of the machines the driver touched,
+// not only by the full scan that closes the run.
 func checkCatches(t *testing.T, newPol func() Policy, want string) {
 	t.Helper()
 	a := analyze(t, models.TinyCNN(128), 200)
@@ -115,12 +120,35 @@ func checkCatches(t *testing.T, newPol func() Policy, want string) {
 			Shared: cfg,
 		}
 	}
-	mustRunCluster(t, build())
+	ref := mustRunCluster(t, build())
 	p := build()
 	p.Check = true
-	if _, err := RunCluster(p); err == nil || !strings.Contains(err.Error(), want) {
+	_, err := RunCluster(p)
+	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("checked run: err = %v, want the violation %q", err, want)
 	}
+	if strings.Contains(want, "check at end of run") {
+		return
+	}
+	at, ok := checkedAt(err)
+	if !ok || at >= ref.Makespan {
+		t.Fatalf("checked run: %v; want it caught at a clock advance before the makespan %v", err, ref.Makespan)
+	}
+	t.Logf("caught at %v of a %v run", at, ref.Makespan)
+}
+
+// checkedAt parses the clock from a check's "check at <t>:" error.
+func checkedAt(err error) (units.Time, bool) {
+	m := regexp.MustCompile(`check at ([0-9.]+)(ns|µs|ms|s):`).FindStringSubmatch(err.Error())
+	if m == nil {
+		return 0, false
+	}
+	v, perr := strconv.ParseFloat(m[1], 64)
+	if perr != nil {
+		return 0, false
+	}
+	unit := map[string]units.Duration{"ns": units.Nanosecond, "µs": units.Microsecond, "ms": units.Millisecond, "s": units.Second}[m[2]]
+	return units.Time(v * float64(unit)), true
 }
 
 // TestCheckCatchesLeakedHostGrant: a host-pool grant no tensor accounts

@@ -12,8 +12,7 @@
 // O(affected tenants · log n) instead of O(all tenants). Skipping the
 // others is sound only if stepping an un-woken tenant is a no-op;
 // ClusterParams.Check asserts exactly that (check.go), with the engine's
-// other invariants, at every clock advance. A one-tenant cluster executes
-// exactly the single-machine Run loop.
+// other invariants, at every clock advance. Run is a one-tenant cluster.
 package gpu
 
 import (
@@ -68,8 +67,11 @@ type ClusterParams struct {
 	Shared Config
 	// Check asserts the engine's invariants at every clock advance (see
 	// check.go) and fails the run with an error at the first violation. A
-	// run that passes is identical to an unchecked one; each advance costs
-	// a pass over every tenant, tensor state and active flow.
+	// run that passes is identical to an unchecked one. Each advance costs
+	// a wake-check step of every live tenant, a pass over the active flows,
+	// and a scan of the tensor states of the tenants the driver touched
+	// since the last advance; the run ends with a full scan and the FTL's
+	// own consistency check.
 	Check bool
 	// StepCount, when non-nil, accumulates the run's step-machine
 	// invocations — the scheduler-cost metric BenchmarkClusterScaling pins
@@ -208,10 +210,9 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 		m := newTenantShell(t.Analysis, cfg, net, tag)
 		m.idx, m.check = i, p.Check
 		if i == 0 {
-			// Shared resources are registered after tenant 0's PCIe links
-			// so a one-tenant cluster's resource order — and with it
-			// flownet's bottleneck evaluation order — matches the
-			// single-machine path exactly.
+			// Shared resources are registered after tenant 0's PCIe
+			// links. flownet's bottleneck evaluation order follows
+			// resource order, so this order is part of every result.
 			var err error
 			sh, err = NewShared(net, shCfg)
 			if err != nil {
@@ -231,8 +232,10 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 		runners[i], tenants[i] = r, r
 	}
 	opt := driveOptions{steps: p.StepCount}
+	var mc *machineCheck
 	if p.Check {
-		opt.check = func() error { return checkMachines(runners) }
+		mc = newMachineCheck(runners)
+		opt.check, opt.touched = mc.check, mc.touched
 	}
 	if !p.Faults.Empty() {
 		opt.faults = newFaultClock(p.Faults, runners, sh, net)
@@ -263,7 +266,11 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 		return ClusterResult{}, err
 	}
 	if p.Check {
-		if err := sh.dev.CheckConsistency(); err != nil {
+		err := mc.full()
+		if err == nil {
+			err = sh.dev.CheckConsistency()
+		}
+		if err != nil {
 			return ClusterResult{}, fmt.Errorf("gpu: check at end of run: %w", err)
 		}
 	}
@@ -356,14 +363,18 @@ func (s *sched) core() *sched { return s }
 
 // driveOptions is the per-run scheduler configuration: check, when
 // non-nil, is the run's own ledger check, and makes the driver run
-// checkInvariants at every clock advance; steps (when non-nil) accumulates
-// the run's step-machine invocations, and faults injects a fault schedule.
-// round, when non-nil, is where the driver publishes its round cursor.
+// checkInvariants at every clock advance; touched, when non-nil, is where
+// the driver marks each tenant it steps, delivers a flow to, re-dispatches,
+// admits, or (on any fault) might have changed, for check to rescan. steps
+// (when non-nil) accumulates the run's step-machine invocations, and
+// faults injects a fault schedule. round, when non-nil, is where the
+// driver publishes its round cursor.
 type driveOptions struct {
-	check  func() error
-	steps  *int64
-	faults *faultClock
-	round  *roundCursor
+	check   func() error
+	touched *wakeSet
+	steps   *int64
+	faults  *faultClock
+	round   *roundCursor
 }
 
 // roundCursor is how far the driver's step rounds have got: at is the
@@ -480,6 +491,14 @@ func (s *wakeSet) set(i int) {
 
 func (s *wakeSet) clear(i int) { s.bits.clear(i) }
 
+// mark sets i in a set that may be nil: the driver's touched-machine
+// marks, which exist only in a checked run.
+func (s *wakeSet) mark(i int) {
+	if s != nil {
+		s.set(i)
+	}
+}
+
 func (s *wakeSet) any() bool {
 	for w := s.lo; w <= s.hi; w++ {
 		if s.bits[w] != 0 {
@@ -548,6 +567,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 		defer func() { *opt.steps += steps }()
 	}
 	faults := opt.faults
+	touched := opt.touched
 	round := opt.round
 	if round == nil {
 		round = new(roundCursor)
@@ -558,6 +578,10 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 	queued := newWakeSet(n)
 	var execH execHeap
 	var wake []int
+	var dig *[2]tenantDigest
+	if opt.check != nil {
+		dig = new([2]tenantDigest)
+	}
 
 	// Jobs arriving mid-simulation, ordered by (arrival, index).
 	var arrivals []int
@@ -597,6 +621,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 			return err
 		}
 		ready.set(i)
+		touched.mark(i)
 	}
 
 	for {
@@ -620,6 +645,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 			if s.err != nil {
 				return s.err
 			}
+			touched.mark(i)
 			switch s.phase {
 			case phaseDone:
 				remaining--
@@ -640,7 +666,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 			continue
 		}
 		if opt.check != nil {
-			if err := checkInvariants(net, tenants, opt.check); err != nil {
+			if err := checkInvariants(net, tenants, opt.check, dig); err != nil {
 				return err
 			}
 		}
@@ -676,6 +702,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 				}
 				if o >= 0 {
 					ready.set(o)
+					touched.mark(o)
 					if tenants[o].queuedWork() {
 						queued.set(o)
 					} else {
@@ -689,6 +716,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 			queued.forEach(func(i int) {
 				t := tenants[i]
 				t.redispatch()
+				touched.mark(i)
 				if !t.queuedWork() {
 					queued.clear(i)
 				}
@@ -705,6 +733,13 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 		// victim's heap entries and wake bits go stale and pop as no-ops; a
 		// repaired tenant wakes like any other event.
 		if faults != nil {
+			if touched != nil && faults.next() <= now {
+				// A crash tears down its victim's tensor states without
+				// stepping it, and faults are rare: rescan every machine.
+				for i := range tenants {
+					touched.set(i)
+				}
+			}
 			finished, err := faults.apply(now, func(i int) { ready.set(i) })
 			if err != nil {
 				return err
@@ -718,6 +753,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 				return err
 			}
 			ready.set(i)
+			touched.mark(i)
 		}
 	}
 }

@@ -17,9 +17,8 @@ import (
 // certificate, and one that lost or double-counted a chunk's memory fails
 // the pool ledgers or GPU capacity — under memory pressure that blocks
 // fetch chunks mid-train (forcing the fresh-flow fallback), with strict
-// policies and with dynamic arrivals. The checked run must match the
-// unchecked one exactly. A small MigrationChunk makes every migration a
-// long train.
+// policies and with dynamic arrivals. A small MigrationChunk makes every
+// migration a long train.
 func TestConveyorMatchesChunkReference(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

@@ -55,8 +55,7 @@ func makespanOf(t testing.TB, build func() ClusterParams) units.Time {
 
 // TestFaultedDriversMatch: a run with crashes (one permanent), a link
 // degradation window, and a die failure must pass Check — crash teardown
-// returns every host grant and wakes every repaired tenant — and match the
-// unchecked run exactly.
+// returns every host grant and wakes every repaired tenant.
 func TestFaultedDriversMatch(t *testing.T) {
 	H := makespanOf(t, faultTestParams(t, nil, 0, 3))
 	plan := &FaultPlan{
@@ -99,7 +98,8 @@ func TestIdleCrashInstantRepairIsNoop(t *testing.T) {
 
 // TestMidExecutionCrashAborts sweeps the crash over the run — hitting
 // kernels mid-execution and migrations mid-flight — and checks the driver
-// tears the victim down and recovers it, under Check and unchecked alike.
+// tears the victim down and recovers it, under Check and unchecked alike
+// (the unchecked leg reads the engine's abort and restart counters).
 func TestMidExecutionCrashAborts(t *testing.T) {
 	H := makespanOf(t, faultTestParams(t, nil, 0, 3))
 	var aborts int64

@@ -11,9 +11,8 @@ import (
 // TestLazyEngineUnderCheck holds the lazy engine (segment-log flow
 // settlement, completion-heap reap, per-tensor PTEs) to its invariants
 // under Check — the max-min certificate, the pool and flash ledgers, PTE
-// coherence, TLB coherence at every remap — and the checked
-// run to the unchecked one bit for bit, under memory pressure, strict
-// policies and dynamic arrivals.
+// coherence, TLB coherence at every remap — under memory pressure,
+// strict policies and dynamic arrivals.
 func TestLazyEngineUnderCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

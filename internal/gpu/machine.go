@@ -42,9 +42,8 @@ type Policy interface {
 
 // Shared is the substrate a cluster's tenants contend on: one simulation
 // clock and flow network, one flash array behind one FTL, and one host
-// memory pool with its DRAM bus. A single-machine Run owns a private
-// Shared, so the one-tenant and N-tenant configurations execute identical
-// code paths.
+// memory pool with its DRAM bus. Run is a one-tenant cluster, so the
+// one-tenant and N-tenant configurations execute identical code paths.
 type Shared struct {
 	net  *flownet.Network
 	dev  *ssd.Device
@@ -100,9 +99,7 @@ func (c *PlanCache) plan(a *vitality.Analysis, pcfg planner.Config) *planner.Pla
 
 // NewShared builds the shared substrate from cfg's cross-tenant fields
 // (SSD, HostCapacity, HostDRAMBandwidth) on net. Resource-creation order is
-// the caller's: RunCluster registers tenant 0's PCIe links first so a
-// one-tenant cluster's flownet evaluation order matches the single-machine
-// path exactly.
+// the caller's: RunCluster registers tenant 0's PCIe links first.
 func NewShared(net *flownet.Network, cfg Config) (*Shared, error) {
 	cfg = cfg.withDefaults()
 	dev, err := ssd.New(cfg.SSD)
@@ -250,20 +247,6 @@ type migration struct {
 	// route is the resources this migration's flows traverse, computed once
 	// rather than per chunk.
 	route []*flownet.Resource
-}
-
-// NewMachine builds a stand-alone system around an analysis (graph +
-// trace): a private network, flash device, and host pool of its own.
-func NewMachine(a *vitality.Analysis, pol Policy, cfg Config) (*Machine, error) {
-	cfg = cfg.withDefaults()
-	net := flownet.New()
-	m := newTenantShell(a, cfg, net, "")
-	sh, err := NewShared(net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.bind(sh, pol)
-	return m, nil
 }
 
 // newTenantShell creates the machine struct, its tensor states, and its

@@ -11,6 +11,21 @@ import (
 	"g10sim/internal/vitality"
 )
 
+// NewMachine builds a stand-alone system around an analysis (graph +
+// trace) for direct machine tests: a private network, flash device, and
+// host pool of its own, registered in the order RunCluster uses.
+func NewMachine(a *vitality.Analysis, pol Policy, cfg Config) (*Machine, error) {
+	cfg = cfg.withDefaults()
+	net := flownet.New()
+	m := newTenantShell(a, cfg, net, "")
+	sh, err := NewShared(net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.bind(sh, pol)
+	return m, nil
+}
+
 // twoTensorMachine builds a machine over a minimal graph with two
 // intermediates (A: 100MB, B: 50MB) plus a weight, for direct migration
 // engine tests.

@@ -39,20 +39,18 @@ type RunParams struct {
 	ExecTrace *profile.Trace
 }
 
-// Run simulates the workload alone — a one-tenant drive of the same
-// resumable step machine the cluster scheduler advances (see cluster.go) —
-// and returns the measured-iteration result.
+// Run simulates the workload alone: a one-tenant RunCluster whose shared
+// substrate (flash array, host memory and DRAM bus) is the tenant's own
+// Config. It returns the measured-iteration result.
 func Run(p RunParams) (Result, error) {
-	m, err := NewMachine(p.Analysis, p.Policy, p.Config.withDefaults())
+	res, err := RunCluster(ClusterParams{
+		Tenants: []ClusterTenant{{Analysis: p.Analysis, Policy: p.Policy, Config: p.Config, ExecTrace: p.ExecTrace}},
+		Shared:  p.Config,
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	r, err := newRunner(m, p.ExecTrace)
-	if err != nil {
-		return Result{}, err
-	}
-	err = driveEvents(m.net, []tenant{r}, driveOptions{})
-	return r.result(), err
+	return res.Tenants[0], nil
 }
 
 // stepPhase is the explicit state of a tenant's resumable step machine.
@@ -86,10 +84,9 @@ const (
 )
 
 // runner is a training tenant: a resumable step machine that replays its
-// workload on its own Machine, whose clock a driver — Run's one-tenant
-// drive or the cluster scheduler — advances. step never consumes simulated
-// time; it runs the tenant to the point where only the clock can unblock
-// it.
+// workload on its own Machine, whose clock the cluster scheduler advances.
+// step never consumes simulated time; it runs the tenant to the point where
+// only the clock can unblock it.
 type runner struct {
 	sched
 	m       *Machine

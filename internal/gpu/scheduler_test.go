@@ -10,26 +10,15 @@ import (
 	"g10sim/internal/units"
 )
 
-// runChecked runs the cluster build describes twice, unchecked and under
-// Check, and fails unless the checked run passes every invariant and
-// matches the unchecked one exactly: results and engine counters alike. It
-// returns the unchecked result.
+// runChecked runs the cluster build describes under Check and fails unless
+// every invariant holds at every clock advance. A run that passes is the
+// run an unchecked one would have been (see check.go);
+// TestEventDriverMatchesPolling pins that explicitly.
 func runChecked(t testing.TB, build func() ClusterParams) ClusterResult {
 	t.Helper()
-	var es, checkedES EngineStats
 	p := build()
-	p.Engine = &es
-	res := mustRunCluster(t, p)
-	p = build()
-	p.Check, p.Engine = true, &checkedES
-	checked := mustRunCluster(t, p)
-	if !reflect.DeepEqual(res, checked) {
-		t.Errorf("checked run diverged from the unchecked one:\nunchecked: %+v\nchecked:   %+v", res, checked)
-	}
-	if es != checkedES {
-		t.Errorf("checked run changed the engine counters:\nunchecked: %+v\nchecked:   %+v", es, checkedES)
-	}
-	return res
+	p.Check = true
+	return mustRunCluster(t, p)
 }
 
 func mustRunCluster(t testing.TB, p ClusterParams) ClusterResult {
@@ -45,7 +34,8 @@ func mustRunCluster(t testing.TB, p ClusterParams) ClusterResult {
 // — wake completeness, the max-min certificate, pool ledgers and GPU
 // capacity at every clock advance — on heterogeneous tenants, tight and
 // roomy host pools, strict (FlashNeuron-style) and UVM policies, and
-// dynamic arrivals; the checked run must match the unchecked one exactly.
+// dynamic arrivals. It is the one explicit differential: the checked run
+// must match the unchecked one exactly, results and engine counters alike.
 func TestEventDriverMatchesPolling(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -79,7 +69,20 @@ func TestEventDriverMatchesPolling(t *testing.T) {
 				}
 				return p
 			}
-			runChecked(t, build)
+			var es, checkedES EngineStats
+			p := build()
+			p.Engine = &es
+			res := mustRunCluster(t, p)
+			p = build()
+			p.Engine = &checkedES
+			p.Check = true
+			checked := mustRunCluster(t, p)
+			if !reflect.DeepEqual(res, checked) {
+				t.Errorf("checked run diverged from the unchecked one:\nunchecked: %+v\nchecked:   %+v", res, checked)
+			}
+			if es != checkedES {
+				t.Errorf("checked run changed the engine counters:\nunchecked: %+v\nchecked:   %+v", es, checkedES)
+			}
 		})
 	}
 }
