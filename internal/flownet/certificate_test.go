@@ -3,6 +3,7 @@ package flownet
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"g10sim/internal/units"
@@ -128,14 +129,12 @@ func traceTopology(n *Network) (ch *Resource, pcie []*Resource) {
 	return ch, pcie
 }
 
-// TestIdleTracedCapacityCutDropsTrace: a resource that leaves the giant
+// TestIdleResourceCapacityCut: a resource that leaves the giant
 // component, goes idle, and then has its capacity cut must give a later
 // flow the cut capacity, not the one it had while coupled. The cut's
 // recompute finds no busy component at the idle resource; the next
-// arrival's component discovery must read its capacity afresh. (The name
-// is kept from the frontier refill's fill trace, which once recorded the
-// old capacity; DESIGN.md §13.)
-func TestIdleTracedCapacityCutDropsTrace(t *testing.T) {
+// arrival's component discovery must read its capacity afresh.
+func TestIdleResourceCapacityCut(t *testing.T) {
 	n := New()
 	ch, _ := traceTopology(n)
 	side := n.AddResource("side", units.GBps(8))
@@ -155,13 +154,11 @@ func TestIdleTracedCapacityCutDropsTrace(t *testing.T) {
 	}
 }
 
-// TestIdleTracedResourceBesideCapacityChange: a resource of the giant
+// TestIdleResourceBesideCapacityChange: a resource of the giant
 // component loses its last flow in the same event as a capacity change on
 // an unrelated busy resource. The departed flow must not stay counted on
 // the idle resource: a later flow through it gets its whole capacity.
-// (The name is kept from the frontier refill's fill trace, whose delta
-// records that recompute once dropped; DESIGN.md §13.)
-func TestIdleTracedResourceBesideCapacityChange(t *testing.T) {
+func TestIdleResourceBesideCapacityChange(t *testing.T) {
 	n := New()
 	ch, _ := traceTopology(n)
 	s := n.AddResource("s", units.GBps(8))
@@ -184,5 +181,94 @@ func TestIdleTracedResourceBesideCapacityChange(t *testing.T) {
 	checkMaxMin(t, n)
 	if got, want := f.Rate(), units.GBps(8); got != want {
 		t.Fatalf("flow on the idle traced link runs at %v, want its capacity %v", got, want)
+	}
+}
+
+// TestCheckMaxMinNeutralInDriverLoop pins when the certificate leaves the
+// engine counters alone. The loop is the cluster driver's: reactions to
+// the last advance (arrivals, aborts), the certificate, then NextEvent and
+// an AdvanceEventwise whose deliveries succeed, release or replace their
+// flows; and one more certificate once the loop ends. Every counter must
+// match an uncertified twin. A certificate after a change that no
+// NextEvent follows is the exception: it costs one recompute.
+func TestCheckMaxMinNeutralInDriverLoop(t *testing.T) {
+	type counters struct{ recomputes, successions, rounds, scans, touches, reaps int64 }
+	run := func(certify bool) (*Network, counters) {
+		n := New()
+		shared := []*Resource{n.AddResource("chanA", units.GBps(4)), n.AddResource("chanB", units.GBps(4))}
+		var links []*Resource
+		for i := 0; i < 24; i++ {
+			links = append(links, n.AddResource(fmt.Sprintf("gpu%d/pcie", i), units.GBps(16)))
+		}
+		rng := rand.New(rand.NewSource(7))
+		var live []*Flow
+		start := func() {
+			size := units.Bytes(1+rng.Intn(32)) * units.MB
+			at := n.Now() + units.Time(units.Duration(rng.Intn(2))*units.Millisecond)
+			live = append(live, n.StartAt("f", size, at, nil, links[rng.Intn(len(links))], shared[rng.Intn(2)]))
+		}
+		for i := 0; i < 40; i++ {
+			start()
+		}
+		for round := 0; round < 400; round++ {
+			switch rng.Intn(4) {
+			case 0:
+				start()
+			case 1:
+				if k := len(live); k > 0 {
+					i := rng.Intn(k)
+					n.Abort(live[i])
+					live = append(live[:i], live[i+1:]...)
+				}
+			}
+			if certify {
+				checkMaxMin(t, n)
+			}
+			e := n.NextEvent()
+			if e == units.Forever {
+				break
+			}
+			n.AdvanceEventwise(e, func(done []*Flow) {
+				for _, f := range done {
+					for i, g := range live {
+						if g == f {
+							live = append(live[:i], live[i+1:]...)
+							break
+						}
+					}
+					switch rng.Intn(3) {
+					case 0:
+						live = append(live, n.Succeed(f, units.Bytes(1+rng.Intn(8))*units.MB))
+					case 1:
+						n.Release(f)
+						start()
+					default:
+						n.Release(f)
+					}
+				}
+			})
+		}
+		if certify {
+			checkMaxMin(t, n)
+		}
+		return n, counters{n.Recomputes(), n.Successions(), n.FillRounds(), n.FillResScans(), n.ProgressTouches(), n.ReapScans()}
+	}
+	plain, want := run(false)
+	certified, got := run(true)
+	if got != want {
+		t.Fatalf("certified driver loop counters %+v, uncertified %+v", got, want)
+	}
+	if want.successions == 0 || want.recomputes == 0 {
+		t.Fatalf("counters %+v: the loop never recomputed or carried a succession", want)
+	}
+	// Outside the loop: the same change, certified and not.
+	for _, n := range []*Network{plain, certified} {
+		n.Start("late", units.MB, nil, n.Resource("gpu0/pcie"), n.Resource("chanA"))
+	}
+	before := certified.Recomputes()
+	checkMaxMin(t, certified)
+	if certified.Recomputes() != before+1 || plain.Recomputes() != before {
+		t.Fatalf("certificate after an unobserved start: %d → %d recomputes (uncertified twin %d); want exactly one more",
+			before, certified.Recomputes(), plain.Recomputes())
 	}
 }

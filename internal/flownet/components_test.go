@@ -23,8 +23,8 @@ func compTopology(n *Network, tenants int) (pcie []*Resource, shared []*Resource
 
 // driveDifferential replays one pseudo-random op sequence on two networks
 // and fails if their observable state (rates, next event, clock, remaining
-// bytes) ever diverges, or if either breaks the max-min certificate or
-// per-flow byte conservation. mutate configures each network before the
+// bytes) ever diverges, or if either breaks the max-min certificate,
+// per-flow byte conservation or its rate-class index (checkClasses). mutate configures each network before the
 // run. It returns how many of the steps ended in a dut recompute that
 // refilled fewer flows than were active.
 func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network)) (partial int) {
@@ -42,6 +42,8 @@ func driveDifferential(t *testing.T, seed int64, mutate func(ref, dut *Network))
 		t.Helper()
 		checkMaxMin(t, ref)
 		checkMaxMin(t, dut)
+		mustCheckClasses(t, ref)
+		mustCheckClasses(t, dut)
 		refL.check(t)
 		dutL.check(t)
 		if rn, dn := ref.NextEvent(), dut.NextEvent(); rn != dn {

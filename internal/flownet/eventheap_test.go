@@ -23,7 +23,9 @@ func refNextEvent(n *Network) units.Time {
 // TestNextEventMatchesLinearScan drives random traffic through the network
 // and asserts the heap-backed NextEvent always returns exactly what the
 // reference scan computes — including between events, where completion
-// times are re-derived from a moved clock.
+// times are re-derived from a moved clock — and that the rate-class index
+// stays consistent (checkClasses). TestNextEventMatchesLinearScanGiant
+// runs the same differential on giant-component churn.
 func TestNextEventMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
@@ -55,6 +57,7 @@ func TestNextEventMatchesLinearScan(t *testing.T) {
 			if got, want := n.NextEvent(), refNextEvent(n); got != want {
 				t.Fatalf("trial %d step %d: NextEvent = %v, linear scan %v", trial, step, got, want)
 			}
+			mustCheckClasses(t, n)
 			// Advance either exactly to the next event, past it, or to a
 			// mid-interval point (clock moves without any event firing).
 			e := n.NextEvent()
@@ -79,6 +82,7 @@ func TestNextEventMatchesLinearScan(t *testing.T) {
 			if got, want := n.NextEvent(), refNextEvent(n); got != want {
 				t.Fatalf("trial %d step %d (post-advance): NextEvent = %v, linear scan %v", trial, step, got, want)
 			}
+			mustCheckClasses(t, n)
 		}
 	}
 }

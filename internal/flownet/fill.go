@@ -117,7 +117,8 @@ func resHeapRemove(h *[]*Resource, r *Resource) {
 // flow subtracts the identical share, so each resource sees the same
 // clamped subtraction sequence regardless of flow order, and the per-flow
 // rates are the share itself — freeze order inside a round is
-// float-immaterial (DESIGN.md §13).
+// float-immaterial (DESIGN.md §13). Each flow records the resource it
+// froze at (Flow.bneck), which names its rate class (classes.go).
 func heapFill(c *component, fs *fillState) {
 	for _, f := range c.flows {
 		f.frozen = false
@@ -154,6 +155,7 @@ func heapFill(c *component, fs *fillState) {
 			}
 			f.frozen = true
 			f.rate = share
+			f.bneck = b
 			unfrozen--
 			for _, r := range f.route {
 				r.avail -= share
@@ -168,6 +170,12 @@ func heapFill(c *component, fs *fillState) {
 			}
 		}
 		fs.scans += int64(len(touched)) + 1
+		if unfrozen == 0 {
+			// The last flow froze: no later round reads the heap, so its
+			// touched resources need no fix. The scan count above keeps
+			// counting them, as the fill always has.
+			break
+		}
 		for _, r := range touched {
 			if r.count == 0 {
 				if r.fillHeap >= 0 {
@@ -225,6 +233,7 @@ func fillComponentRef(c *component, fs *fillState) {
 			}
 			f.frozen = true
 			f.rate = share
+			f.bneck = bottleneck
 			unfrozen--
 			for _, r := range f.route {
 				r.avail -= share

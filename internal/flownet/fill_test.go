@@ -48,8 +48,8 @@ func TestFrontierRefillMatchesReference(t *testing.T) {
 // crosses one of two shared channels, so all tenants couple — with
 // mid-run arrivals, successive completion churn, and occasional capacity
 // changes, comparing a heap-fill network against the reference fill
-// after every step and checking both against the max-min certificate and
-// per-flow byte conservation.
+// after every step and checking both against the max-min certificate,
+// per-flow byte conservation and their rate-class indexes.
 func giantDifferential(t *testing.T, seed int64, tenants, steps int, mutate func(ref, dut *Network)) (*Network, *Network) {
 	t.Helper()
 	ref, dut := New(), New()
@@ -98,6 +98,8 @@ func giantDifferential(t *testing.T, seed int64, tenants, steps int, mutate func
 		}
 		checkMaxMin(t, ref)
 		checkMaxMin(t, dut)
+		mustCheckClasses(t, ref)
+		mustCheckClasses(t, dut)
 		refL.check(t)
 		dutL.check(t)
 		if rn, dn := ref.NextEvent(), dut.NextEvent(); rn != dn {
@@ -149,7 +151,7 @@ func TestFrontierGiantComponentParallel(t *testing.T) {
 	}
 }
 
-// TestSucceedAfterMidWindowRecompute pins a recompute between a flow's
+// TestSucceedAfterCallbackRecompute pins a recompute between a flow's
 // completion and its Succeed: the delivery callback starts a new flow and
 // then queries NextEvent, whose recompute derives an allocation without the
 // just-completed train flow. Only then does the callback call Succeed. The
@@ -158,7 +160,7 @@ func TestFrontierGiantComponentParallel(t *testing.T) {
 // component and the allocation drifts from max-min. The differential
 // against the reference fill must stay bit-identical through and past the
 // corner.
-func TestSucceedAfterMidWindowRecompute(t *testing.T) {
+func TestSucceedAfterCallbackRecompute(t *testing.T) {
 	const tenants = 40 // one giant component coupled through chan
 	seg := units.Bytes(8 * units.MB)
 	run := func(refFill bool) (log []string, rates []units.Bandwidth) {

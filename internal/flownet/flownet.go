@@ -50,6 +50,9 @@ type Resource struct {
 	// fill also takes each bottleneck's flows from it. Maintained from each
 	// flow's activation.
 	flows []*Flow
+	// cls is the rate class of the flows frozen at this resource in the
+	// last fill of its component (classes.go).
+	cls rateClass
 }
 
 // Capacity reports the resource's current bandwidth.
@@ -80,27 +83,32 @@ type Flow struct {
 	// CompletedAt is set when the flow finishes.
 	CompletedAt units.Time
 
-	net       *Network
-	route     []*Resource
+	// The fields settlement and the class index read on every touch sit
+	// together, in one cache line of the object.
 	remaining float64 // bytes
 	rate      float64 // bytes/sec
-	active    bool
-	done      bool
-	heapIdx   int
-	frozen    bool // allocator scratch
-	// prevRate is the rate before the current recompute; the completion
-	// index re-keys a flow only when its rate actually changed.
-	prevRate float64
-	// compGen identifies this flow's current completion-heap entry; stale
-	// entries (older generations, or entries of completed flows) are
-	// discarded lazily when they surface at the heap top.
-	compGen uint32
-	inComp  bool
 	// segIdx is the absolute index into the network's progress-segment log
 	// up to which this flow's remaining byte count is settled: remaining is
 	// exact as of segLog time segIdx and owed the per-segment deductions of
 	// every later segment (settleFlow replays them on demand).
 	segIdx int64
+	// bneck is the resource the flow froze at in the last fill of its
+	// component. While the completion heap is in use, the flow is a member
+	// of bneck's rate class: cls is that class and clsIdx the flow's slot
+	// in its member heap (classes.go); cls is nil otherwise.
+	bneck  *Resource
+	cls    *rateClass
+	clsIdx int32
+	active bool
+	done   bool
+	frozen bool // allocator scratch
+	net    *Network
+
+	route []*Resource
+	// prevRate is the rate before the current recompute; a recompute
+	// settles a flow only when its rate actually changed.
+	prevRate float64
+	heapIdx  int
 	// actIdx is this flow's slot in n.active, so the heap-driven reap can
 	// swap-remove a completion without scanning the active set.
 	actIdx int
@@ -149,17 +157,21 @@ type Network struct {
 	res      []*Resource
 	active   []*Flow
 	dormant  dormantHeap
-	// comp indexes the active flows by (absolute) completion time so
-	// NextEvent is a heap peek instead of a scan over every active flow.
-	// The heap is persistent across recomputes: a rate change re-keys only
-	// the flows whose rate actually changed (generation-stamped entries;
-	// superseded or completed entries are discarded lazily at the top).
-	// Between re-keys a flow's absolute completion time is invariant, up to
-	// float rounding, which minCompletion absorbs by re-evaluating
-	// near-minimal candidates.
+	// comp indexes the active flows' rate classes by the (absolute)
+	// completion time of each class's head, so NextEvent is a heap peek
+	// instead of a scan over every active flow. The heap is persistent
+	// across recomputes: a recompute re-keys only the classes whose rate or
+	// head changed (generation-stamped entries; superseded entries are
+	// discarded lazily at the top). Between re-keys a head's absolute
+	// completion time is invariant, up to float rounding, which
+	// minCompletion absorbs by re-evaluating near-minimal candidates.
+	// classes lists the non-empty rate classes, and rekey is the
+	// recompute's scratch list of classes to re-key.
 	comp        compHeap
 	compScratch []compEntry
 	heapMode    bool
+	classes     []*rateClass
+	rekey       []*rateClass
 	// busyStamp numbers component discoveries (see Resource.busyStamp and
 	// Flow.fillStamp).
 	busyStamp uint64
@@ -178,6 +190,10 @@ type Network struct {
 	// heap). Only this package's tests set it, on the reference side of
 	// their differentials.
 	refFill bool
+	// staleClassKeys plants a fault for the class index's mutation test: a
+	// recompute that changes only a class's rate keeps the class's old
+	// completion entry. Only that test sets it.
+	staleClassKeys bool
 	// doneBuf accumulates one AdvanceTo call's completions; reused.
 	doneBuf []*Flow
 	// free holds flows handed back by Release, for StartAt to reuse;
@@ -262,25 +278,26 @@ func (n *Network) flushRates() {
 	n.carried = 0
 }
 
-// compEntry is one flow keyed by a completion time computed at some earlier
-// clock value; it is valid while gen matches the flow's current generation
-// and the flow is still active.
+// compEntry is one rate class keyed by its head's completion time,
+// computed at some earlier clock value; id is that head's flow ID. It is
+// valid while gen matches the class's current generation.
 type compEntry struct {
-	f   *Flow
+	c   *rateClass
 	at  units.Time
+	id  int64
 	gen uint32
 }
 
 // compHeap is a hand-rolled min-heap of completion entries (ordered by
-// (at, flow ID)); avoiding the container/heap interface keeps the per-event
-// cost down.
+// (at, head flow ID)); avoiding the container/heap interface keeps the
+// per-event cost down.
 type compHeap []compEntry
 
 func compLess(a, b compEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.f.ID < b.f.ID
+	return a.id < b.id
 }
 
 func (h compHeap) siftDown(i int) {
@@ -441,8 +458,7 @@ func (n *Network) StartAt(label string, size units.Bytes, at units.Time, data an
 }
 
 // newFlow returns a zeroed flow: a released one when any is free, else a
-// fresh allocation. A reused flow's completion generation moves past its
-// old value, so completion-heap entries from its previous life stay stale.
+// fresh allocation.
 func (n *Network) newFlow() *Flow {
 	k := len(n.free) - 1
 	if k < 0 {
@@ -452,7 +468,7 @@ func (n *Network) newFlow() *Flow {
 	f := n.free[k]
 	n.free[k] = nil
 	n.free = n.free[:k]
-	*f = Flow{compGen: f.compGen + 1}
+	*f = Flow{}
 	return f
 }
 
@@ -463,11 +479,11 @@ func (n *Network) newFlow() *Flow {
 // or already released flow panics.
 //
 // Nothing inside the network names a completed flow: it left the active
-// set, the dormant heap and every resource's adjacency when it finished;
-// its completion-heap entries are stale by generation (newFlow moves the
-// generation on); and the fill's component scratch is rebuilt by every
-// recompute before it is read. The completion batch that delivered it is
-// not read again once the delivery returns.
+// set, the dormant heap, every resource's adjacency and its rate class when
+// it finished (completion entries name classes, not flows); and the fill's
+// component scratch is rebuilt by every recompute before it is read. The
+// completion batch that delivered it is not read again once the delivery
+// returns.
 func (n *Network) Release(f *Flow) {
 	if !f.done || f.active || f.route == nil {
 		panic("flownet: Release of a flow that is not a completed one")
@@ -555,9 +571,9 @@ func (n *Network) NextEvent() units.Time {
 // ±1ns for any sane horizon) plus one more for the ceil itself.
 const completionSlack = 4
 
-// stale reports whether a heap entry no longer represents its flow: the
-// flow completed, or a rate change pushed a newer-generation entry.
-func (e compEntry) stale() bool { return !e.f.active || e.gen != e.f.compGen }
+// stale reports whether a heap entry no longer represents its class: the
+// class emptied, or a rate or head change pushed a newer-generation entry.
+func (e compEntry) stale() bool { return e.gen != e.c.gen }
 
 // dropStaleTop removes superseded entries from the heap top until the
 // minimum entry is valid (or the heap is empty).
@@ -568,11 +584,12 @@ func (n *Network) dropStaleTop() {
 }
 
 // minCompletion returns min over active flows of completionTime evaluated
-// now — exactly the value a linear scan would produce. The heap keys are
-// completion times stored when the flow's rate last changed; they are
-// within completionSlack of the current value, so the true minimum is found
-// by re-evaluating every valid candidate whose stored key is within the
-// slack of the best current value seen so far.
+// now — exactly the value a linear scan would produce. A class head
+// completes no later than any other member (classes.go), so only heads are
+// candidates. The heap keys are head completion times stored when the class
+// was last re-keyed; they are within completionSlack of the current value,
+// so the true minimum is found by re-evaluating every valid candidate whose
+// stored key is within the slack of the best current value seen so far.
 func (n *Network) minCompletion() units.Time {
 	if !n.heapMode {
 		// Below the heap threshold (or idle): scan directly.
@@ -605,7 +622,7 @@ func (n *Network) minCompletion() units.Time {
 		if e.stale() {
 			continue
 		}
-		e.at = n.completionTime(e.f)
+		e.at = n.completionTime(e.c.members[0])
 		scratch = append(scratch, e)
 		if e.at < best {
 			best = e.at
@@ -709,7 +726,6 @@ func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 	f.done = false
 	f.StartAt = n.now
 	f.CompletedAt = 0
-	f.compGen++ // the predecessor's completion-heap entry goes stale
 	if f.doneGen != n.recomputes {
 		n.activate(f)
 		return f
@@ -719,8 +735,13 @@ func (n *Network) Succeed(f *Flow, size units.Bytes) *Flow {
 	n.carried++
 	n.nextEvOK = false
 	if n.heapMode {
-		f.inComp = true
-		n.comp.push(compEntry{f: f, at: n.completionTime(f), gen: f.compGen})
+		// The successor carries its predecessor's rate and bottleneck, so it
+		// joins the predecessor's class, re-keying it if it heads it.
+		c := &f.bneck.cls
+		n.joinClass(c, f)
+		if c.members[0] == f {
+			n.keyClass(c)
+		}
 	}
 	return f
 }
@@ -774,7 +795,11 @@ func (n *Network) compactSegLog() {
 // point and now, at the flow's current rate (constant across its pending segments by construction:
 // every rate change settles the flow with the outgoing rate first — see
 // the post-fill settle loops in recompute).
-func (n *Network) settleFlow(f *Flow) { n.settleFlowAt(f, f.rate) }
+func (n *Network) settleFlow(f *Flow) {
+	if f.segIdx < n.segTop() {
+		n.settleFlowAt(f, f.rate)
+	}
+}
 
 // settleFlowAt replays f's pending segments at the given rate, one
 // clamped rate×dt deduction per segment in order — the FP replay rule:
@@ -864,9 +889,12 @@ func (n *Network) reapScan() {
 // flows at exactly the events a scan of the active set would.
 const reapSlack = 256
 
-// reapHeap pops completion candidates from the heap: every entry keyed at
-// or before now+reapSlack is settled and either finished or re-keyed with
-// its freshly evaluated completion time.
+// reapHeap pops completion candidates from the heap: for every class
+// entry keyed at or before now+reapSlack, the class is walked from its
+// head, finishing members while their settled remaining bytes are below
+// the completion threshold (members leave in remaining order, so the first
+// one above it ends the walk), and a class with members left is re-keyed
+// with its head's freshly evaluated completion time.
 func (n *Network) reapHeap() {
 	if len(n.comp) == 0 {
 		return
@@ -878,13 +906,22 @@ func (n *Network) reapHeap() {
 		if e.stale() {
 			continue
 		}
-		n.reapScans++
-		n.settleFlow(e.f)
-		if e.f.remaining < 0.5 {
-			n.removeActive(e.f)
-			n.finish(e.f)
-		} else {
-			e.at = n.completionTime(e.f)
+		c := e.c
+		for len(c.members) > 0 {
+			h := c.members[0]
+			n.reapScans++
+			n.settleFlow(h)
+			if h.remaining >= 0.5 {
+				break
+			}
+			n.leaveClass(h) // an emptied class bumps its generation
+			n.removeActive(h)
+			n.finish(h)
+		}
+		if len(c.members) > 0 {
+			h := c.members[0]
+			c.head = h
+			e.at, e.id = n.completionTime(h), h.ID
 			scratch = append(scratch, e)
 		}
 	}
@@ -900,7 +937,6 @@ func (n *Network) finish(f *Flow) {
 	f.remaining = 0
 	f.done = true
 	f.active = false
-	f.inComp = false
 	f.CompletedAt = n.now
 	f.doneGen = n.recomputes
 	n.detachFlow(f)
@@ -930,10 +966,14 @@ func (n *Network) Abort(f *Flow) {
 		return
 	}
 	n.settleFlow(f)
+	if f.cls != nil {
+		// The class's head may change; the recompute this abort forces
+		// re-keys it (every member crosses the dirtied bottleneck).
+		n.leaveClass(f)
+	}
 	n.removeActive(f)
 	f.done = true
 	f.active = false
-	f.inComp = false
 	f.CompletedAt = n.now
 	n.detachFlow(f)
 	n.markRouteDirty(f.route)
@@ -959,8 +999,8 @@ func (n *Network) removeActive(f *Flow) {
 // connected components of the flow/resource graph refill (components.go);
 // components untouched since the last recompute keep their allocation
 // verbatim — bit-identical to one fill over every flow, because the max-min
-// allocation factors across components. The completion index is re-keyed
-// only for the refilled flows whose rate actually changed.
+// allocation factors across components. The completion index re-keys only
+// the rate classes whose rate or head the refill changed.
 func (n *Network) recompute() {
 	n.recomputes++
 	n.ratesDirty = false
@@ -981,60 +1021,6 @@ func (n *Network) recompute() {
 	}
 }
 
-// rekeyCompletions refreshes the completion index after a recompute. Tiny
-// active sets skip the heap entirely — a direct scan is cheaper than
-// maintaining it; above the threshold the heap is persistent and only flows
-// whose rate changed get a new (generation-bumped) entry. Only the
-// recompute's touched flows are examined: untouched flows kept their rate
-// (prevRate == rate between recomputes), so their absolute completion
-// times — and heap entries — are still valid.
-func (n *Network) rekeyCompletions(touched []*Flow) {
-	if len(n.active) <= compHeapThreshold {
-		if n.heapMode {
-			n.heapMode = false
-			n.comp = n.comp[:0]
-			for _, f := range n.active {
-				f.inComp = false
-			}
-		}
-		return
-	}
-	changed := 0
-	if n.heapMode {
-		for _, f := range touched {
-			if !f.inComp || f.rate != f.prevRate {
-				changed++
-			}
-		}
-	}
-	// When a recompute moved most rates (one shared bottleneck ripples to
-	// every flow — the common single-machine case), a wholesale rebuild is
-	// cheaper than per-entry pushes into a garbage-laden heap: heap.init is
-	// O(F) and leaves no stale entries. The incremental path pays off when
-	// ripples are sparse — a fleet's flows on disjoint PCIe links keep
-	// their keys. The rebuild also runs when lazily discarded garbage has
-	// accumulated past a small multiple of the live entries.
-	if !n.heapMode || 4*changed >= len(n.active) || len(n.comp) > 4*len(n.active)+64 {
-		n.heapMode = true
-		n.comp = n.comp[:0]
-		for _, f := range n.active {
-			f.compGen++
-			f.inComp = true
-			n.comp = append(n.comp, compEntry{f: f, at: n.completionTime(f), gen: f.compGen})
-		}
-		n.comp.init()
-		return
-	}
-	for _, f := range touched {
-		if f.inComp && f.rate == f.prevRate {
-			continue // absolute completion time unchanged; entry still valid
-		}
-		f.compGen++
-		f.inComp = true
-		n.comp.push(compEntry{f: f, at: n.completionTime(f), gen: f.compGen})
-	}
-}
-
 // compHeapThreshold is the active-flow count above which NextEvent switches
 // from a direct scan to the completion-time heap.
 const compHeapThreshold = 12
@@ -1052,6 +1038,12 @@ const certTol = 1e-9
 // count route occurrences, as the fill does: a route naming a resource
 // twice loads it twice. Every comparison allows certTol slack. It reports
 // the first violation.
+//
+// It first flushes pending rates, as NextEvent does. Called right before a
+// NextEvent, as the cluster driver's check does, that flush is the one
+// NextEvent would have made, and every engine counter ends as without the
+// call; called after a change that no NextEvent follows, it adds a
+// recompute.
 func (n *Network) CheckMaxMin() error {
 	n.flushRates()
 	load := make([]float64, len(n.res))

@@ -190,6 +190,7 @@ func recycleDifferential(t *testing.T, seed int64, tenants, steps, minFlows int)
 		}
 		for _, l := range legs {
 			checkMaxMin(t, l.n)
+			mustCheckClasses(t, l.n)
 		}
 		for _, l := range legs[1:] {
 			if kn, ln := keep.n.NextEvent(), l.n.NextEvent(); kn != ln {

@@ -45,15 +45,26 @@
 // so it runs once, after the last tenant finishes, not at every advance.
 //
 // Cost: a checked advance steps every live un-woken tenant once more (the
-// wake check), re-derives the max-min certificate over the active flows,
-// and scans the touched machines' tensor states. The experiments tests run
-// every golden figure checked, at about two to three times the unchecked
-// pass's wall time.
+// wake check; it visits only the admitted tenants that are not done, so a
+// serving trace's finished and future requests cost nothing), re-derives
+// the max-min certificate over the active flows, and scans the touched
+// machines' tensor states. The experiments tests run every golden figure
+// checked, at about two to three times the unchecked pass's wall time.
 //
 // The first violation fails the run with an error. A run that passes is
 // the run an unchecked one would have been: the wake check's extra steps
 // are no-ops by what it asserts, and the certificate's rate flush is the
-// one the next NextEvent would have made.
+// one the driver's next NextEvent would have made, because the driver
+// checks right before it asks NextEvent for the next advance. The last
+// check, when every tenant is done, has no NextEvent after it; its flush
+// is extra only if the final steps changed the network after the last
+// AdvanceEventwise, which ends by asking NextEvent itself
+// (TestEventDriverMatchesPolling pins equal EngineStats, checked and
+// not). Other callers of CheckMaxMin get no such guarantee: one that
+// changes the network and certifies without asking NextEvent again (after
+// a loop's last event, say) pays a recompute the uncertified run never
+// makes, and the fill counters move with it. flownet's
+// TestCheckMaxMinNeutralInDriverLoop pins both cases.
 
 package gpu
 
@@ -66,17 +77,29 @@ import (
 )
 
 // checkInvariants asserts the invariants above on the driver's tenants at
-// the current clock; ledgers is the run's own pool and ledger check
+// the current clock; live holds the tenants the driver admitted (a done
+// one leaves it here), ledgers is the run's own pool and ledger check
 // (machineCheck.check for a cluster, infEngine.checkLedgers for serving),
 // and dig the run's digest pair for the wake check.
-func checkInvariants(net *flownet.Network, tenants []tenant, ledgers func() error, dig *[2]tenantDigest) error {
+func checkInvariants(net *flownet.Network, tenants []tenant, live *wakeSet, ledgers func() error, dig *[2]tenantDigest) error {
 	if err := net.CheckMaxMin(); err != nil {
 		return fmt.Errorf("gpu: check at %v: %w", net.Now(), err)
 	}
-	for _, t := range tenants {
-		if err := checkWake(t, net.Now(), dig); err != nil {
-			return fmt.Errorf("gpu: check at %v: tenant %d: %w", net.Now(), t.core().idx, err)
+	var err error
+	live.forEach(func(i int) {
+		t := tenants[i]
+		switch {
+		case err != nil:
+		case t.core().phase == phaseDone:
+			live.clear(i)
+		default:
+			if e := checkWake(t, net.Now(), dig); e != nil {
+				err = fmt.Errorf("gpu: check at %v: tenant %d: %w", net.Now(), i, e)
+			}
 		}
+	})
+	if err != nil {
+		return err
 	}
 	if err := ledgers(); err != nil {
 		return fmt.Errorf("gpu: check at %v: %w", net.Now(), err)

@@ -68,10 +68,10 @@ type ClusterParams struct {
 	// Check asserts the engine's invariants at every clock advance (see
 	// check.go) and fails the run with an error at the first violation. A
 	// run that passes is identical to an unchecked one. Each advance costs
-	// a wake-check step of every live tenant, a pass over the active flows,
-	// and a scan of the tensor states of the tenants the driver touched
-	// since the last advance; the run ends with a full scan and the FTL's
-	// own consistency check.
+	// a wake-check step of every live (admitted, not done) tenant, a pass
+	// over the active flows, and a scan of the tensor states of the tenants
+	// the driver touched since the last advance; the run ends with a full
+	// scan and the FTL's own consistency check.
 	Check bool
 	// StepCount, when non-nil, accumulates the run's step-machine
 	// invocations — the scheduler-cost metric BenchmarkClusterScaling pins
@@ -578,9 +578,13 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 	queued := newWakeSet(n)
 	var execH execHeap
 	var wake []int
+	// live holds the admitted tenants for the wake check (checked runs
+	// only: mark is a no-op on nil).
 	var dig *[2]tenantDigest
+	var live *wakeSet
 	if opt.check != nil {
 		dig = new([2]tenantDigest)
+		live = newWakeSet(n)
 	}
 
 	// Jobs arriving mid-simulation, ordered by (arrival, index).
@@ -622,6 +626,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 		}
 		ready.set(i)
 		touched.mark(i)
+		live.mark(i)
 	}
 
 	for {
@@ -666,7 +671,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 			continue
 		}
 		if opt.check != nil {
-			if err := checkInvariants(net, tenants, opt.check, dig); err != nil {
+			if err := checkInvariants(net, tenants, live, opt.check, dig); err != nil {
 				return err
 			}
 		}
@@ -754,6 +759,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 			}
 			ready.set(i)
 			touched.mark(i)
+			live.mark(i)
 		}
 	}
 }

@@ -108,10 +108,10 @@ type InferenceParams struct {
 
 	// Check asserts the engine's invariants at every clock advance (see
 	// check.go) and fails the run at the first violation, as
-	// ClusterParams.Check does. Each advance costs a pass over every
-	// request of the trace (a wake-check step of each live one), over the
-	// active flows, and over each server's requests for the block-pool and
-	// host-tier ledgers.
+	// ClusterParams.Check does. Each advance costs a wake-check step of each
+	// live (arrived, unfinished) request, a pass over the active flows, and
+	// a pass over each server's requests for the block-pool and host-tier
+	// ledgers.
 	Check bool
 	// StepCount and Engine are scheduler plumbing, as in ClusterParams.
 	StepCount *int64
