@@ -474,7 +474,6 @@ func SimulateCluster(jobs []ClusterJob, ccfg ClusterConfig) (ClusterReport, erro
 			Analysis:    j.Workload.analysis,
 			Policy:      pol,
 			Config:      tenantConfig(shared, j.Policy),
-			Tag:         fmt.Sprintf("gpu%d", i),
 			ArrivalTime: units.Time(j.ArrivalSeconds * float64(units.Second)),
 			Recovery:    rec,
 		}

@@ -68,7 +68,6 @@ type Controller struct {
 	// whether any signal with flows has arrived yet.
 	fetchEMA, evictEMA   float64
 	fetchSeen, evictSeen bool
-	lateFetches          int64
 	// base is the static plan the first NextProgram call saw; every
 	// re-timing is derived from it, and the controller hands it back when
 	// contention subsides.
@@ -83,7 +82,6 @@ func New(cfg Config) *Controller {
 // Observe folds one iteration's signal into the EMAs. Directions with no
 // completed flows carry no information and leave their EMA untouched.
 func (c *Controller) Observe(sig gpu.LatenessSignal) {
-	c.lateFetches += sig.LateFetches
 	if sig.FetchFlows > 0 {
 		c.fetchEMA = c.fold(c.fetchEMA, sig.FetchInflation(), &c.fetchSeen)
 	}
@@ -147,6 +145,3 @@ func (c *Controller) NextProgram(cur *planner.Program) *planner.Program {
 	}
 	return np
 }
-
-// LateFetches reports the cumulative plan deadline misses observed.
-func (c *Controller) LateFetches() int64 { return c.lateFetches }

@@ -16,7 +16,6 @@ import (
 func sig(fetchInflation float64) gpu.LatenessSignal {
 	return gpu.LatenessSignal{
 		FetchFlows:     4,
-		FetchBytes:     units.GB,
 		FetchExclusive: units.Second,
 		FetchRealized:  units.Duration(fetchInflation * float64(units.Second)),
 	}
@@ -65,8 +64,7 @@ func TestControllerIgnoresEmptyDirections(t *testing.T) {
 	}
 	// An eviction-only signal must not disturb the fetch EMA.
 	c.Observe(gpu.LatenessSignal{
-		EvictFlows: 2, EvictBytes: units.MB,
-		EvictExclusive: units.Millisecond, EvictRealized: 3 * units.Millisecond,
+		EvictFlows: 2, EvictExclusive: units.Millisecond, EvictRealized: 3 * units.Millisecond,
 	})
 	if c.FetchInflation() != 1 {
 		t.Errorf("fetch EMA moved on an evict-only signal: %v", c.FetchInflation())
@@ -79,8 +77,7 @@ func TestControllerIgnoresEmptyDirections(t *testing.T) {
 func TestControllerDeferOnIdleWritePath(t *testing.T) {
 	c := New(Config{})
 	c.Observe(gpu.LatenessSignal{
-		EvictFlows: 2, EvictBytes: units.MB,
-		EvictExclusive: units.Millisecond, EvictRealized: units.Millisecond,
+		EvictFlows: 2, EvictExclusive: units.Millisecond, EvictRealized: units.Millisecond,
 	})
 	rt, ok := c.Retiming()
 	if !ok || !rt.DeferEvictions {
@@ -88,8 +85,7 @@ func TestControllerDeferOnIdleWritePath(t *testing.T) {
 	}
 	// A busy write path disables it again.
 	c.Observe(gpu.LatenessSignal{
-		EvictFlows: 2, EvictBytes: units.MB,
-		EvictExclusive: units.Millisecond, EvictRealized: 10 * units.Millisecond,
+		EvictFlows: 2, EvictExclusive: units.Millisecond, EvictRealized: 10 * units.Millisecond,
 	})
 	if rt, _ := c.Retiming(); rt.DeferEvictions {
 		t.Errorf("busy write path (EMA %.2f) still deferring", c.EvictInflation())

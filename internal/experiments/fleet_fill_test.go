@@ -6,14 +6,13 @@ import (
 	"g10sim/internal/gpu"
 )
 
-// TestFleetFrontierReuses: the fleet study's real dynamic-arrival trace
+// TestFleetFillCounters: the fleet study's real dynamic-arrival trace
 // couples most tenants through the shared array channels into one giant
 // component, and the cluster driver must report the fill-work counters of
 // its rate re-derivations, with the retired frontier-reuse count at 0.
 // (That the heap fill is bit-identical to the reference fill is pinned in
-// flownet, on the op stream the drivers issue. The name is kept from the
-// frontier-incremental refill this test once measured; DESIGN.md §13.)
-func TestFleetFrontierReuses(t *testing.T) {
+// flownet, on the op stream the drivers issue; DESIGN.md §13.)
+func TestFleetFillCounters(t *testing.T) {
 	s := NewSession(Options{Short: true})
 	jobs, err := s.fleetTrace(16)
 	if err != nil {

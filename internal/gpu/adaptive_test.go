@@ -78,8 +78,6 @@ func TestReplannerHookCadence(t *testing.T) {
 		}
 		sum.FetchFlows += s.FetchFlows
 		sum.EvictFlows += s.EvictFlows
-		sum.FetchBytes += s.FetchBytes
-		sum.EvictBytes += s.EvictBytes
 	}
 	if sum.FetchFlows == 0 || sum.EvictFlows == 0 {
 		t.Errorf("pressured run reported no migration flows: %+v", sum)
@@ -162,9 +160,9 @@ func TestReplannerSignalSeesContention(t *testing.T) {
 	}
 }
 
-// TestEventDriverMatchesPollingAdaptive: tenants that re-time their
-// programs mid-run must pass Check.
-func TestEventDriverMatchesPollingAdaptive(t *testing.T) {
+// TestAdaptiveTenantsUnderCheck: tenants that re-time their programs
+// mid-run must pass Check.
+func TestAdaptiveTenantsUnderCheck(t *testing.T) {
 	a1 := analyze(t, models.TinyCNN(128), 200)
 	a2 := analyze(t, models.TinyMLP(64), 50)
 	build := func() ClusterParams {

@@ -44,8 +44,6 @@ type ClusterTenant struct {
 	// ExecTrace overrides the replayed kernel durations (nil = the trace
 	// the analysis was built from).
 	ExecTrace *profile.Trace
-	// Tag namespaces the tenant's PCIe resources ("gpu<i>" if empty).
-	Tag string
 	// ArrivalTime admits the job mid-simulation: it joins — seeding its
 	// global tensors into the then-current shared pool and array — when
 	// the shared clock reaches this value. <= 0 means present from the
@@ -203,11 +201,7 @@ func RunCluster(p ClusterParams) (ClusterResult, error) {
 		cfg.SSD = shCfg.SSD
 		cfg.HostCapacity = shCfg.HostCapacity
 		cfg.HostDRAMBandwidth = shCfg.HostDRAMBandwidth
-		tag := t.Tag
-		if tag == "" {
-			tag = fmt.Sprintf("gpu%d", i)
-		}
-		m := newTenantShell(t.Analysis, cfg, net, tag)
+		m := newTenantShell(t.Analysis, cfg, net, fmt.Sprintf("gpu%d", i))
 		m.idx, m.check = i, p.Check
 		if i == 0 {
 			// Shared resources are registered after tenant 0's PCIe
@@ -343,10 +337,7 @@ type tenant interface {
 // reached phaseDone, and err a hard simulator error that ends the run. idx
 // is the tenant slot and arrival its admission time (<= 0 = present from
 // the start). inExecHeap marks a live entry in the driver's kernel-end heap.
-// onHostWake, set by the driver, marks the tenant ready: a training tenant
-// registers it with the shared host pool after a blocked wait that followed
-// a denied reservation (hostSubscribed dedupes), and a serving server calls
-// it when it grants the request blocks.
+// ready is the driver's ready set, which hostWake marks.
 type sched struct {
 	phase          stepPhase
 	execEnd        units.Time
@@ -354,12 +345,21 @@ type sched struct {
 	err            error
 	idx            int
 	arrival        units.Time
-	onHostWake     func()
+	ready          *wakeSet
 	inExecHeap     bool
 	hostSubscribed bool
 }
 
 func (s *sched) core() *sched { return s }
+
+// hostWake marks the tenant ready: a training tenant subscribes it to the
+// shared host pool after a blocked wait that followed a denied reservation
+// (hostSubscribed dedupes), and a serving server calls it when it grants
+// the request blocks.
+func (s *sched) hostWake() {
+	s.hostSubscribed = false
+	s.ready.set(s.idx)
+}
 
 // driveOptions is the per-run scheduler configuration: check, when
 // non-nil, is the run's own ledger check, and makes the driver run
@@ -604,13 +604,9 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 	})
 	arrCursor := 0
 
-	// Host-pool grant subscriptions wake their tenant by marking it ready.
+	// Host-pool grants wake their tenant by marking it ready (hostWake).
 	for _, t := range tenants {
-		s := t.core()
-		s.onHostWake = func() {
-			s.hostSubscribed = false
-			ready.set(s.idx)
-		}
+		t.core().ready = ready
 	}
 
 	// Day-zero tenants are admitted in tenant order before the clock moves

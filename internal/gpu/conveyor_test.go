@@ -63,10 +63,10 @@ func TestConveyorMatchesChunkReference(t *testing.T) {
 	}
 }
 
-// TestConveyorMatchesChunkReferenceAdaptive extends the checked chunk-train
-// run to tenants that re-time their programs mid-run from the lateness
-// signal, which is accumulated per chunk.
-func TestConveyorMatchesChunkReferenceAdaptive(t *testing.T) {
+// TestAdaptiveChunkTrainsUnderCheck extends the checked chunk-train run to
+// tenants that re-time their programs mid-run from the lateness signal,
+// which is accumulated per chunk.
+func TestAdaptiveChunkTrainsUnderCheck(t *testing.T) {
 	a1 := analyze(t, models.TinyCNN(128), 200)
 	a2 := analyze(t, models.TinyMLP(64), 50)
 	build := func() ClusterParams {

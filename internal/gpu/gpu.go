@@ -64,8 +64,6 @@ type Config struct {
 	// TranslationGranularity is the page size of the tensors' virtual
 	// spans and of the TLB; each tensor has one PTE (DESIGN.md §1–§2).
 	TranslationGranularity units.Bytes
-	// PTWalkLatency is charged per TLB miss.
-	PTWalkLatency units.Duration
 
 	// Iterations is how many training iterations to simulate; the last
 	// one is measured (steady state). Default 2.
@@ -90,7 +88,6 @@ func Default() Config {
 		MigrationChunk:          64 * units.MB,
 		PageSize:                4 * units.KB,
 		TranslationGranularity:  2 * units.MB,
-		PTWalkLatency:           600 * units.Nanosecond,
 		Iterations:              2,
 	}
 }
@@ -138,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TranslationGranularity <= 0 {
 		c.TranslationGranularity = d.TranslationGranularity
-	}
-	if c.PTWalkLatency <= 0 {
-		c.PTWalkLatency = d.PTWalkLatency
 	}
 	if c.Iterations <= 0 {
 		c.Iterations = d.Iterations

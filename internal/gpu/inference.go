@@ -864,7 +864,7 @@ func (srv *infServer) pump() {
 			q.gpu++
 			q.alloc++
 			q.granted = true
-			q.onHostWake()
+			q.hostWake()
 		}
 		for len(srv.admit) > 0 {
 			head := srv.admit[0].q
@@ -907,7 +907,7 @@ func (srv *infServer) grantAdmit(q *infReq, need int) {
 	q.alloc += need
 	srv.active = append(srv.active, q)
 	q.granted = true
-	q.onHostWake()
+	q.hostWake()
 }
 
 // demand resolves decode pressure immediately: the youngest admitted

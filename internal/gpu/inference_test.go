@@ -383,6 +383,29 @@ func driveParams() InferenceParams {
 	}
 }
 
+// TestInferenceDriveAllocsPerRequest pins the serving driver's allocations
+// on BenchmarkInferenceDrive's run: the per-run setup and the slices that
+// grow with the trace amortize to well under one allocation per request,
+// so anything allocated once per request (a wake closure, say) shows.
+func TestInferenceDriveAllocsPerRequest(t *testing.T) {
+	const maxPerRequest = 0.5
+	p := driveParams()
+	var err error
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, e := RunInference(p); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := allocs / float64(len(p.Requests))
+	t.Logf("serving driver allocated %.0f times per run, %.3f per request", allocs, per)
+	if per > maxPerRequest {
+		t.Errorf("serving driver allocated %.3f times per request, want <= %v", per, maxPerRequest)
+	}
+}
+
 // BenchmarkInferenceDrive is the serving driver's layer benchmark: 5k
 // requests of the benchmark's chat-service shape (125 req/s, prompts
 // N(512, 160), outputs Exp(160)) under tiered KV on the default four

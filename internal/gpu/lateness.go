@@ -19,17 +19,12 @@ type LatenessSignal struct {
 	// Fetch covers host/flash -> GPU transfers (prefetches and demand
 	// fetches); Evict covers GPU -> host/flash pre-evictions.
 	FetchFlows, EvictFlows int64
-	FetchBytes, EvictBytes units.Bytes
 	// Realized sums each chunk flow's wall time on the wire (completion
 	// minus activation; fixed device latencies are excluded from both
 	// sides). Exclusive sums the bottleneck-bandwidth time of the same
 	// flows.
 	FetchRealized, FetchExclusive units.Duration
 	EvictRealized, EvictExclusive units.Duration
-	// LateFetches counts planned tensors a kernel still had to wait for:
-	// scheduled fetches issued for absent planned tensors and queued
-	// prefetches upgraded to fault priority — the plan's deadline misses.
-	LateFetches int64
 }
 
 // Sub returns the delta signal since prev (a snapshot of the same machine).
@@ -37,13 +32,10 @@ func (s LatenessSignal) Sub(prev LatenessSignal) LatenessSignal {
 	return LatenessSignal{
 		FetchFlows:     s.FetchFlows - prev.FetchFlows,
 		EvictFlows:     s.EvictFlows - prev.EvictFlows,
-		FetchBytes:     s.FetchBytes - prev.FetchBytes,
-		EvictBytes:     s.EvictBytes - prev.EvictBytes,
 		FetchRealized:  s.FetchRealized - prev.FetchRealized,
 		FetchExclusive: s.FetchExclusive - prev.FetchExclusive,
 		EvictRealized:  s.EvictRealized - prev.EvictRealized,
 		EvictExclusive: s.EvictExclusive - prev.EvictExclusive,
-		LateFetches:    s.LateFetches - prev.LateFetches,
 	}
 }
 
@@ -93,12 +85,10 @@ func (m *Machine) noteChunkDone(mig *migration, f *flownet.Flow) {
 	}
 	if mig.kind == uvm.PreEvict {
 		m.lat.EvictFlows++
-		m.lat.EvictBytes += mig.chunk
 		m.lat.EvictRealized += realized
 		m.lat.EvictExclusive += exclusive
 	} else {
 		m.lat.FetchFlows++
-		m.lat.FetchBytes += mig.chunk
 		m.lat.FetchRealized += realized
 		m.lat.FetchExclusive += exclusive
 	}

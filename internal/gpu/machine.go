@@ -40,12 +40,12 @@ type Policy interface {
 	DirectFlash() bool
 }
 
-// Shared is the substrate a cluster's tenants contend on: one simulation
-// clock and flow network, one flash array behind one FTL, and one host
-// memory pool with its DRAM bus. Run is a one-tenant cluster, so the
-// one-tenant and N-tenant configurations execute identical code paths.
+// Shared is the substrate a cluster's tenants contend on: one flash array
+// behind one FTL, and one host memory pool with its DRAM bus, whose
+// bandwidths are resources on the run's one flow network and clock. Run is
+// a one-tenant cluster, so the one-tenant and N-tenant configurations
+// execute identical code paths.
 type Shared struct {
-	net  *flownet.Network
 	dev  *ssd.Device
 	host *uvm.MemPool
 
@@ -106,7 +106,7 @@ func NewShared(net *flownet.Network, cfg Config) (*Shared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gpu: %w", err)
 	}
-	sh := &Shared{net: net, dev: dev, host: uvm.NewMemPool(cfg.HostCapacity), plans: new(PlanCache)}
+	sh := &Shared{dev: dev, host: uvm.NewMemPool(cfg.HostCapacity), plans: new(PlanCache)}
 	sh.ssdRead = net.AddResource("ssd-read", dev.EffectiveReadBandwidth())
 	sh.ssdWrite = net.AddResource("ssd-write", dev.EffectiveWriteBandwidth())
 	sh.hostBusIn = net.AddResource("hostmem-in", cfg.HostDRAMBandwidth)
@@ -148,7 +148,7 @@ type Machine struct {
 	g      *dnn.Graph
 	pol    Policy
 	sh     *Shared
-	net    *flownet.Network // == sh.net
+	net    *flownet.Network // the run's clock and flows
 	dev    *ssd.Tenant      // attribution view on sh.dev
 	host   *uvm.MemPool     // == sh.host
 	tlb    *uvm.TLB
@@ -213,7 +213,6 @@ type Machine struct {
 	faultedBytes  units.Bytes
 	overflowKerns int
 	overflowBytes units.Bytes
-	walkPenalty   units.Duration
 
 	failed     bool
 	failReason string
@@ -258,7 +257,6 @@ func newTenantShell(a *vitality.Analysis, cfg Config, net *flownet.Network, tag 
 		g:   a.Graph,
 		net: net,
 		tlb: uvm.MustNewTLB(64, 8, cfg.TranslationGranularity),
-		arb: uvm.Arbiter{MaxBatchBytes: 256 * units.MB},
 	}
 	prefix := ""
 	if tag != "" {
@@ -609,7 +607,7 @@ func (m *Machine) RequestEvict(id int, dst uvm.Location) bool {
 		return false
 	}
 	r := m.getRequest()
-	*r = uvm.Request{Kind: uvm.PreEvict, TensorID: id, VA: st.va, Bytes: st.t.Size, Src: uvm.InGPU, Dst: dst}
+	*r = uvm.Request{Kind: uvm.PreEvict, TensorID: id, Bytes: st.t.Size, Src: uvm.InGPU, Dst: dst}
 	m.untrack(st)
 	st.pend = r
 	m.track(st)
@@ -634,7 +632,6 @@ func (m *Machine) RequestScheduledFetch(id int) bool {
 
 func (m *Machine) requestFetch(id int, kind uvm.RequestKind, scheduled bool) bool {
 	st := &m.states[id]
-	late := scheduled // a scheduled fetch is by definition a deadline miss
 	if st.pend != nil {
 		if st.pend.Kind == uvm.PreEvict && st.fly == nil {
 			// Still queued, not started: cancel the eviction instead.
@@ -645,7 +642,6 @@ func (m *Machine) requestFetch(id int, kind uvm.RequestKind, scheduled bool) boo
 			// Upgrade a queued (not yet started) prefetch to fault
 			// priority: the kernel is now blocked on it — a planned
 			// migration that missed its deadline.
-			late = true
 			m.clearPend(st)
 		} else {
 			return false
@@ -654,14 +650,8 @@ func (m *Machine) requestFetch(id int, kind uvm.RequestKind, scheduled bool) boo
 	if st.loc != uvm.InHost && st.loc != uvm.InFlash {
 		return false
 	}
-	if late {
-		// One deadline miss per late tensor, whether the plan's prefetch
-		// was still queued (upgraded above) or never issued and the
-		// instrumented runtime services it as a scheduled transfer (§4.6).
-		m.lat.LateFetches++
-	}
 	r := m.getRequest()
-	*r = uvm.Request{Kind: kind, TensorID: id, VA: st.va, Bytes: st.t.Size, Src: st.loc, Dst: uvm.InGPU, Scheduled: scheduled}
+	*r = uvm.Request{Kind: kind, TensorID: id, Bytes: st.t.Size, Src: st.loc, Dst: uvm.InGPU, Scheduled: scheduled}
 	m.untrack(st)
 	st.pend = r
 	m.track(st)
@@ -1037,10 +1027,7 @@ func (m *Machine) touch(id int) {
 	m.untrack(st)
 	st.lastUse = m.Now()
 	m.track(st)
-	if _, hit := m.tlb.Lookup(st.va); !hit {
-		m.walkPenalty += m.cfg.PTWalkLatency
-		if st.pte.Loc != uvm.Unmapped {
-			m.tlb.Insert(st.va, st.pte)
-		}
+	if _, hit := m.tlb.Lookup(st.va); !hit && st.pte.Loc != uvm.Unmapped {
+		m.tlb.Insert(st.va, st.pte)
 	}
 }

@@ -106,7 +106,7 @@ type runner struct {
 	checkFail bool
 	// hostRejects0 is the machine's host-reservation denial count when the
 	// current step began: a blocked wait after a new denial subscribes
-	// onHostWake to the shared host pool's grant queue.
+	// hostWake to the shared host pool's grant queue.
 	hostRejects0 int64
 
 	// Fault-injection and recovery state (faults.go). ckptEvery > 0
@@ -357,7 +357,7 @@ func (r *runner) stepWait() bool {
 			// wakes this tenant explicitly instead of relying on a re-poll.
 			if !r.hostSubscribed && m.hostRejects > r.hostRejects0 {
 				r.hostSubscribed = true
-				m.host.AwaitFreeFor(m.idx, m.lastHostReject, r.onHostWake)
+				m.host.AwaitFreeFor(m.idx, m.lastHostReject, r.hostWake)
 			}
 			r.checkFail = true
 			return false
@@ -415,10 +415,10 @@ func (r *runner) scanWorkingSet(kern *dnn.Kernel) (bool, units.Bytes) {
 	return ready, allocDeficit
 }
 
-// startExec launches kernel k: touch its tensors for LRU and the
-// translation model (the accumulated walk penalty is reported as a
-// statistic; at 4KB-page × 600ns it is negligible against kernel durations
-// and is not charged to time), then run until execEnd on the shared clock.
+// startExec launches kernel k: touch its tensors for LRU and the TLB (a
+// miss refills the TLB but charges no page-walk time; see DESIGN.md §2),
+// then run until execEnd on the shared clock. penalty is the overflow
+// streaming time, if the working set did not fit.
 func (r *runner) startExec(kern *dnn.Kernel, penalty units.Duration) {
 	m := r.m
 	for _, t := range kern.Tensors() {

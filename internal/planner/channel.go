@@ -12,7 +12,6 @@ import (
 // and the timeline wraps cyclically so that a global tensor's iteration-
 // crossing migration lands in the next iteration's early slots.
 type channel struct {
-	name   string
 	starts []units.Time // kernel boundaries; starts[n] = iteration total
 	free   []float64    // free seconds remaining per slot
 	span   []float64    // slot lengths in seconds
@@ -29,10 +28,9 @@ type draw struct {
 	amt  float64
 }
 
-func newChannel(name string, starts []units.Time, bw units.Bandwidth) *channel {
+func newChannel(starts []units.Time, bw units.Bandwidth) *channel {
 	n := len(starts) - 1
 	c := &channel{
-		name:   name,
 		starts: starts,
 		free:   make([]float64, n),
 		span:   make([]float64, n),

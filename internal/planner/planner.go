@@ -37,38 +37,32 @@ type Config struct {
 	SSDReadBW   units.Bandwidth
 	HostWriteBW units.Bandwidth // GPU -> host (PCIe-bound)
 	HostReadBW  units.Bandwidth // host -> GPU (PCIe-bound)
-
-	// SSDFullThreshold is the busy fraction above which the to-SSD channel
-	// counts as "full" in Algorithm 1's destination choice.
-	SSDFullThreshold float64
-	// MaxDecisions bounds the eviction search (safety valve).
-	MaxDecisions int
 }
+
+const (
+	// ssdFullThreshold is the busy fraction above which the to-SSD channel
+	// counts as "full" in Algorithm 1's destination choice.
+	ssdFullThreshold = 0.85
+	// maxDecisions bounds the eviction search (safety valve).
+	maxDecisions = 200000
+)
 
 // Default returns the paper's system configuration: 40 GB GPU, 128 GB host,
 // Z-NAND SSD bandwidths, PCIe 3.0 ×16 host link.
 func Default() Config {
 	return Config{
-		GPUCapacity:      40 * units.GB,
-		HostCapacity:     128 * units.GB,
-		UseHost:          true,
-		UseSSD:           true,
-		SSDWriteBW:       units.GBps(3.0),
-		SSDReadBW:        units.GBps(3.2),
-		HostWriteBW:      units.GBps(15.754),
-		HostReadBW:       units.GBps(15.754),
-		SSDFullThreshold: 0.85,
-		MaxDecisions:     200000,
+		GPUCapacity:  40 * units.GB,
+		HostCapacity: 128 * units.GB,
+		UseHost:      true,
+		UseSSD:       true,
+		SSDWriteBW:   units.GBps(3.0),
+		SSDReadBW:    units.GBps(3.2),
+		HostWriteBW:  units.GBps(15.754),
+		HostReadBW:   units.GBps(15.754),
 	}
 }
 
 func (c Config) withDefaults() Config {
-	if c.SSDFullThreshold <= 0 {
-		c.SSDFullThreshold = 0.85
-	}
-	if c.MaxDecisions <= 0 {
-		c.MaxDecisions = 200000
-	}
 	if !c.UseSSD && !c.UseHost {
 		c.UseSSD = true
 	}
@@ -86,7 +80,6 @@ type Decision struct {
 	// before kernel PrefetchBoundary.
 	PrefetchBoundary int
 	// Estimated times on the planning timeline.
-	EvictStart    units.Time
 	EvictDone     units.Time
 	PrefetchStart units.Time
 	Deadline      units.Time
@@ -184,10 +177,10 @@ func New(a *vitality.Analysis, cfg Config) *Plan {
 	}
 	pl.presTree = newMaxTree(pl.pressure)
 	pl.hostTree = newMaxTree(pl.hostUsed)
-	pl.ssdWrite = newChannel("ssd-write", a.Starts, cfg.SSDWriteBW)
-	pl.ssdRead = newChannel("ssd-read", a.Starts, cfg.SSDReadBW)
-	pl.hostWrite = newChannel("host-write", a.Starts, cfg.HostWriteBW)
-	pl.hostRead = newChannel("host-read", a.Starts, cfg.HostReadBW)
+	pl.ssdWrite = newChannel(a.Starts, cfg.SSDWriteBW)
+	pl.ssdRead = newChannel(a.Starts, cfg.SSDReadBW)
+	pl.hostWrite = newChannel(a.Starts, cfg.HostWriteBW)
+	pl.hostRead = newChannel(a.Starts, cfg.HostReadBW)
 
 	pl.scheduleEvictions()
 	pl.schedulePrefetches()
@@ -259,7 +252,7 @@ func (pl *planner) scheduleEvictions() {
 	}
 	heap.Init(h)
 
-	for len(*h) > 0 && len(pl.decisions) < pl.cfg.MaxDecisions {
+	for len(*h) > 0 && len(pl.decisions) < maxDecisions {
 		if pl.maxExcess(cap) <= 0 {
 			break // Algorithm 1 line 3: pressure fits — done.
 		}
@@ -310,7 +303,7 @@ func (pl *planner) chooseTarget(p *vitality.Period) (target uvm.Location, from, 
 	switch {
 	case ssdOK && hostOK:
 		ts := units.TransferTime(size, pl.cfg.SSDWriteBW)
-		ssdFull := pl.ssdWrite.busyFrac(p.Start, p.Start+ts) >= pl.cfg.SSDFullThreshold
+		ssdFull := pl.ssdWrite.busyFrac(p.Start, p.Start+ts) >= ssdFullThreshold
 		if ssdFull {
 			return uvm.InHost, hFrom, hTo, true
 		}
@@ -469,7 +462,6 @@ func (pl *planner) commit(p *vitality.Period) {
 		Period:        p,
 		Target:        target,
 		EvictBoundary: p.AfterKernel + 1,
-		EvictStart:    p.Start,
 		EvictDone:     done,
 		Deadline:      p.End,
 	})
@@ -522,21 +514,16 @@ func (pl *planner) schedulePrefetches() {
 	for i := range order {
 		order[i] = i
 	}
-	type latestInfo struct {
-		start units.Time
-		ok    bool
-	}
-	latest := make([]latestInfo, len(pl.decisions))
+	latest := make([]units.Time, len(pl.decisions))
 	for i := range pl.decisions {
 		d := &pl.decisions[i]
 		rch := pl.ssdRead
 		if d.Target == uvm.InHost {
 			rch = pl.hostRead
 		}
-		s, ok := rch.scheduleBackward(d.Deadline, d.Period.Tensor.Size, false)
-		latest[i] = latestInfo{start: s, ok: ok}
+		latest[i], _ = rch.scheduleBackward(d.Deadline, d.Period.Tensor.Size, false)
 	}
-	sort.SliceStable(order, func(x, y int) bool { return latest[order[x]].start < latest[order[y]].start })
+	sort.SliceStable(order, func(x, y int) bool { return latest[order[x]] < latest[order[y]] })
 
 	for _, i := range order {
 		d := &pl.decisions[i]

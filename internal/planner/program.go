@@ -58,7 +58,6 @@ func (in Instr) String() string {
 // instructions issued at kernel boundaries. Boundaries[b] runs before
 // kernel b; Boundaries[n] runs after the last kernel of the iteration.
 type Program struct {
-	Graph      *dnn.Graph
 	Boundaries [][]Instr
 
 	// retime anchors online re-timing at the original plan (see Retime).
@@ -113,7 +112,7 @@ func emit(a *vitality.Analysis, decisions []Decision) *Program {
 			Instr{Kind: OpPrefetch, Tensor: d.Period.Tensor})
 	}
 
-	p := &Program{Graph: a.Graph, Boundaries: make([][]Instr, n+1)}
+	p := &Program{Boundaries: make([][]Instr, n+1)}
 	for b := 0; b <= n; b++ {
 		var list []Instr
 		list = append(list, frees[b]...)

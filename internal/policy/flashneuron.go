@@ -136,7 +136,6 @@ func (p *flashNeuron) Program(a *vitality.Analysis, cfg gpu.Config) *planner.Pro
 			Target:           uvm.InFlash,
 			EvictBoundary:    per.AfterKernel + 1,
 			PrefetchBoundary: pf,
-			EvictStart:       per.Start,
 			EvictDone:        evictDone,
 			PrefetchStart:    latest,
 			Deadline:         per.End,

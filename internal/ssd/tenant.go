@@ -28,9 +28,6 @@ func (d *Device) Tenants() []*Tenant { return d.tenants }
 // ID reports the view's slot in the device's tenant index.
 func (t *Tenant) ID() int { return t.id }
 
-// PageSize reports the FTL mapping unit.
-func (t *Tenant) PageSize() units.Bytes { return t.d.PageSize() }
-
 // PagesFor reports how many device pages hold n bytes.
 func (t *Tenant) PagesFor(n units.Bytes) int64 { return t.d.PagesFor(n) }
 
@@ -84,6 +81,3 @@ func (t *Tenant) WriteAmplification() float64 {
 // EffectiveWriteBandwidth is the shared device's sustained write bandwidth
 // (GC degradation is a property of the array, not of one tenant).
 func (t *Tenant) EffectiveWriteBandwidth() units.Bandwidth { return t.d.EffectiveWriteBandwidth() }
-
-// EffectiveReadBandwidth is the shared device's rated read bandwidth.
-func (t *Tenant) EffectiveReadBandwidth() units.Bandwidth { return t.d.EffectiveReadBandwidth() }

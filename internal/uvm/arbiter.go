@@ -36,27 +36,21 @@ func (k RequestKind) String() string {
 type Request struct {
 	Kind     RequestKind
 	TensorID int
-	VA       uint64
 	Bytes    units.Bytes
 	Src, Dst Location
 	// Scheduled marks a demand miss that the migration handler services
 	// as a planned transfer (G10's compiler-instrumented runtime): it
 	// takes fault-queue priority but not the fault cost model.
-	Scheduled  bool
-	EnqueuedAt units.Time
-	seq        int64
+	Scheduled bool
 }
 
 // Queues are the per-kind migration metadata queues of Figure 10.
 type Queues struct {
 	fault, prefetch, evict []*Request
-	nextSeq                int64
 }
 
 // Push enqueues a request in its kind's queue.
 func (q *Queues) Push(r *Request) {
-	r.seq = q.nextSeq
-	q.nextSeq++
 	switch r.Kind {
 	case FaultFetch:
 		q.fault = append(q.fault, r)
@@ -70,9 +64,7 @@ func (q *Queues) Push(r *Request) {
 }
 
 // Reset empties every queue (crash teardown): after it returns, nothing in
-// the queues references any request, so the caller may recycle them. The
-// sequence counter keeps counting so requests pushed later still order
-// after everything that ever preceded them.
+// the queues references any request, so the caller may recycle them.
 func (q *Queues) Reset() {
 	q.fault = q.fault[:0]
 	q.prefetch = q.prefetch[:0]
@@ -95,13 +87,14 @@ func (q *Queues) LenOf(k RequestKind) int {
 	return 0
 }
 
+// maxTransferSet bounds the bytes of one transfer set. At least one request
+// is always released even if it alone exceeds the bound.
+const maxTransferSet = 256 * units.MB
+
 // Arbiter forms transfer sets from the metadata queues: page faults first,
-// then prefetches, then pre-evictions, batching up to MaxBatchBytes per set
+// then prefetches, then pre-evictions, batching up to maxTransferSet per set
 // to saturate the interconnect (Figure 10 steps 3–4).
 type Arbiter struct {
-	// MaxBatchBytes bounds one transfer set. At least one request is
-	// always released even if it alone exceeds the bound.
-	MaxBatchBytes units.Bytes
 	// scratch backs the returned set; each call invalidates the previous
 	// call's slice, so the dispatcher's pop/requeue cycle allocates nothing.
 	scratch []*Request
@@ -110,31 +103,27 @@ type Arbiter struct {
 // NextTransferSet dequeues the next batch. Empty queues yield nil. The
 // returned slice is reused by the next call.
 func (a *Arbiter) NextTransferSet(q *Queues) []*Request {
-	limit := a.MaxBatchBytes
-	if limit <= 0 {
-		limit = 256 * units.MB
-	}
 	set := a.scratch[:0]
 	var used units.Bytes
 	take := func(queue *[]*Request) {
 		for len(*queue) > 0 {
 			r := (*queue)[0]
-			if len(set) > 0 && used+r.Bytes > limit {
+			if len(set) > 0 && used+r.Bytes > maxTransferSet {
 				return
 			}
 			set = append(set, r)
 			used += r.Bytes
 			*queue = (*queue)[1:]
-			if used >= limit {
+			if used >= maxTransferSet {
 				return
 			}
 		}
 	}
 	take(&q.fault)
-	if used < limit {
+	if used < maxTransferSet {
 		take(&q.prefetch)
 	}
-	if used < limit {
+	if used < maxTransferSet {
 		take(&q.evict)
 	}
 	if len(set) == 0 {

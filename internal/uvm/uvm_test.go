@@ -135,13 +135,15 @@ func TestNewTLBRejectsBadConfig(t *testing.T) {
 }
 
 func TestArbiterPriorities(t *testing.T) {
+	// Four requests of a tenth of the bound each fit one transfer set.
+	small := maxTransferSet / 10
 	q := &Queues{}
-	q.Push(&Request{Kind: PreEvict, TensorID: 1, Bytes: units.MB})
-	q.Push(&Request{Kind: Prefetch, TensorID: 2, Bytes: units.MB})
-	q.Push(&Request{Kind: FaultFetch, TensorID: 3, Bytes: units.MB})
-	q.Push(&Request{Kind: FaultFetch, TensorID: 4, Bytes: units.MB})
+	q.Push(&Request{Kind: PreEvict, TensorID: 1, Bytes: small})
+	q.Push(&Request{Kind: Prefetch, TensorID: 2, Bytes: small})
+	q.Push(&Request{Kind: FaultFetch, TensorID: 3, Bytes: small})
+	q.Push(&Request{Kind: FaultFetch, TensorID: 4, Bytes: small})
 
-	a := &Arbiter{MaxBatchBytes: 10 * units.MB}
+	a := &Arbiter{}
 	set := a.NextTransferSet(q)
 	if len(set) != 4 {
 		t.Fatalf("set size = %d", len(set))
@@ -161,11 +163,11 @@ func TestArbiterPriorities(t *testing.T) {
 func TestArbiterBatchLimit(t *testing.T) {
 	q := &Queues{}
 	for i := 0; i < 5; i++ {
-		q.Push(&Request{Kind: Prefetch, TensorID: i, Bytes: 4 * units.MB})
+		q.Push(&Request{Kind: Prefetch, TensorID: i, Bytes: maxTransferSet * 4 / 10})
 	}
-	a := &Arbiter{MaxBatchBytes: 10 * units.MB}
-	// 4+4 = 8MB fits; adding the third would exceed 10MB, so sets come out
-	// as 2, 2, 1.
+	a := &Arbiter{}
+	// Two requests of 0.4 of the bound fit; a third would exceed it, so
+	// sets come out as 2, 2, 1.
 	for i, want := range []int{2, 2, 1} {
 		set := a.NextTransferSet(q)
 		if len(set) != want {
@@ -179,8 +181,8 @@ func TestArbiterBatchLimit(t *testing.T) {
 
 func TestArbiterOversizedRequestStillReleased(t *testing.T) {
 	q := &Queues{}
-	q.Push(&Request{Kind: PreEvict, TensorID: 9, Bytes: units.GB})
-	a := &Arbiter{MaxBatchBytes: units.MB}
+	q.Push(&Request{Kind: PreEvict, TensorID: 9, Bytes: 4 * maxTransferSet})
+	a := &Arbiter{}
 	set := a.NextTransferSet(q)
 	if len(set) != 1 || set[0].TensorID != 9 {
 		t.Fatalf("oversized request not released: %v", set)
@@ -225,9 +227,9 @@ func TestScheduledRequestKeepsFaultPriority(t *testing.T) {
 	// A Scheduled demand miss rides the fault queue ahead of ordinary
 	// prefetches (G10's late-tensor handling).
 	q := &Queues{}
-	q.Push(&Request{Kind: Prefetch, TensorID: 1, Bytes: units.MB})
-	q.Push(&Request{Kind: FaultFetch, TensorID: 2, Bytes: units.MB, Scheduled: true})
-	a := &Arbiter{MaxBatchBytes: 10 * units.MB}
+	q.Push(&Request{Kind: Prefetch, TensorID: 1, Bytes: maxTransferSet / 10})
+	q.Push(&Request{Kind: FaultFetch, TensorID: 2, Bytes: maxTransferSet / 10, Scheduled: true})
+	a := &Arbiter{}
 	set := a.NextTransferSet(q)
 	if len(set) != 2 || set[0].TensorID != 2 {
 		t.Fatalf("scheduled demand miss not first: %+v", set)
