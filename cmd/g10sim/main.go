@@ -17,7 +17,6 @@ import (
 	"g10sim/internal/experiments"
 	"g10sim/internal/gpu"
 	"g10sim/internal/models"
-	"g10sim/internal/policy"
 	"g10sim/internal/profile"
 	"g10sim/internal/units"
 	"g10sim/internal/vitality"
@@ -83,9 +82,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if name == "Ideal" {
-		cfg = policy.IdealConfig(cfg)
-	}
+	cfg = experiments.PolicyConfig(name, cfg)
 
 	s := g.Summary()
 	fmt.Printf("graph: %d kernels, %d tensors, footprint %v (%.1f%% of GPU), max working set %v\n",

@@ -234,21 +234,12 @@ func Simulate(w *Workload, policyName string, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	icfg := tenantConfig(cfg.toInternal(), policyName)
+	icfg := experiments.PolicyConfig(policyName, cfg.toInternal())
 	res, err := gpu.Run(gpu.RunParams{Analysis: w.analysis, Policy: pol, Config: icfg})
 	if err != nil {
 		return Report{}, err
 	}
 	return reportFrom(res, icfg), nil
-}
-
-// tenantConfig applies per-policy config overrides: the Ideal bound runs
-// with effectively infinite GPU memory (one definition, in internal/policy).
-func tenantConfig(icfg gpu.Config, policyName string) gpu.Config {
-	if policyName == "Ideal" {
-		icfg = policy.IdealConfig(icfg)
-	}
-	return icfg
 }
 
 // newPolicy constructs the named policy, attaching the online replanning
@@ -473,7 +464,7 @@ func SimulateCluster(jobs []ClusterJob, ccfg ClusterConfig) (ClusterReport, erro
 		tenants[i] = gpu.ClusterTenant{
 			Analysis:    j.Workload.analysis,
 			Policy:      pol,
-			Config:      tenantConfig(shared, j.Policy),
+			Config:      experiments.PolicyConfig(j.Policy, shared),
 			ArrivalTime: units.Time(j.ArrivalSeconds * float64(units.Second)),
 			Recovery:    rec,
 		}

@@ -45,47 +45,26 @@ func Adapt(s *Session) ([]AdaptRow, error) {
 	fmt.Fprintf(w, "%-14s %7s %10s %7s %7s %7s %7s %5s\n",
 		"policy", "tenants", "makespan", "mean", "p50", "p95", "max", "fail")
 
-	var jobs []func()
-	for _, n := range s.fleetCounts() {
-		for _, pol := range adaptPolicies {
-			n, pol := n, pol
-			jobs = append(jobs, func() { _, _ = s.fleetCell(pol, n) })
-			for _, model := range fleetModels {
-				model := model
-				jobs = append(jobs, func() { _, _ = s.fleetSolo(model, pol) })
-			}
-		}
+	runs, err := s.fleetRuns(adaptPolicies)
+	if err != nil {
+		return nil, err
 	}
-	s.prewarm(jobs)
-
 	var rows []AdaptRow
-	for _, n := range s.fleetCounts() {
-		trace, err := s.fleetTrace(n)
-		if err != nil {
-			return nil, err
+	for _, r := range runs {
+		row := AdaptRow{
+			Policy:        r.pol,
+			Tenants:       r.n,
+			MakespanSec:   r.res.Makespan.Seconds(),
+			MeanSlowdown:  r.stats.Mean,
+			P50Slowdown:   r.stats.P50,
+			P95Slowdown:   r.stats.P95,
+			MaxSlowdown:   r.stats.Max,
+			FailedTenants: r.failed,
 		}
-		for _, pol := range adaptPolicies {
-			cres, err := s.fleetCell(pol, n)
-			if err != nil {
-				return nil, err
-			}
-			row := AdaptRow{
-				Policy:      pol,
-				Tenants:     n,
-				MakespanSec: cres.Makespan.Seconds(),
-			}
-			slowdowns, failed, err := s.slowdownDistribution(pol, trace, cres)
-			if err != nil {
-				return nil, err
-			}
-			row.FailedTenants = failed
-			st := summarize(slowdowns)
-			row.MeanSlowdown, row.P50Slowdown, row.P95Slowdown, row.MaxSlowdown = st.Mean, st.P50, st.P95, st.Max
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-14s %7d %9.2fs %6.2fx %6.2fx %6.2fx %6.2fx %5d\n",
-				pol, n, row.MakespanSec, row.MeanSlowdown, row.P50Slowdown,
-				row.P95Slowdown, row.MaxSlowdown, row.FailedTenants)
-		}
+		rows = append(rows, row)
+		fmt.Fprintf(w, "%-14s %7d %9.2fs %6.2fx %6.2fx %6.2fx %6.2fx %5d\n",
+			row.Policy, row.Tenants, row.MakespanSec, row.MeanSlowdown, row.P50Slowdown,
+			row.P95Slowdown, row.MaxSlowdown, row.FailedTenants)
 	}
 	return rows, nil
 }

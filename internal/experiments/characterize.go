@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"g10sim/internal/units"
+	"g10sim/internal/vitality"
 )
 
 // characterizationModels are Fig. 2–4's (model, batch) pairs.
@@ -24,17 +25,16 @@ func (s *Session) characterizationBatch(model string, batch int) int {
 	return batch
 }
 
-// prewarmCharacterization builds the Fig. 2–4 analyses across the worker
-// pool; the figures then read them from the cache.
-func (s *Session) prewarmCharacterization() {
-	var jobs []func()
+// characterization builds the Fig. 2–4 analyses across the worker pool, in
+// characterizationModels order.
+func (s *Session) characterization() ([]*vitality.Analysis, error) {
+	var jobs []func() (*vitality.Analysis, error)
 	for _, cm := range characterizationModels {
-		cm := cm
-		jobs = append(jobs, func() {
-			_, _ = s.Analysis(cm.Model, s.characterizationBatch(cm.Model, cm.Batch))
+		jobs = append(jobs, func() (*vitality.Analysis, error) {
+			return s.Analysis(cm.Model, s.characterizationBatch(cm.Model, cm.Batch))
 		})
 	}
-	s.prewarm(jobs)
+	return fanOut(s, jobs)
 }
 
 // Fig2Row is one sampled point of the memory-consumption curves.
@@ -50,14 +50,13 @@ type Fig2Row struct {
 func Figure2(s *Session) ([]Fig2Row, error) {
 	w := s.opt.writer()
 	fmt.Fprintln(w, "=== Figure 2: memory consumption of all and active tensors (% of peak) ===")
-	s.prewarmCharacterization()
+	as, err := s.characterization()
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig2Row
-	for _, cm := range characterizationModels {
-		batch := s.characterizationBatch(cm.Model, cm.Batch)
-		a, err := s.Analysis(cm.Model, batch)
-		if err != nil {
-			return nil, err
-		}
+	for i, cm := range characterizationModels {
+		a, batch := as[i], s.characterizationBatch(cm.Model, cm.Batch)
 		peak := float64(a.PeakAlive())
 		n := len(a.AliveBytes)
 		step := n / 16
@@ -94,15 +93,14 @@ type Fig3Row struct {
 func Figure3(s *Session) ([]Fig3Row, error) {
 	w := s.opt.writer()
 	fmt.Fprintln(w, "=== Figure 3: inactive period length distribution (µs) ===")
-	s.prewarmCharacterization()
+	as, err := s.characterization()
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(w, "%-14s %8s %10s %10s %10s %8s %8s\n", "model", "periods", "p10", "p50", "p90", ">1ms", ">100ms")
 	var rows []Fig3Row
-	for _, cm := range characterizationModels {
-		batch := s.characterizationBatch(cm.Model, cm.Batch)
-		a, err := s.Analysis(cm.Model, batch)
-		if err != nil {
-			return nil, err
-		}
+	for i, cm := range characterizationModels {
+		a, batch := as[i], s.characterizationBatch(cm.Model, cm.Batch)
 		var durs []float64
 		var over1ms, over100ms int
 		for i := range a.Periods {
@@ -146,14 +144,13 @@ type Fig4Row struct {
 func Figure4(s *Session) ([]Fig4Row, error) {
 	w := s.opt.writer()
 	fmt.Fprintln(w, "=== Figure 4: inactive periods by tensor size (median µs per size decade) ===")
-	s.prewarmCharacterization()
+	as, err := s.characterization()
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig4Row
-	for _, cm := range characterizationModels {
-		batch := s.characterizationBatch(cm.Model, cm.Batch)
-		a, err := s.Analysis(cm.Model, batch)
-		if err != nil {
-			return nil, err
-		}
+	for i, cm := range characterizationModels {
+		a, batch := as[i], s.characterizationBatch(cm.Model, cm.Batch)
 		buckets := map[int][]float64{}
 		for i := range a.Periods {
 			p := &a.Periods[i]

@@ -96,15 +96,15 @@ func (s *Session) colocateParams(jobs []colocateJob) (gpu.ClusterParams, error) 
 // cache key names the substrate-relevant inputs (job, batch, host pool)
 // rather than the mix, so identical solo runs appearing in several mixes
 // simulate once.
-func (s *Session) colocateSolo(jobs []colocateJob, idx int) (gpu.Result, error) {
+func (s *Session) colocateSolo(jobs []colocateJob, idx int) (gpu.ClusterResult, error) {
 	p, err := s.colocateParams(jobs)
 	if err != nil {
-		return gpu.Result{}, err
+		return gpu.ClusterResult{}, err
 	}
 	job := jobs[idx]
 	key := fmt.Sprintf("colo-solo/%s/%d/%s/host=%d",
 		job.Model, p.Tenants[idx].Analysis.Graph.Batch, job.Policy, p.Shared.HostCapacity)
-	res, err := s.RunCluster(key, func() (gpu.ClusterParams, error) {
+	return s.RunCluster(key, func() (gpu.ClusterParams, error) {
 		p, err := s.colocateParams(jobs)
 		if err != nil {
 			return gpu.ClusterParams{}, err
@@ -112,10 +112,6 @@ func (s *Session) colocateSolo(jobs []colocateJob, idx int) (gpu.Result, error) 
 		p.Tenants = p.Tenants[idx : idx+1]
 		return p, nil
 	})
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	return res.Tenants[0], nil
 }
 
 // Colocate runs the heterogeneous co-location study on the cluster engine
@@ -126,33 +122,28 @@ func Colocate(s *Session) ([]ColocateRow, error) {
 	fmt.Fprintf(w, "%-34s %-14s %-10s %7s %7s %8s %10s %6s\n",
 		"mix", "job", "policy", "co%", "solo%", "interf", "ssd-wr(GB)", "WA")
 
-	var jobs []func()
+	// Each mix's co-simulation and its jobs' solo runs fan out together.
+	var jobs []func() (gpu.ClusterResult, error)
 	for _, mix := range colocateMixes {
-		mix := mix
-		jobs = append(jobs, func() {
-			key := "colo/" + mixName(mix)
-			_, _ = s.RunCluster(key, func() (gpu.ClusterParams, error) { return s.colocateParams(mix) })
+		jobs = append(jobs, func() (gpu.ClusterResult, error) {
+			return s.RunCluster("colo/"+mixName(mix), func() (gpu.ClusterParams, error) { return s.colocateParams(mix) })
 		})
 		for i := range mix {
-			i := i
-			jobs = append(jobs, func() { _, _ = s.colocateSolo(mix, i) })
+			jobs = append(jobs, func() (gpu.ClusterResult, error) { return s.colocateSolo(mix, i) })
 		}
 	}
-	s.prewarm(jobs)
+	res, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
 
 	var rows []ColocateRow
 	for _, mix := range colocateMixes {
 		name := mixName(mix)
-		cres, err := s.RunCluster("colo/"+name, func() (gpu.ClusterParams, error) { return s.colocateParams(mix) })
-		if err != nil {
-			return nil, err
-		}
+		cres, solos := res[0], res[1:1+len(mix)]
+		res = res[1+len(mix):]
 		for i, job := range mix {
-			co := cres.Tenants[i]
-			solo, err := s.colocateSolo(mix, i)
-			if err != nil {
-				return nil, err
-			}
+			co, solo := cres.Tenants[i], solos[i].Tenants[0]
 			row := ColocateRow{
 				Mix:        name,
 				Model:      co.Model,

@@ -38,53 +38,42 @@ func Figure19(s *Session) ([]Fig19Row, error) {
 	// (uncached — the execution trace differs from the plan's), so fan them
 	// across the worker pool and print from the collected grid.
 	mset := s.opt.modelSet()
+	var jobs []func() (gpu.Result, error)
 	for _, model := range mset {
-		// Fail fast on an unknown model before fanning out the (expensive,
-		// uncached) grid.
-		if _, err := models.ByName(model); err != nil {
-			return nil, err
-		}
-	}
-	type cell struct {
-		res gpu.Result
-		err error
-	}
-	grid := make([]cell, len(mset)*len(errs))
-	runCell := func(model string, e float64) (gpu.Result, error) {
 		spec, err := models.ByName(model)
 		if err != nil {
-			return gpu.Result{}, err
+			return nil, err
 		}
 		batch := s.batchFor(spec)
-		aTrue, err := s.Analysis(model, batch)
-		if err != nil {
-			return gpu.Result{}, err
+		for _, e := range errs {
+			jobs = append(jobs, func() (gpu.Result, error) {
+				aTrue, err := s.Analysis(model, batch)
+				if err != nil {
+					return gpu.Result{}, err
+				}
+				planAnalysis := aTrue
+				if e > 0 {
+					perturbed := aTrue.Trace.Perturb(e, 12345)
+					planAnalysis, err = vitality.Analyze(aTrue.Graph, perturbed)
+					if err != nil {
+						return gpu.Result{}, err
+					}
+				}
+				return s.runOne(planAnalysis, policy.G10Full(planner.Config{}), s.baseConfig(aTrue), aTrue.Trace)
+			})
 		}
-		planAnalysis := aTrue
-		if e > 0 {
-			perturbed := aTrue.Trace.Perturb(e, 12345)
-			planAnalysis, err = vitality.Analyze(aTrue.Graph, perturbed)
-			if err != nil {
-				return gpu.Result{}, err
-			}
-		}
-		return s.runOne(planAnalysis, policy.G10Full(planner.Config{}), s.baseConfig(aTrue), aTrue.Trace)
 	}
-	parallelDo(len(grid), s.opt.workers(), func(i int) {
-		model, e := mset[i/len(errs)], errs[i%len(errs)]
-		grid[i].res, grid[i].err = runCell(model, e)
-	})
+	grid, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
 
 	var rows []Fig19Row
 	for mi, model := range mset {
 		var base float64
 		fmt.Fprintf(w, "%-14s", model)
 		for ei, e := range errs {
-			c := grid[mi*len(errs)+ei]
-			if c.err != nil {
-				return nil, c.err
-			}
-			secs := c.res.IterationTime.Seconds()
+			secs := grid[mi*len(errs)+ei].IterationTime.Seconds()
 			if e == 0 {
 				base = secs
 			}

@@ -59,6 +59,16 @@ func NewPolicy(name string) (gpu.Policy, error) {
 	}
 }
 
+// PolicyConfig applies the named policy's config override to cfg: the
+// Ideal bound runs with effectively infinite GPU memory
+// (policy.IdealConfig); every other design runs cfg as given.
+func PolicyConfig(name string, cfg gpu.Config) gpu.Config {
+	if name == "Ideal" {
+		return policy.IdealConfig(cfg)
+	}
+	return cfg
+}
+
 // Options selects scope and output.
 type Options struct {
 	// Short shrinks workloads for fast test runs.
@@ -105,7 +115,7 @@ var shortBatch = map[string]int{
 
 // Session caches analyses, migration plans and simulation results across
 // figures. It is safe for concurrent use: figures fan their runs across a
-// worker pool (prewarm) and the caches single-flight each key, so every
+// worker pool (fanOut) and the caches single-flight each key, so every
 // (model, batch, policy, config) combination simulates exactly once and the
 // results are identical to serial execution. Its co-simulations share one
 // gpu.PlanCache, so identical jobs across figure cells, cluster
@@ -114,7 +124,7 @@ type Session struct {
 	opt       Options
 	mu        sync.Mutex
 	analyses  map[string]*flight[*vitality.Analysis]
-	results   map[string]*flight[gpu.Result]
+	results   map[runKey]*flight[gpu.Result]
 	clusters  map[string]*flight[gpu.ClusterResult]
 	inference map[string]*flight[inferenceCell]
 	plans     gpu.PlanCache
@@ -135,7 +145,7 @@ func NewSession(opt Options) *Session {
 	return &Session{
 		opt:       opt,
 		analyses:  make(map[string]*flight[*vitality.Analysis]),
-		results:   make(map[string]*flight[gpu.Result]),
+		results:   make(map[runKey]*flight[gpu.Result]),
 		clusters:  make(map[string]*flight[gpu.ClusterResult]),
 		inference: make(map[string]*flight[inferenceCell]),
 	}
@@ -154,14 +164,7 @@ func (s *Session) batchFor(spec models.Spec) int {
 // workload.
 func (s *Session) Analysis(model string, batch int) (*vitality.Analysis, error) {
 	key := fmt.Sprintf("%s/%d", model, batch)
-	s.mu.Lock()
-	f, ok := s.analyses[key]
-	if !ok {
-		f = &flight[*vitality.Analysis]{}
-		s.analyses[key] = f
-	}
-	s.mu.Unlock()
-	return f.do(func() (*vitality.Analysis, error) {
+	return cached(&s.mu, s.analyses, key).do(func() (*vitality.Analysis, error) {
 		spec, err := models.ByName(model)
 		if err != nil {
 			return nil, err
@@ -202,11 +205,20 @@ func scaledConfig(a *vitality.Analysis) gpu.Config {
 	return cfg
 }
 
+// runKey is the result cache's key: a training run is a pure function of
+// these four values.
+type runKey struct {
+	model  string
+	batch  int
+	policy string
+	cfg    gpu.Config
+}
+
 // Run simulates one (model, batch, policy, config) combination, caching by
-// a caller-supplied config tag ("" for the base configuration).
-func (s *Session) Run(model string, batch int, polName, cfgTag string, cfg gpu.Config, exec *profile.Trace) (gpu.Result, error) {
-	key := fmt.Sprintf("%s/%d/%s/%s", model, batch, polName, cfgTag)
-	run := func() (gpu.Result, error) {
+// value.
+func (s *Session) Run(model string, batch int, polName string, cfg gpu.Config) (gpu.Result, error) {
+	key := runKey{model, batch, polName, cfg}
+	return cached(&s.mu, s.results, key).do(func() (gpu.Result, error) {
 		a, err := s.Analysis(model, batch)
 		if err != nil {
 			return gpu.Result{}, err
@@ -215,27 +227,12 @@ func (s *Session) Run(model string, batch int, polName, cfgTag string, cfg gpu.C
 		if err != nil {
 			return gpu.Result{}, err
 		}
-		if polName == "Ideal" {
-			cfg = policy.IdealConfig(cfg)
-		}
-		res, err := s.runOne(a, pol, cfg, exec)
+		res, err := s.runOne(a, pol, PolicyConfig(polName, cfg), nil)
 		if err != nil {
-			return gpu.Result{}, fmt.Errorf("experiments: %s: %w", key, err)
+			return gpu.Result{}, fmt.Errorf("experiments: %s/%d/%s: %w", model, batch, polName, err)
 		}
 		return res, nil
-	}
-	if exec != nil {
-		// Perturbed-trace runs (Fig. 19) bypass the cache.
-		return run()
-	}
-	s.mu.Lock()
-	f, ok := s.results[key]
-	if !ok {
-		f = &flight[gpu.Result]{}
-		s.results[key] = f
-	}
-	s.mu.Unlock()
-	return f.do(run)
+	})
 }
 
 // runOne simulates one training job alone, uncached: a one-tenant
@@ -256,17 +253,10 @@ func (s *Session) runOne(a *vitality.Analysis, pol gpu.Policy, cfg gpu.Config, e
 
 // RunCluster co-simulates a multi-tenant cluster, caching by key. build
 // assembles the cluster parameters (fresh policy instances per call; only
-// one call survives thanks to the single-flight cell), so concurrent
-// prewarming is as deterministic as the serial pass.
+// one call survives thanks to the single-flight cell), so a concurrent
+// fan-out is as deterministic as a serial one.
 func (s *Session) RunCluster(key string, build func() (gpu.ClusterParams, error)) (gpu.ClusterResult, error) {
-	s.mu.Lock()
-	f, ok := s.clusters[key]
-	if !ok {
-		f = &flight[gpu.ClusterResult]{}
-		s.clusters[key] = f
-	}
-	s.mu.Unlock()
-	return f.do(func() (gpu.ClusterResult, error) {
+	return cached(&s.mu, s.clusters, key).do(func() (gpu.ClusterResult, error) {
 		p, err := build()
 		if err != nil {
 			return gpu.ClusterResult{}, err
@@ -301,14 +291,7 @@ type inferenceCell struct {
 // RunInference simulates a serving trace, caching by key and folding the
 // engine counters into the session like RunCluster does.
 func (s *Session) RunInference(key string, build func() (gpu.InferenceParams, error)) (gpu.InferenceResult, time.Duration, error) {
-	s.mu.Lock()
-	f, ok := s.inference[key]
-	if !ok {
-		f = &flight[inferenceCell]{}
-		s.inference[key] = f
-	}
-	s.mu.Unlock()
-	cell, err := f.do(func() (inferenceCell, error) {
+	cell, err := cached(&s.mu, s.inference, key).do(func() (inferenceCell, error) {
 		p, err := build()
 		if err != nil {
 			return inferenceCell{}, err
@@ -352,7 +335,7 @@ func (s *Session) RunBase(model string, polName string) (gpu.Result, error) {
 	if err != nil {
 		return gpu.Result{}, err
 	}
-	return s.Run(model, batch, polName, "", s.baseConfig(a), nil)
+	return s.Run(model, batch, polName, s.baseConfig(a))
 }
 
 // percentile returns the q-quantile (0..1) of sorted xs.

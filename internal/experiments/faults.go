@@ -176,25 +176,23 @@ func Faults(s *Session) ([]FaultRow, error) {
 	}
 	ks := []int{(n + 3) / 4, n}
 
-	var jobs []func()
+	var jobs []func() (FaultRow, error)
 	for _, k := range ks {
 		for _, rc := range faultRecoveries() {
-			k, rc := k, rc
-			jobs = append(jobs, func() { _, _ = s.faultCell(k, rc.name, rc.rec, H) })
+			jobs = append(jobs, func() (FaultRow, error) {
+				cres, err := s.faultCell(k, rc.name, rc.rec, H)
+				if err != nil {
+					return FaultRow{}, err
+				}
+				return faultRowFrom(cres, trace, k, rc.name, H), nil
+			})
 		}
 	}
-	s.prewarm(jobs)
-
-	rows := []FaultRow{faultRowFrom(base, trace, 0, "none", H)}
-	for _, k := range ks {
-		for _, rc := range faultRecoveries() {
-			cres, err := s.faultCell(k, rc.name, rc.rec, H)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, faultRowFrom(cres, trace, k, rc.name, H))
-		}
+	cells, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
 	}
+	rows := append([]FaultRow{faultRowFrom(base, trace, 0, "none", H)}, cells...)
 	for _, row := range rows {
 		fmt.Fprintf(w, "%8.1fs %7d %-11s %9.2fs %7.2fx %9.2fs %8d %9.2f %9.1f %8.3f\n",
 			row.MTBFSec, row.Crashes, row.Recovery, row.MakespanSec, row.Inflation,

@@ -7,8 +7,8 @@ import (
 )
 
 // TestFaultsFigureDeterministic is the acceptance differential for the
-// fault study: the printed figure must be byte-identical across prewarm
-// worker counts — the worker pool changes wall time only.
+// fault study: the printed figure must be byte-identical across worker
+// counts — the worker pool changes wall time only.
 func TestFaultsFigureDeterministic(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 4} {

@@ -191,25 +191,24 @@ func (s *Session) fleetSolo(model, polName string) (gpu.ClusterResult, error) {
 
 // slowdownDistribution computes each trace job's slowdown — its
 // co-simulated span over the span of the same job alone on a dedicated
-// slice under the same policy — in trace order, skipping (and counting)
-// failed tenants. Shared by the fleet and adapt studies.
-func (s *Session) slowdownDistribution(pol string, trace []FleetJob, cres gpu.ClusterResult) (slowdowns []float64, failed int, err error) {
+// slice under the same policy (solos, in fleetModels order) — in trace
+// order, skipping (and counting) failed tenants.
+func slowdownDistribution(trace []FleetJob, cres gpu.ClusterResult, solos []gpu.ClusterResult) (slowdowns []float64, failed int) {
+	soloSpan := make(map[string]units.Duration, len(fleetModels))
+	for i, model := range fleetModels {
+		soloSpan[model] = solos[i].Spans[0].Duration()
+	}
 	for i, j := range trace {
 		if cres.Tenants[i].Failed {
 			failed++
 			continue
 		}
-		solo, err := s.fleetSolo(j.Model, pol)
-		if err != nil {
-			return nil, 0, err
-		}
-		soloSpan := solo.Spans[0].Duration()
-		if soloSpan <= 0 {
+		if soloSpan[j.Model] <= 0 {
 			continue
 		}
-		slowdowns = append(slowdowns, float64(cres.Spans[i].Duration())/float64(soloSpan))
+		slowdowns = append(slowdowns, float64(cres.Spans[i].Duration())/float64(soloSpan[j.Model]))
 	}
-	return slowdowns, failed, nil
+	return slowdowns, failed
 }
 
 // distStats summarises a slowdown sample (zero when the sample is empty).
@@ -245,6 +244,51 @@ func (s *Session) fleetCell(polName string, n int) (gpu.ClusterResult, error) {
 	})
 }
 
+// fleetRun is one (policy, fleet size) co-simulation of the fleet trace and
+// the per-job slowdowns it implies. Shared by the fleet and adapt studies.
+type fleetRun struct {
+	pol    string
+	n      int
+	trace  []FleetJob
+	res    gpu.ClusterResult
+	stats  distStats
+	failed int
+}
+
+// fleetRuns co-simulates the fleet trace at every studied size under every
+// policy, fanning each cell and each catalogue model's dedicated-slice solo
+// under that policy across the worker pool, and returns the cells in
+// (size, policy) order.
+func (s *Session) fleetRuns(policies []string) ([]fleetRun, error) {
+	var jobs []func() (gpu.ClusterResult, error)
+	for _, n := range s.fleetCounts() {
+		for _, pol := range policies {
+			jobs = append(jobs, func() (gpu.ClusterResult, error) { return s.fleetCell(pol, n) })
+			for _, model := range fleetModels {
+				jobs = append(jobs, func() (gpu.ClusterResult, error) { return s.fleetSolo(model, pol) })
+			}
+		}
+	}
+	res, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
+	var runs []fleetRun
+	for _, n := range s.fleetCounts() {
+		trace, err := s.fleetTrace(n)
+		if err != nil {
+			return nil, err
+		}
+		for _, pol := range policies {
+			cres, solos := res[0], res[1:1+len(fleetModels)]
+			res = res[1+len(fleetModels):]
+			slowdowns, failed := slowdownDistribution(trace, cres, solos)
+			runs = append(runs, fleetRun{pol: pol, n: n, trace: trace, res: cres, stats: summarize(slowdowns), failed: failed})
+		}
+	}
+	return runs, nil
+}
+
 // Fleet runs the dynamic-arrival fleet study and prints per-policy rows:
 // slowdown distribution across jobs, makespan, and attributed flash wear.
 // Results are deterministic at any Options.Workers setting — the arrival
@@ -257,55 +301,34 @@ func Fleet(s *Session) ([]FleetRow, error) {
 	fmt.Fprintf(w, "%-10s %7s %10s %7s %7s %7s %7s %10s %6s %5s\n",
 		"policy", "tenants", "makespan", "mean", "p50", "p95", "max", "arr-wr(GB)", "WA", "fail")
 
-	var jobs []func()
-	for _, n := range s.fleetCounts() {
-		for _, pol := range fleetPolicies {
-			n, pol := n, pol
-			jobs = append(jobs, func() { _, _ = s.fleetCell(pol, n) })
-			for _, model := range fleetModels {
-				model := model
-				jobs = append(jobs, func() { _, _ = s.fleetSolo(model, pol) })
-			}
-		}
+	runs, err := s.fleetRuns(fleetPolicies)
+	if err != nil {
+		return nil, err
 	}
-	s.prewarm(jobs)
-
 	var rows []FleetRow
-	for _, n := range s.fleetCounts() {
-		trace, err := s.fleetTrace(n)
-		if err != nil {
-			return nil, err
+	for _, r := range runs {
+		row := FleetRow{
+			Policy:        r.pol,
+			Tenants:       r.n,
+			MakespanSec:   r.res.Makespan.Seconds(),
+			MeanSlowdown:  r.stats.Mean,
+			P50Slowdown:   r.stats.P50,
+			P95Slowdown:   r.stats.P95,
+			MaxSlowdown:   r.stats.Max,
+			ArrayWriteGB:  r.res.SSDStats.HostWriteBytes.GiB(),
+			ArrayWA:       r.res.WriteAmp,
+			WearByModelGB: make(map[string]float64),
+			FailedTenants: r.failed,
 		}
-		for _, pol := range fleetPolicies {
-			cres, err := s.fleetCell(pol, n)
-			if err != nil {
-				return nil, err
-			}
-			row := FleetRow{
-				Policy:        pol,
-				Tenants:       n,
-				MakespanSec:   cres.Makespan.Seconds(),
-				ArrayWriteGB:  cres.SSDStats.HostWriteBytes.GiB(),
-				ArrayWA:       cres.WriteAmp,
-				WearByModelGB: make(map[string]float64),
-			}
-			for i, j := range trace {
-				row.WearByModelGB[j.Model] += cres.Tenants[i].SSDStats.NANDWriteBytes.GiB()
-			}
-			slowdowns, failed, err := s.slowdownDistribution(pol, trace, cres)
-			if err != nil {
-				return nil, err
-			}
-			row.FailedTenants = failed
-			st := summarize(slowdowns)
-			row.MeanSlowdown, row.P50Slowdown, row.P95Slowdown, row.MaxSlowdown = st.Mean, st.P50, st.P95, st.Max
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%-10s %7d %9.2fs %6.2fx %6.2fx %6.2fx %6.2fx %10.1f %6.2f %5d\n",
-				pol, n, row.MakespanSec, row.MeanSlowdown, row.P50Slowdown,
-				row.P95Slowdown, row.MaxSlowdown, row.ArrayWriteGB, row.ArrayWA, row.FailedTenants)
-			for _, model := range fleetModels {
-				fmt.Fprintf(w, "%-10s   wear %-12s %8.1f GB NAND (attributed)\n", "", model, row.WearByModelGB[model])
-			}
+		for i, j := range r.trace {
+			row.WearByModelGB[j.Model] += r.res.Tenants[i].SSDStats.NANDWriteBytes.GiB()
+		}
+		rows = append(rows, row)
+		fmt.Fprintf(w, "%-10s %7d %9.2fs %6.2fx %6.2fx %6.2fx %6.2fx %10.1f %6.2f %5d\n",
+			row.Policy, row.Tenants, row.MakespanSec, row.MeanSlowdown, row.P50Slowdown,
+			row.P95Slowdown, row.MaxSlowdown, row.ArrayWriteGB, row.ArrayWA, row.FailedTenants)
+		for _, model := range fleetModels {
+			fmt.Fprintf(w, "%-10s   wear %-12s %8.1f GB NAND (attributed)\n", "", model, row.WearByModelGB[model])
 		}
 	}
 	return rows, nil

@@ -159,22 +159,25 @@ func Inference(s *Session) ([]InferenceRow, error) {
 		"policy", "requests", "ttft-p50", "ttft-p99", "e2e-p50", "e2e-p99",
 		"preempt", "offload", "reload", "off(GB)", "makespan")
 
-	var jobs []func()
+	var jobs []func() (inferenceCell, error)
 	for _, n := range s.inferenceSizes() {
 		for _, pol := range inferencePolicies() {
-			n, pol := n, pol
-			jobs = append(jobs, func() { _, _, _ = s.inferenceCell(pol, n) })
+			jobs = append(jobs, func() (inferenceCell, error) {
+				res, wall, err := s.inferenceCell(pol, n)
+				return inferenceCell{res: res, wall: wall}, err
+			})
 		}
 	}
-	s.prewarm(jobs)
+	cells, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
 
 	var rows []InferenceRow
 	for _, n := range s.inferenceSizes() {
 		for _, pol := range inferencePolicies() {
-			res, wall, err := s.inferenceCell(pol, n)
-			if err != nil {
-				return nil, err
-			}
+			res, wall := cells[0].res, cells[0].wall
+			cells = cells[1:]
 			ttft := make([]float64, len(res.Requests))
 			e2e := make([]float64, len(res.Requests))
 			for i, rq := range res.Requests {

@@ -10,9 +10,9 @@ import (
 
 // TestInferenceFigureDeterministic is the experiments-level serving
 // differential: the printed inference figure must be byte-identical across
-// prewarm worker counts — the worker pool changes wall time only, never a
-// number. Each count runs a fresh session so the single-flight caches cannot
-// mask a divergence.
+// worker counts — the worker pool changes wall time only, never a number.
+// Each count runs a fresh session so the single-flight caches cannot mask a
+// divergence.
 func TestInferenceFigureDeterministic(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 4} {

@@ -99,61 +99,55 @@ func MultiGPU(s *Session) ([]MultiGPURow, error) {
 	fmt.Fprintln(w, "cosim: true shared-device co-simulation; static: legacy pre-divided bandwidth")
 	gpuCounts, ssdCounts := s.multiGPUCounts()
 
-	var jobs []func()
-	for _, model := range s.opt.modelSet() {
+	// Every grid point runs twice, both in the pool: the G-tenant
+	// co-simulation, then one GPU alone under the static split. Each job
+	// returns its tenants' results.
+	mset := s.opt.modelSet()
+	batches := make([]int, len(mset))
+	var jobs []func() ([]gpu.Result, error)
+	for mi, model := range mset {
 		spec, err := models.ByName(model)
 		if err != nil {
 			return nil, err
 		}
 		batch := s.batchFor(spec)
+		batches[mi] = batch
 		for _, gpus := range gpuCounts {
 			for _, ssds := range ssdCounts {
-				model, gpus, ssds := model, gpus, ssds
-				jobs = append(jobs, func() {
-					_, _ = s.multiGPUCell(model, batch, gpus, ssds)
+				jobs = append(jobs, func() ([]gpu.Result, error) {
+					cres, err := s.multiGPUCell(model, batch, gpus, ssds)
+					return cres.Tenants, err
 				})
-				jobs = append(jobs, func() {
-					if a, err := s.Analysis(model, batch); err == nil {
-						tag := fmt.Sprintf("mg=%dx%d", gpus, ssds)
-						_, _ = s.Run(model, batch, "G10", tag, multiGPUStaticCfg(s.baseConfig(a), gpus, ssds), nil)
+				jobs = append(jobs, func() ([]gpu.Result, error) {
+					a, err := s.Analysis(model, batch)
+					if err != nil {
+						return nil, err
 					}
+					static, err := s.Run(model, batch, "G10", multiGPUStaticCfg(s.baseConfig(a), gpus, ssds))
+					return []gpu.Result{static}, err
 				})
 			}
 		}
 	}
-	s.prewarm(jobs)
+	res, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
 
 	var rows []MultiGPURow
-	for _, model := range s.opt.modelSet() {
-		spec, err := models.ByName(model)
-		if err != nil {
-			return nil, err
-		}
-		batch := s.batchFor(spec)
-		a, err := s.Analysis(model, batch)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\n%s-%d (rows: GPUs, cols: SSDs %v; cosim%% / static%%):\n", model, batch, ssdCounts)
+	for mi, model := range mset {
+		fmt.Fprintf(w, "\n%s-%d (rows: GPUs, cols: SSDs %v; cosim%% / static%%):\n", model, batches[mi], ssdCounts)
 		for _, gpus := range gpuCounts {
 			fmt.Fprintf(w, "%4d", gpus)
 			for _, ssds := range ssdCounts {
-				cres, err := s.multiGPUCell(model, batch, gpus, ssds)
-				if err != nil {
-					return nil, err
-				}
+				cosim, static := res[0], res[1][0]
+				res = res[2:]
 				var norm, aggr float64
-				for _, tr := range cres.Tenants {
+				for _, tr := range cosim {
 					norm += tr.NormalizedPerf()
 					aggr += tr.Throughput()
 				}
-				norm /= float64(len(cres.Tenants))
-
-				tag := fmt.Sprintf("mg=%dx%d", gpus, ssds)
-				static, err := s.Run(model, batch, "G10", tag, multiGPUStaticCfg(s.baseConfig(a), gpus, ssds), nil)
-				if err != nil {
-					return nil, err
-				}
+				norm /= float64(len(cosim))
 				row := MultiGPURow{
 					Model: model, GPUs: gpus, SSDs: ssds,
 					CosimPerGPUNorm:   norm,

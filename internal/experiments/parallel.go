@@ -21,6 +21,18 @@ func (f *flight[T]) do(fn func() (T, error)) (T, error) {
 	return f.val, f.err
 }
 
+// cached returns m's single-flight cell for key, creating it under mu.
+func cached[K comparable, T any](mu *sync.Mutex, m map[K]*flight[T], key K) *flight[T] {
+	mu.Lock()
+	defer mu.Unlock()
+	f, ok := m[key]
+	if !ok {
+		f = &flight[T]{}
+		m[key] = f
+	}
+	return f
+}
+
 // workers reports the session's worker-pool size.
 func (o Options) workers() int {
 	if o.Workers > 0 {
@@ -62,12 +74,20 @@ func parallelDo(n, w int, fn func(int)) {
 	wg.Wait()
 }
 
-// prewarm executes the given simulation jobs across the worker pool. Each
-// job ends in a cached Session call (Analysis or Run), so the serial
-// figure-printing pass that follows hits the cache; errors are ignored here
-// and resurface — identically, via the flight cache — on the serial pass.
-// Results are deterministic: every run is a pure function of its inputs and
-// the single-flight cache keeps exactly one evaluation per key.
-func (s *Session) prewarm(jobs []func()) {
-	parallelDo(len(jobs), s.opt.workers(), func(i int) { jobs[i]() })
+// fanOut runs every job across the session's worker pool and returns
+// the results in job order, with the error of the lowest-indexed failing
+// job. A figure builds its job list once, fans it out here, and prints from
+// the returned slice; every run is a pure function of its inputs and the
+// session caches single-flight each key, so the results are identical at
+// any worker count.
+func fanOut[R any](s *Session, jobs []func() (R, error)) ([]R, error) {
+	out := make([]R, len(jobs))
+	errs := make([]error, len(jobs))
+	parallelDo(len(jobs), s.opt.workers(), func(i int) { out[i], errs[i] = jobs[i]() })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -16,36 +16,27 @@ type PerfRow struct {
 }
 
 // runMatrix simulates every model × policy combination of the end-to-end
-// evaluation, fanning the runs across the worker pool and reusing the
-// session cache. Row order (and every Result) is identical to a serial
-// sweep.
+// evaluation across the worker pool, reusing the session cache. Rows come
+// back in model-major order.
 func (s *Session) runMatrix(policies []string) ([]PerfRow, error) {
-	var jobs []func()
+	var jobs []func() (PerfRow, error)
 	for _, model := range s.opt.modelSet() {
 		for _, pol := range policies {
-			model, pol := model, pol
-			jobs = append(jobs, func() { _, _ = s.RunBase(model, pol) })
+			jobs = append(jobs, func() (PerfRow, error) {
+				res, err := s.RunBase(model, pol)
+				return PerfRow{Model: model, Batch: res.Batch, Policy: pol, Result: res}, err
+			})
 		}
 	}
-	s.prewarm(jobs)
-	var rows []PerfRow
-	for _, model := range s.opt.modelSet() {
-		for _, pol := range policies {
-			res, err := s.RunBase(model, pol)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, PerfRow{Model: model, Batch: res.Batch, Policy: pol, Result: res})
-		}
-	}
-	return rows, nil
+	return fanOut(s, jobs)
 }
 
 // Figure11 reproduces the end-to-end training throughput, normalized to the
 // Ideal (infinite GPU memory) baseline.
 func Figure11(s *Session) ([]PerfRow, error) {
 	w := s.opt.writer()
-	rows, err := s.runMatrix(append([]string{"Ideal"}, PolicyNames...))
+	policies := append([]string{"Ideal"}, PolicyNames...)
+	rows, err := s.runMatrix(policies)
 	if err != nil {
 		return nil, err
 	}
@@ -55,30 +46,22 @@ func Figure11(s *Session) ([]PerfRow, error) {
 		fmt.Fprintf(w, " %12s", p)
 	}
 	fmt.Fprintln(w)
-	byModel := map[string]map[string]gpu.Result{}
-	for _, r := range rows {
-		if byModel[r.Model] == nil {
-			byModel[r.Model] = map[string]gpu.Result{}
-		}
-		byModel[r.Model][r.Policy] = r.Result
-	}
 	var g10Sum float64
 	var g10N int
-	for _, model := range s.opt.modelSet() {
-		fmt.Fprintf(w, "%-14s", model)
-		for _, p := range PolicyNames {
-			res := byModel[model][p]
-			if res.Failed {
+	for i := 0; i < len(rows); i += len(policies) {
+		fmt.Fprintf(w, "%-14s", rows[i].Model)
+		for _, r := range rows[i+1 : i+len(policies)] { // the Ideal column is not printed
+			if r.Result.Failed {
 				fmt.Fprintf(w, " %12s", "FAIL")
 				continue
 			}
-			fmt.Fprintf(w, " %11.1f%%", 100*res.NormalizedPerf())
+			fmt.Fprintf(w, " %11.1f%%", 100*r.Result.NormalizedPerf())
+			if r.Policy == "G10" {
+				g10Sum += r.Result.NormalizedPerf()
+				g10N++
+			}
 		}
 		fmt.Fprintln(w)
-		if g10 := byModel[model]["G10"]; !g10.Failed {
-			g10Sum += g10.NormalizedPerf()
-			g10N++
-		}
 	}
 	if g10N > 0 {
 		fmt.Fprintf(w, "\nG10 mean of ideal: %.1f%% (paper: 90.3%%)\n", 100*g10Sum/float64(g10N))

@@ -28,54 +28,56 @@ func (s *Session) batchSweep(spec models.Spec) []int {
 	return spec.BatchSweep
 }
 
+// sweepJob runs one sweep cell: the row's model, batch and policy under
+// the config cfg derives from the workload's analysis, filling row.Result.
+func (s *Session) sweepJob(row SweepRow, cfg func(*vitality.Analysis) gpu.Config) func() (SweepRow, error) {
+	return func() (SweepRow, error) {
+		a, err := s.Analysis(row.Model, row.Batch)
+		if err != nil {
+			return row, err
+		}
+		row.Result, err = s.Run(row.Model, row.Batch, row.Policy, cfg(a))
+		return row, err
+	}
+}
+
 // Figure15 reproduces training throughput (examples/sec) as batch size
 // varies, for each design and the Ideal bound.
 func Figure15(s *Session) ([]SweepRow, error) {
 	w := s.opt.writer()
 	fmt.Fprintln(w, "=== Figure 15: training throughput vs batch size (examples/sec) ===")
 	policies := []string{"Base UVM", "FlashNeuron", "DeepUM+", "G10", "Ideal"}
-	var jobs []func()
-	for _, model := range s.opt.modelSet() {
+	mset := s.opt.modelSet()
+	sweeps := make([][]int, len(mset))
+	var jobs []func() (SweepRow, error)
+	for mi, model := range mset {
 		spec, err := models.ByName(model)
 		if err != nil {
 			return nil, err
 		}
-		for _, batch := range s.batchSweep(spec) {
+		sweeps[mi] = s.batchSweep(spec)
+		for _, batch := range sweeps[mi] {
 			for _, p := range policies {
-				model, batch, p := model, batch, p
-				jobs = append(jobs, func() {
-					if a, err := s.Analysis(model, batch); err == nil {
-						_, _ = s.Run(model, batch, p, "", s.baseConfig(a), nil)
-					}
-				})
+				jobs = append(jobs, s.sweepJob(SweepRow{Model: model, Batch: batch, Policy: p, X: float64(batch)}, s.baseConfig))
 			}
 		}
 	}
-	s.prewarm(jobs)
-	var rows []SweepRow
-	for _, model := range s.opt.modelSet() {
-		spec, err := models.ByName(model)
-		if err != nil {
-			return nil, err
-		}
+	rows, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	for mi, model := range mset {
 		fmt.Fprintf(w, "\n%s:\n%-8s", model, "batch")
 		for _, p := range policies {
 			fmt.Fprintf(w, " %12s", p)
 		}
 		fmt.Fprintln(w)
-		for _, batch := range s.batchSweep(spec) {
-			a, err := s.Analysis(model, batch)
-			if err != nil {
-				return nil, err
-			}
-			cfg := s.baseConfig(a)
+		for _, batch := range sweeps[mi] {
 			fmt.Fprintf(w, "%-8d", batch)
-			for _, p := range policies {
-				res, err := s.Run(model, batch, p, "", cfg, nil)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, SweepRow{Model: model, Batch: batch, Policy: p, X: float64(batch), Result: res})
+			for range policies {
+				res := rows[i].Result
+				i++
 				if res.Failed {
 					fmt.Fprintf(w, " %12s", "FAIL")
 				} else {
@@ -97,16 +99,26 @@ func (s *Session) hostSweep(a interface{ PeakAlive() units.Bytes }) []units.Byte
 	return []units.Bytes{0, 32 * units.GB, 64 * units.GB, 128 * units.GB, 256 * units.GB}
 }
 
+// hostConfig derives the base config with host memory set to host.
+func (s *Session) hostConfig(host units.Bytes) func(*vitality.Analysis) gpu.Config {
+	return func(a *vitality.Analysis) gpu.Config {
+		cfg := s.baseConfig(a)
+		cfg.HostCapacity = host
+		return cfg
+	}
+}
+
 // Figure16 reproduces G10's execution time as host memory capacity varies,
 // for several batch sizes per model.
 func Figure16(s *Session) ([]SweepRow, error) {
 	w := s.opt.writer()
 	fmt.Fprintln(w, "=== Figure 16: G10 execution time (s) vs host memory capacity ===")
-	// Stage 1: build the analyses across the pool (the host sweep below
-	// needs each model's largest-batch analysis before its run jobs can be
-	// enumerated).
-	var aJobs []func()
-	for _, model := range s.opt.modelSet() {
+	// Each model's host sweep derives from its largest batch's analysis, so
+	// those analyses build first, across the pool.
+	mset := s.opt.modelSet()
+	sweeps := make([][]int, len(mset))
+	var refJobs []func() (*vitality.Analysis, error)
+	for mi, model := range mset {
 		spec, err := models.ByName(model)
 		if err != nil {
 			return nil, err
@@ -115,73 +127,38 @@ func Figure16(s *Session) ([]SweepRow, error) {
 		if len(batches) > 4 {
 			batches = batches[len(batches)-4:]
 		}
-		for _, batch := range batches {
-			model, batch := model, batch
-			aJobs = append(aJobs, func() { _, _ = s.Analysis(model, batch) })
-		}
+		sweeps[mi] = batches
+		refJobs = append(refJobs, func() (*vitality.Analysis, error) {
+			return s.Analysis(model, batches[len(batches)-1])
+		})
 	}
-	s.prewarm(aJobs)
-	// Stage 2: fan out the simulations.
-	var jobs []func()
-	for _, model := range s.opt.modelSet() {
-		spec, err := models.ByName(model)
-		if err != nil {
-			return nil, err
-		}
-		batches := s.batchSweep(spec)
-		if len(batches) > 4 {
-			batches = batches[len(batches)-4:]
-		}
-		aRef, err := s.Analysis(model, batches[len(batches)-1])
-		if err != nil {
-			return nil, err
-		}
-		for _, host := range s.hostSweep(aRef) {
-			for _, batch := range batches {
-				host, batch, model := host, batch, model
-				jobs = append(jobs, func() {
-					if a, err := s.Analysis(model, batch); err == nil {
-						cfg := s.baseConfig(a)
-						cfg.HostCapacity = host
-						_, _ = s.Run(model, batch, "G10", fmt.Sprintf("host=%d", host), cfg, nil)
-					}
-				})
+	refs, err := fanOut(s, refJobs)
+	if err != nil {
+		return nil, err
+	}
+	hosts := make([][]units.Bytes, len(mset))
+	var jobs []func() (SweepRow, error)
+	for mi, model := range mset {
+		hosts[mi] = s.hostSweep(refs[mi])
+		for _, host := range hosts[mi] {
+			for _, batch := range sweeps[mi] {
+				row := SweepRow{Model: model, Batch: batch, Policy: "G10", X: host.GiB()}
+				jobs = append(jobs, s.sweepJob(row, s.hostConfig(host)))
 			}
 		}
 	}
-	s.prewarm(jobs)
-	var rows []SweepRow
-	for _, model := range s.opt.modelSet() {
-		spec, err := models.ByName(model)
-		if err != nil {
-			return nil, err
-		}
-		batches := s.batchSweep(spec)
-		if len(batches) > 4 {
-			batches = batches[len(batches)-4:]
-		}
-		fmt.Fprintf(w, "\n%s (rows: host GB, cols: batch %v):\n", model, batches)
-		// Determine the host sweep from the largest batch's analysis.
-		aRef, err := s.Analysis(model, batches[len(batches)-1])
-		if err != nil {
-			return nil, err
-		}
-		for _, host := range s.hostSweep(aRef) {
+	rows, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	for mi, model := range mset {
+		fmt.Fprintf(w, "\n%s (rows: host GB, cols: batch %v):\n", model, sweeps[mi])
+		for _, host := range hosts[mi] {
 			fmt.Fprintf(w, "%8.0f", host.GiB())
-			for _, batch := range batches {
-				a, err := s.Analysis(model, batch)
-				if err != nil {
-					return nil, err
-				}
-				cfg := s.baseConfig(a)
-				cfg.HostCapacity = host
-				tag := fmt.Sprintf("host=%d", host)
-				res, err := s.Run(model, batch, "G10", tag, cfg, nil)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, SweepRow{Model: model, Batch: batch, Policy: "G10", X: host.GiB(), Result: res})
-				fmt.Fprintf(w, " %10.2f", res.IterationTime.Seconds())
+			for range sweeps[mi] {
+				fmt.Fprintf(w, " %10.2f", rows[i].Result.IterationTime.Seconds())
+				i++
 			}
 			fmt.Fprintln(w)
 		}
@@ -203,69 +180,49 @@ func Figure17(s *Session) ([]SweepRow, error) {
 	w := s.opt.writer()
 	fmt.Fprintln(w, "=== Figure 17: execution time (s) vs host memory, by policy ===")
 	policies := []string{"DeepUM+", "FlashNeuron", "G10"}
-	// Stage 1: build both workloads' analyses across the pool (the host
-	// sweep depends on them).
-	var aJobs []func()
-	for _, wl := range fig17Workloads {
+	// The host sweep derives from each workload's analysis, so both build
+	// first, across the pool.
+	batches := make([]int, len(fig17Workloads))
+	var refJobs []func() (*vitality.Analysis, error)
+	for wi, wl := range fig17Workloads {
 		batch := wl.Batch
 		if s.opt.Short {
 			batch = shortBatch[wl.Model]
 		}
-		model, batch := wl.Model, batch
-		aJobs = append(aJobs, func() { _, _ = s.Analysis(model, batch) })
+		batches[wi] = batch
+		refJobs = append(refJobs, func() (*vitality.Analysis, error) { return s.Analysis(wl.Model, batch) })
 	}
-	s.prewarm(aJobs)
-	// Stage 2: fan out the simulations.
-	var jobs []func()
-	for _, wl := range fig17Workloads {
-		batch := wl.Batch
-		if s.opt.Short {
-			batch = shortBatch[wl.Model]
-		}
-		a, err := s.Analysis(wl.Model, batch)
-		if err != nil {
-			return nil, err
-		}
-		for _, host := range s.hostSweep(a) {
+	refs, err := fanOut(s, refJobs)
+	if err != nil {
+		return nil, err
+	}
+	hosts := make([][]units.Bytes, len(fig17Workloads))
+	var jobs []func() (SweepRow, error)
+	for wi, wl := range fig17Workloads {
+		hosts[wi] = s.hostSweep(refs[wi])
+		for _, host := range hosts[wi] {
 			for _, p := range policies {
-				model, host, p, batch := wl.Model, host, p, batch
-				jobs = append(jobs, func() {
-					if a, err := s.Analysis(model, batch); err == nil {
-						cfg := s.baseConfig(a)
-						cfg.HostCapacity = host
-						_, _ = s.Run(model, batch, p, fmt.Sprintf("host=%d", host), cfg, nil)
-					}
-				})
+				row := SweepRow{Model: wl.Model, Batch: batches[wi], Policy: p, X: host.GiB()}
+				jobs = append(jobs, s.sweepJob(row, s.hostConfig(host)))
 			}
 		}
 	}
-	s.prewarm(jobs)
-	var rows []SweepRow
-	for _, wl := range fig17Workloads {
-		batch := wl.Batch
-		if s.opt.Short {
-			batch = shortBatch[wl.Model]
-		}
-		a, err := s.Analysis(wl.Model, batch)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\n%s-%d:\n%-8s", wl.Model, batch, "hostGB")
+	rows, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	for wi, wl := range fig17Workloads {
+		fmt.Fprintf(w, "\n%s-%d:\n%-8s", wl.Model, batches[wi], "hostGB")
 		for _, p := range policies {
 			fmt.Fprintf(w, " %12s", p)
 		}
 		fmt.Fprintln(w)
-		for _, host := range s.hostSweep(a) {
-			cfg := s.baseConfig(a)
-			cfg.HostCapacity = host
-			tag := fmt.Sprintf("host=%d", host)
+		for _, host := range hosts[wi] {
 			fmt.Fprintf(w, "%-8.0f", host.GiB())
-			for _, p := range policies {
-				res, err := s.Run(wl.Model, batch, p, tag, cfg, nil)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, SweepRow{Model: wl.Model, Batch: batch, Policy: p, X: host.GiB(), Result: res})
+			for range policies {
+				res := rows[i].Result
+				i++
 				if res.Failed {
 					fmt.Fprintf(w, " %12s", "FAIL")
 				} else {
@@ -288,67 +245,52 @@ func Figure18(s *Session) ([]SweepRow, error) {
 	if s.opt.Short {
 		bandwidths = []float64{6.4, 32.0}
 	}
-	fig18Batch := func(spec models.Spec) int {
-		batch := s.batchFor(spec)
-		if !s.opt.Short && spec.Name == "BERT" {
-			return 512 // the paper uses BERT-512 in this sweep
+	fig18Cfg := func(bw float64) func(*vitality.Analysis) gpu.Config {
+		return func(a *vitality.Analysis) gpu.Config {
+			cfg := s.baseConfig(a)
+			cfg.PCIeBandwidth = units.GBps(32)
+			ssdCfg := cfg.SSD
+			ssdCfg.ReadBandwidth = units.GBps(bw)
+			ssdCfg.WriteBandwidth = units.GBps(bw * 3.0 / 3.2)
+			cfg.SSD = ssdCfg
+			return cfg
 		}
-		return batch
 	}
-	fig18Cfg := func(a *vitality.Analysis, bw float64) gpu.Config {
-		cfg := s.baseConfig(a)
-		cfg.PCIeBandwidth = units.GBps(32)
-		ssdCfg := cfg.SSD
-		ssdCfg.ReadBandwidth = units.GBps(bw)
-		ssdCfg.WriteBandwidth = units.GBps(bw * 3.0 / 3.2)
-		cfg.SSD = ssdCfg
-		return cfg
-	}
-	var jobs []func()
-	for _, model := range s.opt.modelSet() {
+	mset := s.opt.modelSet()
+	batches := make([]int, len(mset))
+	var jobs []func() (SweepRow, error)
+	for mi, model := range mset {
 		spec, err := models.ByName(model)
 		if err != nil {
 			return nil, err
 		}
-		batch := fig18Batch(spec)
+		batches[mi] = s.batchFor(spec)
+		if !s.opt.Short && spec.Name == "BERT" {
+			batches[mi] = 512 // the paper uses BERT-512 in this sweep
+		}
 		for _, bw := range bandwidths {
 			for _, p := range policies {
-				model, bw, p, batch := model, bw, p, batch
-				jobs = append(jobs, func() {
-					if a, err := s.Analysis(model, batch); err == nil {
-						_, _ = s.Run(model, batch, p, fmt.Sprintf("ssd=%.1f", bw), fig18Cfg(a, bw), nil)
-					}
-				})
+				row := SweepRow{Model: model, Batch: batches[mi], Policy: p, X: bw}
+				jobs = append(jobs, s.sweepJob(row, fig18Cfg(bw)))
 			}
 		}
 	}
-	s.prewarm(jobs)
-	var rows []SweepRow
-	for _, model := range s.opt.modelSet() {
-		spec, err := models.ByName(model)
-		if err != nil {
-			return nil, err
-		}
-		batch := fig18Batch(spec)
-		a, err := s.Analysis(model, batch)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\n%s-%d:\n%-8s", model, batch, "GB/s")
+	rows, err := fanOut(s, jobs)
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	for mi, model := range mset {
+		fmt.Fprintf(w, "\n%s-%d:\n%-8s", model, batches[mi], "GB/s")
 		for _, p := range policies {
 			fmt.Fprintf(w, " %12s", p)
 		}
 		fmt.Fprintln(w)
 		for _, bw := range bandwidths {
-			cfg := fig18Cfg(a, bw)
-			tag := fmt.Sprintf("ssd=%.1f", bw)
 			fmt.Fprintf(w, "%-8.1f", bw)
-			for _, p := range policies {
-				res, err := s.Run(model, batch, p, tag, cfg, nil)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, SweepRow{Model: model, Batch: batch, Policy: p, X: bw, Result: res})
+			for range policies {
+				res := rows[i].Result
+				i++
 				if res.Failed {
 					fmt.Fprintf(w, " %12s", "FAIL")
 				} else {

@@ -59,8 +59,8 @@
 // check, when every tenant is done, has no NextEvent after it; its flush
 // is extra only if the final steps changed the network after the last
 // AdvanceEventwise, which ends by asking NextEvent itself
-// (TestEventDriverMatchesPolling pins equal EngineStats, checked and
-// not). Other callers of CheckMaxMin get no such guarantee: one that
+// (TestTenantsUnderCheck pins equal EngineStats, checked and not).
+// Other callers of CheckMaxMin get no such guarantee: one that
 // changes the network and certifies without asking NextEvent again (after
 // a loop's last event, say) pays a recompute the uncertified run never
 // makes, and the fill counters move with it. flownet's

@@ -13,7 +13,7 @@ import (
 // runChecked runs the cluster build describes under Check and fails unless
 // every invariant holds at every clock advance. A run that passes is the
 // run an unchecked one would have been (see check.go);
-// TestEventDriverMatchesPolling pins that explicitly.
+// TestTenantsUnderCheck pins that explicitly.
 func runChecked(t testing.TB, build func() ClusterParams) ClusterResult {
 	t.Helper()
 	p := build()
@@ -30,13 +30,13 @@ func mustRunCluster(t testing.TB, p ClusterParams) ClusterResult {
 	return res
 }
 
-// TestEventDriverMatchesPolling runs the event-driven scheduler under Check
+// TestTenantsUnderCheck runs the event-driven scheduler under Check
 // — wake completeness, the max-min certificate, pool ledgers and GPU
 // capacity at every clock advance — on heterogeneous tenants, tight and
 // roomy host pools, strict (FlashNeuron-style) and UVM policies, and
 // dynamic arrivals. It is the one explicit differential: the checked run
 // must match the unchecked one exactly, results and engine counters alike.
-func TestEventDriverMatchesPolling(t *testing.T) {
+func TestTenantsUnderCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		hostCap  units.Bytes
