@@ -21,15 +21,14 @@ func TestHeapFillMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFrontierRefillMatchesReference: refilling only the components a
-// change dirtied must be bit-identical to refilling every active flow at
-// every recompute. Both networks run the reference scan loop, so the only
+// TestScopedRefillMatchesGlobal: refilling only the components a change
+// dirtied must be bit-identical to refilling every active flow at every
+// recompute. Both networks run the reference scan loop, so the only
 // difference is the refill scope (dirty components vs one global
 // component). The partial-refill assertion guards against the scoping
 // silently refilling every active flow, in which case this test would only
-// re-prove the reference fill. (The name is kept from the frontier-
-// incremental refill this test once pinned; DESIGN.md §13.)
-func TestFrontierRefillMatchesReference(t *testing.T) {
+// re-prove the reference fill.
+func TestScopedRefillMatchesGlobal(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			partial := driveDifferential(t, seed, func(ref, dut *Network) {

@@ -12,11 +12,9 @@ import (
 // and the timeline wraps cyclically so that a global tensor's iteration-
 // crossing migration lands in the next iteration's early slots.
 type channel struct {
-	starts []units.Time // kernel boundaries; starts[n] = iteration total
-	free   []float64    // free seconds remaining per slot
-	span   []float64    // slot lengths in seconds
-	bw     float64      // bytes/sec
-	total  units.Time
+	tl   *timeline
+	free []float64 // free seconds remaining per slot
+	bw   float64   // bytes/sec
 	// scratch holds the pending draws of one schedule call; reused across
 	// calls to keep the (very frequent) previews allocation-free.
 	scratch []draw
@@ -28,50 +26,15 @@ type draw struct {
 	amt  float64
 }
 
-func newChannel(starts []units.Time, bw units.Bandwidth) *channel {
-	n := len(starts) - 1
-	c := &channel{
-		starts: starts,
-		free:   make([]float64, n),
-		span:   make([]float64, n),
-		bw:     float64(bw),
-		total:  starts[n],
-	}
-	for k := 0; k < n; k++ {
-		c.span[k] = (starts[k+1] - starts[k]).Seconds()
-		c.free[k] = c.span[k]
-	}
-	return c
-}
-
-func (c *channel) slots() int { return len(c.free) }
-
-// slotOf locates the kernel slot containing time t (clamped).
-func (c *channel) slotOf(t units.Time) int {
-	n := c.slots()
-	if t <= 0 {
-		return 0
-	}
-	if t >= c.total {
-		return n - 1
-	}
-	// Binary search: last k with starts[k] <= t.
-	lo, hi := 0, n-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if c.starts[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
+// newChannel opens a channel over tl with every slot free.
+func newChannel(tl *timeline, bw units.Bandwidth) *channel {
+	return &channel{tl: tl, free: append([]float64(nil), tl.sec...), bw: float64(bw)}
 }
 
 // freeAfter reports the free seconds of slot k past time t, assuming the
 // slot's busy time is spread uniformly.
 func (c *channel) freeAfter(k int, t units.Time) float64 {
-	s, e := c.starts[k], c.starts[k+1]
+	s, e := c.tl.starts[k], c.tl.starts[k+1]
 	if t <= s {
 		return c.free[k]
 	}
@@ -84,7 +47,7 @@ func (c *channel) freeAfter(k int, t units.Time) float64 {
 
 // freeBefore is the symmetric helper for backward placement.
 func (c *channel) freeBefore(k int, t units.Time) float64 {
-	s, e := c.starts[k], c.starts[k+1]
+	s, e := c.tl.starts[k], c.tl.starts[k+1]
 	if t >= e {
 		return c.free[k]
 	}
@@ -110,13 +73,13 @@ func (c *channel) scheduleForward(t units.Time, n units.Bytes, commit bool) (uni
 	}
 	draws := c.scratch[:0]
 	defer func() { c.scratch = draws[:0] }()
-	nslots := c.slots()
-	k := c.slotOf(t)
+	nslots := c.tl.n
+	k := c.tl.slotOf(t)
 	pos := t
 	for step := 0; step < 2*nslots; step++ {
 		idx := k % nslots
-		lap := units.Time(k/nslots) * c.total
-		slotEnd := c.starts[idx+1] + lap
+		lap := units.Time(k/nslots) * c.tl.total
+		slotEnd := c.tl.starts[idx+1] + lap
 		avail := c.freeAfter(idx, pos-lap)
 		if avail >= need {
 			// Completion inside this slot: advance proportionally to the
@@ -164,19 +127,15 @@ func (c *channel) scheduleBackward(deadline units.Time, n units.Bytes, commit bo
 	}
 	draws := c.scratch[:0]
 	defer func() { c.scratch = draws[:0] }()
-	nslots := c.slots()
-	pos := deadline
-	if pos > c.total {
-		pos = c.total
-	}
-	k := c.slotOf(pos - 1)
-	for step := 0; step < 2*nslots; step++ {
-		idx := ((k % nslots) + nslots) % nslots
+	pos := min(deadline, c.tl.total)
+	k := c.tl.slotOf(pos - 1)
+	for step := 0; step < 2*c.tl.n; step++ {
+		idx := c.tl.mod(k)
 		var lap units.Time
 		if k < 0 {
-			lap = -c.total
+			lap = -c.tl.total
 		}
-		slotStart := c.starts[idx] + lap
+		slotStart := c.tl.starts[idx] + lap
 		avail := c.freeBefore(idx, pos-lap)
 		if avail >= need {
 			var start units.Time
@@ -210,37 +169,19 @@ func (c *channel) scheduleBackward(deadline units.Time, n units.Bytes, commit bo
 // busyFrac reports the booked fraction of the channel over [t0, t1]
 // (clamped to the iteration, wrapping when t1 > total).
 func (c *channel) busyFrac(t0, t1 units.Time) float64 {
-	if t1 <= t0 {
-		return 0
-	}
 	var window, busy float64
-	add := func(a, b units.Time) {
-		if b <= a {
-			return
-		}
-		k0, k1 := c.slotOf(a), c.slotOf(b-1)
-		for k := k0; k <= k1; k++ {
-			s, e := c.starts[k], c.starts[k+1]
-			if s < a {
-				s = a
-			}
-			if e > b {
-				e = b
-			}
+	for _, w := range c.tl.wrapSplit(t0, t1) {
+		k0, k1 := c.tl.touched(w)
+		for k := k0; k < k1; k++ {
+			s, e := max(c.tl.starts[k], w.a), min(c.tl.starts[k+1], w.b)
 			if e <= s {
 				continue
 			}
-			frac := float64(e-s) / float64(c.starts[k+1]-c.starts[k])
+			frac := float64(e-s) / float64(c.tl.starts[k+1]-c.tl.starts[k])
 			span := (e - s).Seconds()
 			window += span
 			busy += span - c.free[k]*frac
 		}
-	}
-	if t1 > c.total {
-		add(t0, c.total)
-		add(0, t1-c.total)
-	} else {
-		add(t0, t1)
 	}
 	if window <= 0 {
 		return 0

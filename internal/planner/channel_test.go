@@ -16,7 +16,7 @@ func evenStarts(n int) []units.Time {
 }
 
 func TestChannelForwardEmpty(t *testing.T) {
-	c := newChannel(evenStarts(10), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(10)), units.GBps(1))
 	// 1MB at 1GB/s = ~1ms starting at t=0 -> done ~1ms.
 	done, ok := c.scheduleForward(0, units.MB, true)
 	if !ok {
@@ -29,7 +29,7 @@ func TestChannelForwardEmpty(t *testing.T) {
 }
 
 func TestChannelForwardQueuesBehindBookings(t *testing.T) {
-	c := newChannel(evenStarts(10), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(10)), units.GBps(1))
 	// Fill the first two slots entirely.
 	if _, ok := c.scheduleForward(0, 2*units.MB, true); !ok {
 		t.Fatal("first booking failed")
@@ -45,7 +45,7 @@ func TestChannelForwardQueuesBehindBookings(t *testing.T) {
 }
 
 func TestChannelPreviewDoesNotBook(t *testing.T) {
-	c := newChannel(evenStarts(4), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(4)), units.GBps(1))
 	d1, _ := c.scheduleForward(0, units.MB, false)
 	d2, _ := c.scheduleForward(0, units.MB, false)
 	if d1 != d2 {
@@ -54,7 +54,7 @@ func TestChannelPreviewDoesNotBook(t *testing.T) {
 }
 
 func TestChannelForwardWraps(t *testing.T) {
-	c := newChannel(evenStarts(4), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(4)), units.GBps(1))
 	// Start near the end: 2MB from t=3.5ms needs 2ms of channel; only
 	// 0.5ms remains before total (4ms), so it wraps into the next
 	// iteration and completes around 5.5ms.
@@ -68,18 +68,18 @@ func TestChannelForwardWraps(t *testing.T) {
 }
 
 func TestChannelForwardRejectsOverload(t *testing.T) {
-	c := newChannel(evenStarts(4), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(4)), units.GBps(1))
 	// 4ms total capacity per lap, 2 laps max => 8MB limit from t=0.
 	if _, ok := c.scheduleForward(0, 100*units.MB, true); ok {
 		t.Error("overload accepted")
 	}
-	if _, ok := newChannel(evenStarts(4), 0).scheduleForward(0, units.MB, true); ok {
+	if _, ok := newChannel(newTimeline(evenStarts(4)), 0).scheduleForward(0, units.MB, true); ok {
 		t.Error("zero-bandwidth channel accepted booking")
 	}
 }
 
 func TestChannelBackwardEmpty(t *testing.T) {
-	c := newChannel(evenStarts(10), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(10)), units.GBps(1))
 	// 1MB finishing by 5ms starts ~4ms.
 	start, ok := c.scheduleBackward(5*units.Millisecond, units.MB, true)
 	if !ok {
@@ -91,7 +91,7 @@ func TestChannelBackwardEmpty(t *testing.T) {
 }
 
 func TestChannelBackwardQueues(t *testing.T) {
-	c := newChannel(evenStarts(10), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(10)), units.GBps(1))
 	// Book slot 4 fully; a transfer ending at 5ms must start ~3ms.
 	if _, ok := c.scheduleForward(4*units.Millisecond, units.MB, true); !ok {
 		t.Fatal("forward fill failed")
@@ -106,7 +106,7 @@ func TestChannelBackwardQueues(t *testing.T) {
 }
 
 func TestChannelBackwardWrapsNegative(t *testing.T) {
-	c := newChannel(evenStarts(4), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(4)), units.GBps(1))
 	// 2MB finishing by 1ms: 1ms available in [0,1ms), the rest wraps to
 	// the previous iteration -> start ~-1ms.
 	start, ok := c.scheduleBackward(1*units.Millisecond, 2*units.MB, true)
@@ -119,7 +119,7 @@ func TestChannelBackwardWrapsNegative(t *testing.T) {
 }
 
 func TestChannelBusyFrac(t *testing.T) {
-	c := newChannel(evenStarts(10), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(10)), units.GBps(1))
 	if f := c.busyFrac(0, 10*units.Millisecond); f != 0 {
 		t.Errorf("fresh channel busyFrac = %v", f)
 	}
@@ -140,7 +140,7 @@ func TestChannelBusyFrac(t *testing.T) {
 }
 
 func TestChannelSlotOf(t *testing.T) {
-	c := newChannel(evenStarts(10), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(10)), units.GBps(1))
 	cases := []struct {
 		t    units.Time
 		want int
@@ -152,7 +152,7 @@ func TestChannelSlotOf(t *testing.T) {
 		{20 * units.Millisecond, 9}, // clamped
 	}
 	for _, cse := range cases {
-		if got := c.slotOf(cse.t); got != cse.want {
+		if got := c.tl.slotOf(cse.t); got != cse.want {
 			t.Errorf("slotOf(%v) = %d, want %d", cse.t, got, cse.want)
 		}
 	}
@@ -160,7 +160,7 @@ func TestChannelSlotOf(t *testing.T) {
 
 func TestChannelConservation(t *testing.T) {
 	// Total booked seconds never exceed the channel's capacity per lap ×2.
-	c := newChannel(evenStarts(8), units.GBps(1))
+	c := newChannel(newTimeline(evenStarts(8)), units.GBps(1))
 	var booked float64
 	for i := 0; i < 100; i++ {
 		if _, ok := c.scheduleForward(units.Time(i%8)*units.Millisecond, 512*units.KB, true); ok {

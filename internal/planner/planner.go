@@ -108,18 +108,14 @@ type planner struct {
 	a   *vitality.Analysis
 	cfg Config
 
-	n        int
-	starts   []units.Time
-	total    units.Time
+	tl       *timeline
 	pressure []float64 // bytes per kernel slot
 	hostUsed []float64 // bytes per kernel slot
 
 	// Derived indexes over the eviction-phase state (see DESIGN.md §4):
-	// slotSec caches slot durations in seconds; excess marks slots whose
-	// pressure exceeds GPU capacity (the only slots that contribute to a
-	// candidate's benefit integral); presTree/hostTree maintain range
-	// maxima over pressure and hostUsed.
-	slotSec  []float64
+	// excess marks slots whose pressure exceeds GPU capacity (the only
+	// slots that contribute to a candidate's benefit integral);
+	// presTree/hostTree maintain range maxima over pressure and hostUsed.
 	excess   bitset
 	presTree *maxTree
 	hostTree *maxTree
@@ -132,20 +128,6 @@ type planner struct {
 	// the eager-rescheduling walk (parallel to decisions); the online
 	// re-timing layer anchors on it.
 	prefetchSlots []int
-
-	// areaCache memoizes excessArea by its full argument tuple between
-	// pressure mutations: the lazy-greedy heap re-evaluates many candidates
-	// whose free window and size are unchanged since the last commit, and
-	// each repeat is the identical integral (same slots, same order, same
-	// floats) — a hit returns the previously accumulated value, so plans
-	// cannot change. Every writer of pressure/excess flushes it.
-	areaCache map[areaKey]float64
-}
-
-// areaKey identifies one excessArea query within a planning pass.
-type areaKey struct {
-	from, to units.Time
-	size     float64
 }
 
 // New runs the full scheduling pipeline and returns the plan.
@@ -155,18 +137,12 @@ func New(a *vitality.Analysis, cfg Config) *Plan {
 	pl := &planner{
 		a:        a,
 		cfg:      cfg,
-		n:        n,
-		starts:   a.Starts,
-		total:    a.Starts[n],
+		tl:       newTimeline(a.Starts),
 		pressure: make([]float64, n),
 		hostUsed: make([]float64, n),
 	}
 	for k := 0; k < n; k++ {
 		pl.pressure[k] = float64(a.AliveBytes[k])
-	}
-	pl.slotSec = make([]float64, n)
-	for k := 0; k < n; k++ {
-		pl.slotSec[k] = (pl.starts[k+1] - pl.starts[k]).Seconds()
 	}
 	capBytes := float64(cfg.GPUCapacity)
 	pl.excess = newBitset(n)
@@ -177,10 +153,10 @@ func New(a *vitality.Analysis, cfg Config) *Plan {
 	}
 	pl.presTree = newMaxTree(pl.pressure)
 	pl.hostTree = newMaxTree(pl.hostUsed)
-	pl.ssdWrite = newChannel(a.Starts, cfg.SSDWriteBW)
-	pl.ssdRead = newChannel(a.Starts, cfg.SSDReadBW)
-	pl.hostWrite = newChannel(a.Starts, cfg.HostWriteBW)
-	pl.hostRead = newChannel(a.Starts, cfg.HostReadBW)
+	pl.ssdWrite = newChannel(pl.tl, cfg.SSDWriteBW)
+	pl.ssdRead = newChannel(pl.tl, cfg.SSDReadBW)
+	pl.hostWrite = newChannel(pl.tl, cfg.HostWriteBW)
+	pl.hostRead = newChannel(pl.tl, cfg.HostReadBW)
 
 	pl.scheduleEvictions()
 	pl.schedulePrefetches()
@@ -211,9 +187,7 @@ func New(a *vitality.Analysis, cfg Config) *Plan {
 	plan.Program.retime = &retimeState{
 		a:             a,
 		cfg:           cfg,
-		n:             n,
-		total:         pl.total,
-		starts:        pl.starts,
+		tl:            pl.tl,
 		decisions:     pl.decisions,
 		prefetchSlots: pl.prefetchSlots,
 	}
@@ -356,23 +330,16 @@ func (pl *planner) freeWindow(p *vitality.Period, target uvm.Location) (from, to
 // inside [from, to] — the eviction's benefit in byte·seconds. Only slots in
 // the over-capacity bitset contribute, and they are visited in the same
 // order (ascending global slot) with the same per-slot arithmetic as a full
-// scan, so the float accumulation is identical.
+// scan, so the float accumulation is identical. The per-run body is a
+// plain loop, not a callback: a callback is free only while the compiler
+// inlines it (DESIGN.md §4).
 func (pl *planner) excessArea(from, to units.Time, size float64) float64 {
-	key := areaKey{from: from, to: to, size: size}
-	if v, ok := pl.areaCache[key]; ok {
-		return v
-	}
 	cap := float64(pl.cfg.GPUCapacity)
 	var area float64
-	g0, gEnd := pl.fullSlotSpan(from, to)
-	n := int64(pl.n)
-	for gs := g0; gs < gEnd; {
-		kStart := int(gs % n)
-		span := int(n) - kStart
-		if rem := gEnd - gs; int64(span) > rem {
-			span = int(rem)
-		}
-		kLim := kStart + span
+	g, gEnd := pl.tl.fullSlotSpan(from, to)
+	for g < gEnd {
+		kStart, kLim := pl.tl.run(g, gEnd)
+		g += kLim - kStart
 		// Walk the over-capacity bitset word by word (ascending slot
 		// order, so the float accumulation matches a full scan exactly).
 		for w := kStart >> 6; w<<6 < kLim; w++ {
@@ -394,15 +361,10 @@ func (pl *planner) excessArea(from, to units.Time, size float64) float64 {
 				if excess > size {
 					excess = size
 				}
-				area += excess * pl.slotSec[k]
+				area += excess * pl.tl.sec[k]
 			}
 		}
-		gs += int64(span)
 	}
-	if pl.areaCache == nil {
-		pl.areaCache = make(map[areaKey]float64, 64)
-	}
-	pl.areaCache[key] = area
 	return area
 }
 
@@ -425,19 +387,13 @@ func (pl *planner) commit(p *vitality.Period) {
 	}
 
 	// Reduce pressure over the free window, keeping the over-capacity
-	// bitset and pressure max-tree in sync. Pressure changes invalidate
-	// every memoized benefit integral.
-	clear(pl.areaCache)
+	// bitset and pressure max-tree in sync.
 	capBytes := float64(pl.cfg.GPUCapacity)
-	g0, gEnd := pl.fullSlotSpan(from, to)
-	n64 := int64(pl.n)
-	for gs := g0; gs < gEnd; {
-		kStart := int(gs % n64)
-		span := int(n64) - kStart
-		if rem := gEnd - gs; int64(span) > rem {
-			span = int(rem)
-		}
-		for k := kStart; k < kStart+span; k++ {
+	g, gEnd := pl.tl.fullSlotSpan(from, to)
+	for g < gEnd {
+		kStart, kLim := pl.tl.run(g, gEnd)
+		g += kLim - kStart
+		for k := kStart; k < kLim; k++ {
 			pl.pressure[k] -= float64(size)
 			if pl.pressure[k]-capBytes > 0 {
 				pl.excess.set(k)
@@ -445,17 +401,17 @@ func (pl *planner) commit(p *vitality.Period) {
 				pl.excess.clear(k)
 			}
 		}
-		pl.presTree.update(kStart, kStart+span)
-		gs += int64(span)
+		pl.presTree.update(kStart, kLim)
 	}
 	// Host occupancy covers the whole period.
 	if target == uvm.InHost {
-		pl.eachTouchedWindow(p.Start, p.End, func(k0, kEnd int) {
+		for _, w := range pl.tl.wrapSplit(p.Start, p.End) {
+			k0, kEnd := pl.tl.touched(w)
 			for k := k0; k < kEnd; k++ {
 				pl.hostUsed[k] += float64(size)
 			}
 			pl.hostTree.update(k0, kEnd)
-		})
+		}
 	}
 
 	pl.decisions = append(pl.decisions, Decision{
@@ -475,33 +431,13 @@ func (pl *planner) hostFits(p *vitality.Period, size units.Bytes) bool {
 	if !pl.cfg.UseHost || pl.cfg.HostCapacity <= 0 {
 		return false
 	}
-	fits := true
-	pl.eachTouchedWindow(p.Start, p.End, func(k0, kEnd int) {
+	for _, w := range pl.tl.wrapSplit(p.Start, p.End) {
+		k0, kEnd := pl.tl.touched(w)
 		if k0 < kEnd && pl.hostTree.queryMax(k0, kEnd)+float64(size) > float64(pl.cfg.HostCapacity) {
-			fits = false
-		}
-	})
-	return fits
-}
-
-// eachTouchedWindow yields the local slot interval(s) overlapping
-// [from, to] (cyclic), in visit order.
-func (pl *planner) eachTouchedWindow(from, to units.Time, fn func(k0, kEnd int)) {
-	if to <= from {
-		return
-	}
-	visit := func(a, b units.Time) {
-		k0, kEnd := pl.touchedSlotRange(a, b)
-		if k0 < kEnd {
-			fn(k0, kEnd)
+			return false
 		}
 	}
-	if to > pl.total {
-		visit(from, pl.total)
-		visit(0, to-pl.total)
-	} else {
-		visit(from, to)
-	}
+	return true
 }
 
 // ---- Phase 2: smart tensor prefetching (§4.4) ----
@@ -542,47 +478,25 @@ func (pl *planner) schedulePrefetches() {
 
 		// Map the start to an issue boundary (the kernel during which the
 		// transfer should begin), in cyclic terms.
-		bLatest := pl.cyclicSlot(start)
-		bEarliestLimit := pl.cyclicSlot(d.EvictDone) + 1 // cannot fetch before eviction lands
+		bLatest := pl.tl.cyclicSlot(start)
+		bEarliestLimit := pl.tl.cyclicSlot(d.EvictDone) + 1 // cannot fetch before eviction lands
 
 		// Eager rescheduling: walk backwards while the tensor also fits.
 		b := bLatest
 		for b > bEarliestLimit {
-			k := ((b-1)%pl.n + pl.n) % pl.n
-			if pl.pressure[k]+float64(size) > capBytes {
+			if pl.pressure[pl.tl.mod(b-1)]+float64(size) > capBytes {
 				break
 			}
 			b--
 		}
 		// The tensor re-occupies memory from the issue slot to the latest
 		// slot (it was counted from the latest slot onwards already).
-		clear(pl.areaCache)
 		for g := b; g < bLatest; g++ {
-			k := (g%pl.n + pl.n) % pl.n
-			pl.pressure[k] += float64(size)
+			pl.pressure[pl.tl.mod(g)] += float64(size)
 		}
 		pl.prefetchSlots[i] = b
-		d.PrefetchBoundary = ((b % pl.n) + pl.n) % pl.n
+		d.PrefetchBoundary = pl.tl.mod(b)
 	}
-}
-
-// cyclicSlot maps a (possibly negative or wrapped) time to a global slot
-// number such that consecutive times map to consecutive numbers.
-func (pl *planner) cyclicSlot(t units.Time) int {
-	lap := 0
-	for t < 0 {
-		t += pl.total
-		lap -= 1
-	}
-	for t >= pl.total {
-		t -= pl.total
-		lap += 1
-	}
-	k := sort.Search(pl.n, func(i int) bool { return pl.starts[i+1] > t })
-	if k >= pl.n {
-		k = pl.n - 1
-	}
-	return lap*pl.n + k
 }
 
 // Validate checks the plan's invariants (used by tests): evictions sit

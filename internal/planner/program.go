@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"sort"
 
 	"g10sim/internal/dnn"
 	"g10sim/internal/units"
@@ -72,9 +71,7 @@ type Program struct {
 type retimeState struct {
 	a         *vitality.Analysis
 	cfg       Config
-	n         int
-	total     units.Time
-	starts    []units.Time
+	tl        *timeline
 	decisions []Decision
 	// prefetchSlots holds each decision's final global prefetch slot from
 	// the eager-rescheduling walk — the anchor Retime never issues later
@@ -203,14 +200,14 @@ func (p *Program) Retime(rt Retiming) *Program {
 		// observed inflation, still meets the planned deadline.
 		span := d.Deadline - d.PrefetchStart
 		newStart := d.Deadline - units.Time(float64(span)*rt.FetchInflation)
-		g := rs.cyclicSlot(newStart)
-		if lim := rs.cyclicSlot(d.EvictDone) + 1; g < lim {
+		g := rs.tl.cyclicSlot(newStart)
+		if lim := rs.tl.cyclicSlot(d.EvictDone) + 1; g < lim {
 			g = lim
 		}
 		if planned := rs.prefetchSlots[i]; g > planned {
 			g = planned // never later than the plan's eager boundary
 		}
-		if nb := rs.mod(g); nb != d.PrefetchBoundary {
+		if nb := rs.tl.mod(g); nb != d.PrefetchBoundary {
 			d.PrefetchBoundary = nb
 			changed = true
 		}
@@ -220,8 +217,8 @@ func (p *Program) Retime(rt Retiming) *Program {
 		if rt.DeferEvictions {
 			write := units.Duration(float64(writeTime(size, d.Target, rs.cfg)) * rt.EvictInflation)
 			e := d.EvictBoundary
-			for e+1 <= rs.n && e+1 < g &&
-				rs.starts[e+1]+write <= d.EvictDone {
+			for e+1 <= rs.tl.n && e+1 < g &&
+				rs.tl.starts[e+1]+write <= d.EvictDone {
 				e++
 			}
 			if e != d.EvictBoundary {
@@ -245,28 +242,4 @@ func writeTime(size units.Bytes, target uvm.Location, cfg Config) units.Duration
 		return units.TransferTime(size, cfg.HostWriteBW)
 	}
 	return units.TransferTime(size, cfg.SSDWriteBW)
-}
-
-// cyclicSlot maps a (possibly negative or wrapped) planning-timeline time to
-// a global slot number — the same mapping the planner's prefetch pass uses.
-func (rs *retimeState) cyclicSlot(t units.Time) int {
-	lap := 0
-	for t < 0 {
-		t += rs.total
-		lap--
-	}
-	for t >= rs.total {
-		t -= rs.total
-		lap++
-	}
-	k := sort.Search(rs.n, func(i int) bool { return rs.starts[i+1] > t })
-	if k >= rs.n {
-		k = rs.n - 1
-	}
-	return lap*rs.n + k
-}
-
-// mod folds a global slot into a boundary index in [0, n).
-func (rs *retimeState) mod(g int) int {
-	return ((g % rs.n) + rs.n) % rs.n
 }

@@ -148,8 +148,8 @@ func TestRetimeGlobalSlotBounds(t *testing.T) {
 		for i := range rs.decisions {
 			d := &rs.decisions[i]
 			span := d.Deadline - d.PrefetchStart
-			g := rs.cyclicSlot(d.Deadline - units.Time(float64(span)*f))
-			if lim := rs.cyclicSlot(d.EvictDone) + 1; g < lim {
+			g := rs.tl.cyclicSlot(d.Deadline - units.Time(float64(span)*f))
+			if lim := rs.tl.cyclicSlot(d.EvictDone) + 1; g < lim {
 				g = lim
 			}
 			if g > rs.prefetchSlots[i] {

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"math"
-	"sort"
 
 	"g10sim/internal/units"
 )
@@ -83,47 +82,97 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 func (b bitset) set(i int)   { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 
-// fullSlotSpan reports the global-slot interval [g0, gEnd) that
-// forEachFullSlot(from, to) visits: slot g (lap g/n, kernel g%n) is visited
-// iff it starts at or after from and ends at or before to, with the
-// timeline wrapping cyclically every iteration.
-func (pl *planner) fullSlotSpan(from, to units.Time) (g0, gEnd int64) {
-	n := int64(pl.n)
-	lap := int64(from / pl.total)
-	rem := from - units.Time(lap)*pl.total
-	k := int64(sort.Search(pl.n, func(i int) bool { return pl.starts[i] >= rem }))
-	g0 = lap*n + k
-	if to <= from {
-		return g0, g0
-	}
-	startOf := func(g int64) units.Time {
-		return pl.starts[int(g%n)] + units.Time(g/n)*pl.total
-	}
-	// startOf is nondecreasing in g, so the exit condition of the original
-	// per-slot loop is a monotone predicate and the interval end can be
-	// binary-searched.
-	span := (int64(to/pl.total)+2)*n - g0
-	if span < 0 {
-		span = 0
-	}
-	cnt := int64(sort.Search(int(span), func(i int) bool {
-		return startOf(g0+int64(i)+1) > to
-	}))
-	return g0, g0 + cnt
+// timeline is the kernel-slot axis of the estimated iteration that
+// Algorithm 1's three global states share: slot k is kernel k's interval
+// [starts[k], starts[k+1]). Times past the end or before zero wrap
+// cyclically, one iteration per lap; a global slot g is kernel mod(g) of
+// lap floor(g/n). The planner, its channels and Retime hold one *timeline;
+// it is read-only after construction.
+type timeline struct {
+	n      int
+	starts []units.Time // kernel boundaries; starts[n] = total
+	total  units.Time
+	sec    []float64 // slot lengths in seconds
 }
 
-// touchedSlotRange reports the local slot interval [k0, kEnd) overlapping
-// the (non-wrapped) window [a, b) — the per-subwindow decomposition of
-// forEachTouchedSlot.
-func (pl *planner) touchedSlotRange(a, b units.Time) (int, int) {
-	if b <= a {
+func newTimeline(starts []units.Time) *timeline {
+	n := len(starts) - 1
+	tl := &timeline{n: n, starts: starts, total: starts[n], sec: make([]float64, n)}
+	for k := range tl.sec {
+		tl.sec[k] = (starts[k+1] - starts[k]).Seconds()
+	}
+	return tl
+}
+
+// slotOf locates the kernel slot containing time t: the last k with
+// starts[k] <= t, clamped to [0, n).
+func (tl *timeline) slotOf(t units.Time) int {
+	// The answer lies in [lo, lo+n).
+	lo, n := 0, tl.n
+	for n > 1 {
+		half := n / 2
+		if mid := lo + half; tl.starts[mid] <= t {
+			lo = mid
+		}
+		n -= half
+	}
+	return lo
+}
+
+// cyclicSlot maps a (possibly negative or wrapped) time to its global slot,
+// so that consecutive times map to consecutive slots.
+func (tl *timeline) cyclicSlot(t units.Time) int {
+	lap := t / tl.total
+	if t%tl.total < 0 {
+		lap-- // floor division
+	}
+	return int(lap)*tl.n + tl.slotOf(t-lap*tl.total)
+}
+
+// mod folds a global slot into its kernel slot in [0, n).
+func (tl *timeline) mod(g int) int {
+	return ((g % tl.n) + tl.n) % tl.n
+}
+
+// fullSlotSpan reports the global slots [g0, gEnd) that lie wholly inside
+// [from, to] (none when gEnd <= g0): slot g is in it iff it starts at or
+// after from and ends at or before to. Times are integers, so the first
+// slot starting at or after from is the one after the slot containing
+// from-1, and the span ends before the slot containing to.
+func (tl *timeline) fullSlotSpan(from, to units.Time) (g0, gEnd int) {
+	return tl.cyclicSlot(from-1) + 1, tl.cyclicSlot(to)
+}
+
+// run returns the kernel slots [k0, k1) of the next piece of the global
+// span [g, gEnd) (g < gEnd) that does not cross an iteration end; the
+// caller advances g by k1-k0.
+func (tl *timeline) run(g, gEnd int) (k0, k1 int) {
+	k0 = tl.mod(g)
+	return k0, k0 + min(tl.n-k0, gEnd-g)
+}
+
+// window is a non-wrapping time interval [a, b) of one iteration.
+type window struct{ a, b units.Time }
+
+// wrapSplit splits the cyclic interval [from, to) — to at most one
+// iteration past the end — at the iteration end. Both windows are empty
+// when to <= from; the second is empty unless the interval wraps.
+func (tl *timeline) wrapSplit(from, to units.Time) [2]window {
+	switch {
+	case to <= from:
+		return [2]window{}
+	case to > tl.total:
+		return [2]window{{from, tl.total}, {0, to - tl.total}}
+	default:
+		return [2]window{{from, to}, {}}
+	}
+}
+
+// touched reports the kernel slots [k0, k1) that overlap the window w
+// (empty when w is).
+func (tl *timeline) touched(w window) (k0, k1 int) {
+	if w.b <= w.a {
 		return 0, 0
 	}
-	n := pl.n
-	k0 := sort.Search(n, func(i int) bool { return pl.starts[i+1] > a })
-	kEnd := sort.Search(n, func(i int) bool { return pl.starts[i] >= b })
-	if kEnd < k0 {
-		kEnd = k0
-	}
-	return k0, kEnd
+	return tl.slotOf(w.a), tl.slotOf(w.b-1) + 1
 }

@@ -236,11 +236,6 @@ type Device struct {
 	// the sustained bandwidth — is unchanged since last time.
 	effWrite   units.Bandwidth
 	effWriteOK bool
-	// tenants indexes every attribution view handed out by Tenant(), in
-	// registration order; a view's ID is its slot, so per-tenant lookups
-	// and end-of-run aggregation stay O(1) per view under hundreds of
-	// tenants.
-	tenants []*Tenant
 }
 
 // New builds a device. Geometry must divide evenly; use ZNAND() or the test

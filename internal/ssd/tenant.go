@@ -10,23 +10,11 @@ import "g10sim/internal/units"
 // device's own stats.
 type Tenant struct {
 	d     *Device
-	id    int
 	stats Stats
 }
 
-// Tenant returns a new attribution view on the device, registered in the
-// device's tenant index.
-func (d *Device) Tenant() *Tenant {
-	t := &Tenant{d: d, id: len(d.tenants)}
-	d.tenants = append(d.tenants, t)
-	return t
-}
-
-// Tenants returns the registered attribution views, indexed by ID.
-func (d *Device) Tenants() []*Tenant { return d.tenants }
-
-// ID reports the view's slot in the device's tenant index.
-func (t *Tenant) ID() int { return t.id }
+// Tenant returns a new attribution view on the device.
+func (d *Device) Tenant() *Tenant { return &Tenant{d: d} }
 
 // PagesFor reports how many device pages hold n bytes.
 func (t *Tenant) PagesFor(n units.Bytes) int64 { return t.d.PagesFor(n) }

@@ -123,29 +123,3 @@ func TestTenantGCAttribution(t *testing.T) {
 		t.Errorf("churner WA %v below quiet tenant WA %v", churner.WriteAmplification(), quiet.WriteAmplification())
 	}
 }
-
-// TestTenantRegistry: views are indexed by registration order and the
-// device enumerates them, so per-tenant attribution lookups stay O(1) per
-// view under large fleets.
-func TestTenantRegistry(t *testing.T) {
-	d, err := New(tenantTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := make([]*Tenant, 100)
-	for i := range views {
-		views[i] = d.Tenant()
-		if got := views[i].ID(); got != i {
-			t.Fatalf("view %d has ID %d", i, got)
-		}
-	}
-	reg := d.Tenants()
-	if len(reg) != len(views) {
-		t.Fatalf("registry holds %d views, want %d", len(reg), len(views))
-	}
-	for i, v := range views {
-		if reg[i] != v {
-			t.Fatalf("registry slot %d does not match view %d", i, i)
-		}
-	}
-}
