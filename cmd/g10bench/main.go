@@ -90,7 +90,7 @@ type benchReport struct {
 	// cluster simulation the suite ran (recompute/succession/progress/reap
 	// and fill tallies) — the O(events) evidence alongside the wall
 	// times. Omitted when the selected figures ran no cluster.
-	Engine *engineRecord `json:"engine_stats,omitempty"`
+	Engine *gpu.EngineStats `json:"engine_stats,omitempty"`
 	// CalibrationNs is the wall time of a fixed CPU-bound loop measured in
 	// the same process (-bench mode): the regression gate scales a committed
 	// baseline by the calibration ratio, so a slower or faster CI machine
@@ -157,20 +157,6 @@ func appendTrajectory(path, label, note string, rep benchReport) error {
 	return nil
 }
 
-// engineRecord is the JSON shape of gpu.EngineStats in bench reports.
-type engineRecord struct {
-	FlowRecomputes  int64 `json:"flow_recomputes"`
-	FlowSuccessions int64 `json:"flow_successions"`
-	ProgressTouches int64 `json:"progress_touches"`
-	ReapScans       int64 `json:"reap_scans"`
-	FillRounds      int64 `json:"fill_rounds"`
-	FillResScans    int64 `json:"fill_res_scans"`
-	FlowAllocs      int64 `json:"flow_allocs"`
-	TenantAborts    int64 `json:"tenant_aborts"`
-	TenantRestarts  int64 `json:"tenant_restarts"`
-	CheckpointBytes int64 `json:"checkpoint_bytes"`
-}
-
 // headlineFigures is the -bench suite: the figures whose wall time the
 // BENCH.md trajectory and the CI regression gate track.
 const headlineFigures = "11,multigpu,colocate,fleet,adapt,scaling,maxminfill,inference,faults"
@@ -219,20 +205,24 @@ type gateReport struct {
 }
 
 // engineDrift lists the engine counters whose values differ between base
-// and cur, in engineRecord field order. A nil base skips the check; a nil
-// cur reads as all zeros.
-func engineDrift(base, cur *engineRecord) []counterDelta {
+// and cur, in gpu.EngineStats field order, skipping fields the JSON report
+// omits (tag "-"). A nil base skips the check; a nil cur reads as all
+// zeros.
+func engineDrift(base, cur *gpu.EngineStats) []counterDelta {
 	if base == nil {
 		return nil
 	}
 	if cur == nil {
-		cur = &engineRecord{}
+		cur = &gpu.EngineStats{}
 	}
 	bv, cv := reflect.ValueOf(*base), reflect.ValueOf(*cur)
 	var out []counterDelta
 	for i := 0; i < bv.NumField(); i++ {
+		name, _, _ := strings.Cut(bv.Type().Field(i).Tag.Get("json"), ",")
+		if name == "-" {
+			continue
+		}
 		if b, c := bv.Field(i).Int(), cv.Field(i).Int(); b != c {
-			name, _, _ := strings.Cut(bv.Type().Field(i).Tag.Get("json"), ",")
 			out = append(out, counterDelta{Name: name, Baseline: b, Current: c})
 		}
 	}
@@ -440,18 +430,7 @@ func run(fig string, short bool, models string, workers int, jsonPath string, be
 		return fmt.Errorf("no figure matched %q", fig)
 	}
 	if es := s.EngineStats(); es != (gpu.EngineStats{}) {
-		report.Engine = &engineRecord{
-			FlowRecomputes:  es.FlowRecomputes,
-			FlowSuccessions: es.FlowSuccessions,
-			ProgressTouches: es.ProgressTouches,
-			ReapScans:       es.ReapScans,
-			FillRounds:      es.FillRounds,
-			FillResScans:    es.FillResScans,
-			FlowAllocs:      es.FlowAllocs,
-			TenantAborts:    es.TenantAborts,
-			TenantRestarts:  es.TenantRestarts,
-			CheckpointBytes: es.CheckpointBytes,
-		}
+		report.Engine = &es
 	}
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")

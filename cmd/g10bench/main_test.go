@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"g10sim/internal/gpu"
 )
 
 func readJSON(t *testing.T, path string) map[string]any {
@@ -68,7 +70,7 @@ func TestAppendTrajectoryKeepsHistory(t *testing.T) {
 // match or when the baseline carries no counters.
 func TestGateChecksEngineCounters(t *testing.T) {
 	dir := t.TempDir()
-	stats := engineRecord{FlowRecomputes: 10, FillRounds: 100, FillResScans: 400}
+	stats := gpu.EngineStats{FlowRecomputes: 10, FillRounds: 100, FillResScans: 400}
 	cur := benchReport{Suite: "g10bench-figures", Short: true, Workers: 1,
 		Benchmarks: []benchRecord{{Name: "figure-11", Ns: 1e6}}, TotalNs: 1e6, Engine: &stats}
 	gate := func(mutate func(*benchReport)) (gateReport, error) {

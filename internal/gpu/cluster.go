@@ -98,44 +98,44 @@ type ClusterParams struct {
 // heap-driven reap keep ProgressTouches and ReapScans proportional to the
 // event count rather than O(active flows) per clock advance;
 // TestEngineStats asserts near-linear scaling, and `g10bench -json`
-// reports the counters per suite.
+// reports the counters per suite under their JSON names.
 type EngineStats struct {
 	// FlowRecomputes counts max-min rate re-derivations of the flow
 	// network; FlowSuccessions counts chunk completions that Succeed
 	// replaced in place carrying the predecessor's rate, confirmed by a
 	// flush that needed no recompute.
-	FlowRecomputes  int64
-	FlowSuccessions int64
+	FlowRecomputes  int64 `json:"flow_recomputes"`
+	FlowSuccessions int64 `json:"flow_successions"`
 	// ProgressTouches counts per-flow byte-accounting settlements (one per
 	// replayed progress segment); ReapScans counts flows examined for
 	// completion (completion-heap candidates, or the whole active set while
 	// it is small enough to scan).
-	ProgressTouches int64
-	ReapScans       int64
+	ProgressTouches int64 `json:"progress_touches"`
+	ReapScans       int64 `json:"reap_scans"`
 	// TLBEpochShootdowns is always 0: tensor-granular translation shoots
 	// down one TLB entry per remap and has no epoch ranges. The field
 	// stays because the perfbench module reads it.
-	TLBEpochShootdowns int64
+	TLBEpochShootdowns int64 `json:"-"`
 	// FillRounds counts progressive-filling rounds (bottleneck selections)
 	// and FillResScans the resource examinations they performed — the heap
 	// fill pays per touched resource where the reference scan pays the whole
 	// component every round.
-	FillRounds   int64
-	FillResScans int64
+	FillRounds   int64 `json:"fill_rounds"`
+	FillResScans int64 `json:"fill_res_scans"`
 	// FrontierReuses is always 0: every rate re-derivation is a
 	// dirty-component heap fill, with no incremental refill of a recorded
 	// fill trace. The field stays because the perfbench module reads it.
-	FrontierReuses int64
+	FrontierReuses int64 `json:"-"`
 	// FlowAllocs counts flow objects the network allocated fresh rather than
 	// reusing a released one.
-	FlowAllocs int64
+	FlowAllocs int64 `json:"flow_allocs"`
 	// TenantAborts counts kernels and flows torn down by injected crashes;
 	// TenantRestarts counts crash recoveries (a permanently crashed tenant
 	// restarts zero times); CheckpointBytes totals durable snapshot bytes
 	// written to flash, summed over tenants.
-	TenantAborts    int64
-	TenantRestarts  int64
-	CheckpointBytes int64
+	TenantAborts    int64 `json:"tenant_aborts"`
+	TenantRestarts  int64 `json:"tenant_restarts"`
+	CheckpointBytes int64 `json:"checkpoint_bytes"`
 }
 
 // Add folds o into s.

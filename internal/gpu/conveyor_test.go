@@ -12,14 +12,14 @@ import (
 	"g10sim/internal/vitality"
 )
 
-// TestConveyorMatchesChunkReference runs long chunk trains under Check: a
+// TestChunkTrainsUnderCheck runs long chunk trains under Check: a
 // conveyor succession that carried a stale rate fails the max-min
 // certificate, and one that lost or double-counted a chunk's memory fails
 // the pool ledgers or GPU capacity — under memory pressure that blocks
 // fetch chunks mid-train (forcing the fresh-flow fallback), with strict
 // policies and with dynamic arrivals. A small MigrationChunk makes every
 // migration a long train.
-func TestConveyorMatchesChunkReference(t *testing.T) {
+func TestChunkTrainsUnderCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		hostCap  units.Bytes

@@ -25,7 +25,6 @@ import (
 
 	"g10sim/internal/flownet"
 	"g10sim/internal/units"
-	"g10sim/internal/uvm"
 )
 
 // CrashFault kills one tenant's server at a point on the shared clock.
@@ -470,13 +469,7 @@ func (m *Machine) crashReset() (aborted int) {
 			m.putRequest(st.pend)
 			st.pend = nil
 		}
-		if st.hasRng {
-			m.dev.Free(st.flash)
-			st.hasRng = false
-		}
-		st.loc = uvm.Unmapped
-		m.remap(st)
-		st.dying = false
+		m.unmap(st)
 		st.lastUse = 0
 		st.inLRU = false
 		st.lruPrev, st.lruNext = -1, -1

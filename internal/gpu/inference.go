@@ -733,32 +733,33 @@ func (q *infReq) swapOut() {
 	eng.offloadedBytes += bytes
 }
 
-// preempt drops the KV (recompute later) and requeues the request FCFS.
-func (q *infReq) preempt() {
-	srv := q.srv
-	q.abortExec()
-	srv.free += q.gpu
+// vacate returns the request's GPU blocks to its server and drops it from
+// the admitted list.
+func (q *infReq) vacate() {
+	q.srv.free += q.gpu
 	q.freed += q.gpu
 	q.gpu = 0
+	q.srv.dropActive(q)
+}
+
+// preempt drops the KV (recompute later) and requeues the request FCFS.
+func (q *infReq) preempt() {
+	q.abortExec()
+	q.vacate()
 	q.blocks = 0
 	q.preempts++
 	q.eng.preemptions++
-	srv.dropActive(q)
 	q.enqueue(reqQueued)
 }
 
 // finish completes the request at the current clock and returns its blocks.
 func (q *infReq) finish() {
-	srv := q.srv
-	srv.free += q.gpu
-	q.freed += q.gpu
-	q.gpu = 0
+	q.vacate()
 	q.blocks = 0
 	q.state = reqDone
 	q.phase = phaseDone
 	q.doneAt = q.eng.net.Now()
-	srv.dropActive(q)
-	srv.pump()
+	q.srv.pump()
 }
 
 // kvLanded handles a KV flow completion (called from deliver, at the
@@ -768,10 +769,7 @@ func (q *infReq) kvLanded(t *kvTransfer) {
 	srv := q.srv
 	if t.out {
 		// Offload landed: the GPU copy retires; requeue for a reload.
-		srv.free += q.gpu
-		q.freed += q.gpu
-		q.gpu = 0
-		srv.dropActive(q)
+		q.vacate()
 		if srv.pressure == q {
 			srv.pressure = nil
 		}
@@ -800,7 +798,8 @@ func (q *infReq) admitNeed() int {
 	return q.eng.blocksFor(q.spec.PromptTokens + q.decoded)
 }
 
-// takeOne steals one free block for a decode step. No threshold check here:
+// takeOne takes one free block for a decode step, whether the request
+// steals it or the pump grants it to a waiter. No threshold check here:
 // the caller is mid-transition, and the check may victimize the caller.
 func (srv *infServer) takeOne(q *infReq) bool {
 	if srv.free < 1 {
@@ -828,15 +827,15 @@ func (srv *infServer) nextWaiter() *infReq {
 	return nil
 }
 
-// hasWaiter reports an ungranted decode waiter without consuming it.
-func (srv *infServer) hasWaiter() bool {
+// firstWaiter returns the oldest ungranted decode waiter without
+// consuming it, nil if there is none.
+func (srv *infServer) firstWaiter() *infReq {
 	for i := srv.wHead; i < len(srv.waiters); i++ {
-		q := srv.waiters[i]
-		if q.state == reqBlockWait && !q.granted {
-			return true
+		if q := srv.waiters[i]; q.state == reqBlockWait && !q.granted {
+			return q
 		}
 	}
-	return false
+	return nil
 }
 
 // pump is the server's grant pass, run after anything frees or queues
@@ -859,10 +858,7 @@ func (srv *infServer) pump() {
 			if q == nil {
 				break
 			}
-			srv.free--
-			q.blocks++
-			q.gpu++
-			q.alloc++
+			srv.takeOne(q)
 			q.granted = true
 			q.hostWake()
 		}
@@ -886,7 +882,7 @@ func (srv *infServer) pump() {
 			srv.grantAdmit(head, need)
 		}
 		srv.checkThreshold()
-		if srv.hasWaiter() {
+		if srv.firstWaiter() != nil {
 			srv.demand()
 		}
 		if !srv.repump {
@@ -963,13 +959,7 @@ func (srv *infServer) checkThreshold() {
 // pressure cycles evict their own beneficiaries and the pool thrashes
 // without progress.
 func (srv *infServer) pickVictim() *infReq {
-	var protect *infReq
-	for i := srv.wHead; i < len(srv.waiters); i++ {
-		if q := srv.waiters[i]; q.state == reqBlockWait && !q.granted {
-			protect = q
-			break
-		}
-	}
+	protect := srv.firstWaiter()
 	var v *infReq
 	for _, q := range srv.active {
 		if q == protect || q.granted || q.homed {

@@ -502,42 +502,66 @@ func (m *Machine) alloc(id int) bool {
 	}
 	m.gpuUsed += st.t.Size
 	m.untrack(st)
-	st.loc = uvm.InGPU
-	st.lastUse = m.Now()
-	m.track(st)
-	m.remap(st)
+	m.place(st, uvm.InGPU)
 	return true
 }
 
-// seed places a tensor at simulation start: GPU if it fits, then host,
-// then flash. Used for the initial residency of global tensors.
+// seed places a tensor at simulation start: GPU if it fits, else where
+// spill puts it. Used for the initial residency of global tensors.
 func (m *Machine) seed(id int) error {
-	st := &m.states[id]
 	if m.alloc(id) {
 		return nil
 	}
-	size := st.t.Size
-	if m.reserveHost(size) {
-		m.untrack(st)
-		st.loc = uvm.InHost
-		m.track(st)
-		m.remap(st)
-		return nil
-	}
-	rng, err := m.dev.Alloc(m.dev.PagesFor(size))
-	if err != nil {
+	st := &m.states[id]
+	if _, err := m.spill(st); err != nil {
 		return fmt.Errorf("gpu: seeding %s: %w", st.t.Name, err)
 	}
-	st.flash, st.hasRng = rng, true
-	if _, err := m.dev.Write(rng); err != nil {
-		return fmt.Errorf("gpu: seeding %s: %w", st.t.Name, err)
+	return nil
+}
+
+// spill places an unallocated tensor outside GPU memory: in the host pool
+// if it grants, else in a newly written flash range. It reports where.
+func (m *Machine) spill(st *tensorState) (uvm.Location, error) {
+	loc := uvm.InHost
+	if !m.reserveHost(st.t.Size) {
+		rng, err := m.dev.Alloc(m.dev.PagesFor(st.t.Size))
+		if err != nil {
+			return uvm.Unmapped, err
+		}
+		st.flash, st.hasRng = rng, true
+		if _, err := m.dev.Write(rng); err != nil {
+			return uvm.Unmapped, err
+		}
+		m.refreshSSDWrite()
+		loc = uvm.InFlash
 	}
-	m.refreshSSDWrite()
 	m.untrack(st)
-	st.loc = uvm.InFlash
+	m.place(st, loc)
+	return loc, nil
+}
+
+// place is the tail of every location change, run with st untracked: it
+// moves st to loc, stamps an arrival in GPU memory as a use, re-tracks st
+// and remaps its translation. With unmap it is the only writer of st.loc.
+func (m *Machine) place(st *tensorState, loc uvm.Location) {
+	st.loc = loc
+	if loc == uvm.InGPU {
+		st.lastUse = m.Now()
+	}
 	m.track(st)
 	m.remap(st)
-	return nil
+}
+
+// unmap ends a tensor's placement: its flash range frees, it becomes
+// unallocated with no translation, and it is no longer dying.
+func (m *Machine) unmap(st *tensorState) {
+	if st.hasRng {
+		m.dev.Free(st.flash)
+		st.hasRng = false
+	}
+	st.loc = uvm.Unmapped
+	m.remap(st)
+	st.dying = false
 }
 
 // free releases a tensor wherever it lives. In-flight migrations mark the
@@ -554,7 +578,6 @@ func (m *Machine) free(id int) {
 
 func (m *Machine) release(st *tensorState) {
 	m.untrack(st)
-	defer m.track(st)
 	if mig := st.mig; mig != nil {
 		// A tensor freed mid-migration: return whatever the chunks hold.
 		if mig.kind == uvm.PreEvict {
@@ -572,28 +595,16 @@ func (m *Machine) release(st *tensorState) {
 		st.fly = nil
 		st.pend = nil
 		m.putMigration(mig)
-		if st.hasRng {
-			m.dev.Free(st.flash)
-			st.hasRng = false
+	} else {
+		switch st.loc {
+		case uvm.InGPU:
+			m.gpuUsed -= st.t.Size
+		case uvm.InHost:
+			m.host.ReleaseFor(m.idx, st.t.Size)
 		}
-		st.loc = uvm.Unmapped
-		m.remap(st)
-		st.dying = false
-		return
 	}
-	switch st.loc {
-	case uvm.InGPU:
-		m.gpuUsed -= st.t.Size
-	case uvm.InHost:
-		m.host.ReleaseFor(m.idx, st.t.Size)
-	}
-	if st.hasRng {
-		m.dev.Free(st.flash)
-		st.hasRng = false
-	}
-	st.loc = uvm.Unmapped
-	m.remap(st)
-	st.dying = false
+	m.unmap(st)
+	m.track(st)
 }
 
 // RequestEvict queues a migration of a GPU-resident tensor to dst
@@ -894,7 +905,7 @@ func (m *Machine) failf(format string, args ...any) {
 func deliver(f *flownet.Flow) {
 	switch d := f.Data.(type) {
 	case *migration:
-		d.owner.complete(f)
+		d.owner.complete(d, f)
 	case *kvTransfer:
 		d.q.kvLanded(d)
 	case *ckptOp:
@@ -902,22 +913,12 @@ func deliver(f *flownet.Flow) {
 	}
 }
 
-// complete accounts a finished flow of this machine and advances its
-// migration.
-func (m *Machine) complete(f *flownet.Flow) {
-	m.inflight--
-	m.onComplete(f)
-}
-
-// onComplete advances a migration when one of its chunk flows finishes:
+// complete advances mig when f, one of its chunk flows, finishes:
 // intermediate chunks release (evict) GPU memory and continue the chain;
 // the final chunk commits the location change, device write, page-table
 // update and TLB shootdown.
-func (m *Machine) onComplete(f *flownet.Flow) {
-	mig, ok := f.Data.(*migration)
-	if !ok {
-		return
-	}
+func (m *Machine) complete(mig *migration, f *flownet.Flow) {
+	m.inflight--
 	st := &m.states[mig.id]
 	if st.fly != f || st.mig != mig {
 		return // superseded (freed tensor)
@@ -957,7 +958,8 @@ func (m *Machine) onComplete(f *flownet.Flow) {
 		return
 	}
 
-	// Final chunk: commit.
+	// Final chunk: commit. A failed flash write still commits the
+	// location but leaves a dying tensor to the failed run.
 	m.untrack(st)
 	req := st.pend // committed: provably in no metadata queue
 	st.mig = nil
@@ -965,30 +967,26 @@ func (m *Machine) onComplete(f *flownet.Flow) {
 	if req != nil {
 		m.putRequest(req)
 	}
+	loc, wrote := uvm.InGPU, true
 	switch mig.kind {
 	case uvm.PreEvict:
-		st.loc = mig.dst
-		if mig.dst == uvm.InFlash {
+		loc = mig.dst
+		if loc == uvm.InFlash {
 			if _, err := m.dev.Write(st.flash); err != nil {
 				m.failf("ssd write: %v", err)
-				m.track(st)
-				m.remap(st)
-				m.putMigration(mig)
-				return
+				wrote = false
+			} else {
+				m.refreshSSDWrite()
 			}
-			m.refreshSSDWrite()
 		}
 	case uvm.Prefetch, uvm.FaultFetch:
 		if mig.src == uvm.InHost {
 			m.host.ReleaseFor(m.idx, mig.size)
 		}
-		st.loc = uvm.InGPU
-		st.lastUse = m.Now()
 	}
-	m.track(st)
-	m.remap(st)
+	m.place(st, loc)
 	m.putMigration(mig)
-	if st.dying {
+	if wrote && st.dying {
 		m.release(st)
 	}
 }

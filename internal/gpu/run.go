@@ -462,28 +462,11 @@ func (r *runner) streamOverflow(kern *dnn.Kernel, pinned map[int]bool) (units.Du
 		if st.loc != uvm.Unmapped {
 			continue
 		}
-		if m.reserveHost(t.Size) {
-			m.untrack(st)
-			st.loc = uvm.InHost
-			m.track(st)
-			m.remap(st)
-			r.addTraffic(uvm.InHost, t.Size, false)
-		} else {
-			rng, err := m.dev.Alloc(m.dev.PagesFor(t.Size))
-			if err != nil {
-				return 0, fmt.Errorf("gpu: overflow spill: %w", err)
-			}
-			st.flash, st.hasRng = rng, true
-			if _, err := m.dev.Write(rng); err != nil {
-				return 0, fmt.Errorf("gpu: overflow spill: %w", err)
-			}
-			m.refreshSSDWrite()
-			m.untrack(st)
-			st.loc = uvm.InFlash
-			m.track(st)
-			m.remap(st)
-			r.addTraffic(uvm.InFlash, t.Size, false)
+		loc, err := m.spill(st)
+		if err != nil {
+			return 0, fmt.Errorf("gpu: overflow spill: %w", err)
 		}
+		r.addTraffic(loc, t.Size, false)
 	}
 	// Inputs stream in once and their dirty pages stream back out.
 	for _, t := range streamed {

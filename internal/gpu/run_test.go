@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"strings"
 	"testing"
 
 	"g10sim/internal/dnn"
@@ -285,6 +286,40 @@ func TestOversizedGlobalsSeedToHost(t *testing.T) {
 	}
 	if res.OverflowKernels == 0 {
 		t.Error("expected overflow streaming for the oversized working set")
+	}
+}
+
+// TestSpillFailsWhenFlashIsFull: a tensor that must start outside GPU
+// memory with the host pool and the flash array both too small fails the
+// run, whether it is a weight seeded at admission or an unallocated output
+// of a kernel that streams.
+func TestSpillFailsWhenFlashIsFull(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		weight, out   units.Bytes
+		wantErrPrefix string
+	}{
+		{"seed", 8 * units.GB, units.MB, "gpu: seeding W: "},
+		{"overflow", 2560 * units.MB, 2 * units.GB, "gpu: overflow spill: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := dnn.NewBuilder("fat", 1)
+			w := b.Tensor("W", dnn.Global, tc.weight)
+			y := b.Tensor("Y", dnn.Intermediate, tc.out)
+			b.Kernel("k", dnn.Forward, 1, []*dnn.Tensor{w}, []*dnn.Tensor{y})
+			a, err := vitality.Analyze(b.MustBuild(), &profile.Trace{Durations: []units.Duration{units.Millisecond}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testCfg(10*units.MB, units.MB) // smallSSD: 4 GB of flash
+			_, err = RunCluster(ClusterParams{
+				Tenants: []ClusterTenant{{Analysis: a, Policy: &testPolicy{name: "uvm"}, Config: cfg}},
+				Shared:  cfg,
+			})
+			if err == nil || !strings.HasPrefix(err.Error(), tc.wantErrPrefix) {
+				t.Fatalf("RunCluster error %v, want prefix %q", err, tc.wantErrPrefix)
+			}
+		})
 	}
 }
 

@@ -196,9 +196,21 @@ func New(a *vitality.Analysis, cfg Config) *Plan {
 
 // ---- Phase 1: smart tensor eviction (Algorithm 1) ----
 
+// evaluation is a candidate's standing on the current state: the
+// destination Algorithm 1 picks, the window [from, to] the eviction would
+// leave GPU memory free, and the benefit/cost ratio (0 when no destination
+// is feasible or the eviction buys nothing).
+type evaluation struct {
+	target   uvm.Location
+	from, to units.Time
+	ratio    float64
+}
+
 // candidate is a heap entry for the lazy-greedy search. Benefits only
 // decrease as pressure drops, so a popped candidate whose recomputed ratio
-// still dominates the next entry is the true argmax.
+// still dominates the next entry is the true argmax. The entry keeps only
+// the ratio: a popped candidate is evaluated afresh, and container/heap
+// boxes every pushed and popped entry, so a wider one allocates more.
 type candidate struct {
 	period *vitality.Period
 	ratio  float64 // benefit/cost at last evaluation
@@ -219,9 +231,8 @@ func (pl *planner) scheduleEvictions() {
 	h := &candHeap{}
 	for i := range pl.a.Periods {
 		p := &pl.a.Periods[i]
-		ratio := pl.evalRatio(p)
-		if ratio > 0 {
-			*h = append(*h, candidate{period: p, ratio: ratio})
+		if ev := pl.evaluate(p); ev.ratio > 0 {
+			*h = append(*h, candidate{period: p, ratio: ev.ratio})
 		}
 	}
 	heap.Init(h)
@@ -231,16 +242,16 @@ func (pl *planner) scheduleEvictions() {
 			break // Algorithm 1 line 3: pressure fits — done.
 		}
 		c := heap.Pop(h).(candidate)
-		ratio := pl.evalRatio(c.period)
-		if ratio <= 0 {
+		ev := pl.evaluate(c.period)
+		if ev.ratio <= 0 {
 			continue // no longer beneficial; drop (benefit is monotone).
 		}
-		if h.Len() > 0 && ratio < h.peekRatio() {
+		if h.Len() > 0 && ev.ratio < h.peekRatio() {
 			// Stale value: reinsert with the fresh ratio.
-			heap.Push(h, candidate{period: c.period, ratio: ratio})
+			heap.Push(h, candidate{period: c.period, ratio: ev.ratio})
 			continue
 		}
-		pl.commit(c.period)
+		pl.commit(c.period, ev)
 	}
 }
 
@@ -260,50 +271,42 @@ func (pl *planner) evictCost(size units.Bytes, target uvm.Location) float64 {
 	return float64(size)/float64(pl.cfg.HostWriteBW) + float64(size)/float64(pl.cfg.HostReadBW)
 }
 
-// chooseTarget applies Algorithm 1's destination policy (lines 7–17): evict
-// to the SSD unless its write channel is full over the eviction window and
-// the host has room — and fall back to whichever destination is feasible
-// when only one can complete the round trip inside the period.
-func (pl *planner) chooseTarget(p *vitality.Period) (target uvm.Location, from, to units.Time, ok bool) {
+// evaluate applies Algorithm 1's destination policy (lines 7–17) and
+// prices the result. It evicts to the SSD unless its write channel is full
+// over the eviction window and the host has room, and falls back to
+// whichever destination is feasible when only one can complete the round
+// trip inside the period. The ratio is the pressure-above-capacity area the
+// eviction removes (Figure 7's shaded area) divided by the I/O time it
+// occupies.
+func (pl *planner) evaluate(p *vitality.Period) evaluation {
 	size := p.Tensor.Size
-	var sFrom, sTo, hFrom, hTo units.Time
+	ssd, host := evaluation{target: uvm.InFlash}, evaluation{target: uvm.InHost}
 	ssdOK, hostOK := false, false
 	if pl.cfg.UseSSD {
-		sFrom, sTo, ssdOK = pl.freeWindow(p, uvm.InFlash)
+		ssd.from, ssd.to, ssdOK = pl.freeWindow(p, uvm.InFlash)
 	}
 	if pl.cfg.UseHost && pl.hostFits(p, size) {
-		hFrom, hTo, hostOK = pl.freeWindow(p, uvm.InHost)
+		host.from, host.to, hostOK = pl.freeWindow(p, uvm.InHost)
 	}
+	var ev evaluation
 	switch {
 	case ssdOK && hostOK:
+		ev = ssd
 		ts := units.TransferTime(size, pl.cfg.SSDWriteBW)
-		ssdFull := pl.ssdWrite.busyFrac(p.Start, p.Start+ts) >= ssdFullThreshold
-		if ssdFull {
-			return uvm.InHost, hFrom, hTo, true
+		if pl.ssdWrite.busyFrac(p.Start, p.Start+ts) >= ssdFullThreshold {
+			ev = host
 		}
-		return uvm.InFlash, sFrom, sTo, true
 	case ssdOK:
-		return uvm.InFlash, sFrom, sTo, true
+		ev = ssd
 	case hostOK:
-		return uvm.InHost, hFrom, hTo, true
+		ev = host
 	default:
-		return uvm.Unmapped, 0, 0, false
+		return evaluation{}
 	}
-}
-
-// evalRatio computes the candidate's current benefit/cost: the pressure-
-// above-capacity area the eviction removes (Figure 7's shaded area) divided
-// by the I/O time it occupies.
-func (pl *planner) evalRatio(p *vitality.Period) float64 {
-	target, from, to, ok := pl.chooseTarget(p)
-	if !ok {
-		return 0
+	if cost := pl.evictCost(size, ev.target); cost > 0 {
+		ev.ratio = pl.excessArea(ev.from, ev.to, float64(size)) / cost
 	}
-	cost := pl.evictCost(p.Tensor.Size, target)
-	if cost <= 0 {
-		return 0
-	}
-	return pl.excessArea(from, to, float64(p.Tensor.Size)) / cost
+	return ev
 }
 
 // freeWindow previews the interval during which the eviction would leave
@@ -368,23 +371,19 @@ func (pl *planner) excessArea(from, to units.Time, size float64) float64 {
 	return area
 }
 
-// commit applies Algorithm 1's lines 6–17 for the selected period: pick the
-// destination, book the eviction on its channel, and update pressure and
-// host-occupancy state.
-func (pl *planner) commit(p *vitality.Period) {
+// commit applies Algorithm 1's lines 6–17 for the selected period and its
+// evaluation on the current state: book the eviction on the destination's
+// channel, and update pressure and host-occupancy state. The booking walks
+// the channel state the evaluation's preview walked, so the eviction
+// completes at the start of the evaluated free window.
+func (pl *planner) commit(p *vitality.Period, ev evaluation) {
 	size := p.Tensor.Size
-	target, from, to, ok := pl.chooseTarget(p)
-	if !ok {
-		return
-	}
+	target, from, to := ev.target, ev.from, ev.to
 	wch := pl.ssdWrite
 	if target == uvm.InHost {
 		wch = pl.hostWrite
 	}
-	done, ok := wch.scheduleForward(p.Start, size, true)
-	if !ok {
-		return
-	}
+	wch.scheduleForward(p.Start, size, true)
 
 	// Reduce pressure over the free window, keeping the over-capacity
 	// bitset and pressure max-tree in sync.
@@ -418,7 +417,7 @@ func (pl *planner) commit(p *vitality.Period) {
 		Period:        p,
 		Target:        target,
 		EvictBoundary: p.AfterKernel + 1,
-		EvictDone:     done,
+		EvictDone:     from,
 		Deadline:      p.End,
 	})
 }

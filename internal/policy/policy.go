@@ -43,9 +43,17 @@ func (p *reactive) OnMiss(k int, t *dnn.Tensor) {
 // their way out, skipping the pinned working set and (with avoidWindow > 0)
 // tensors needed by upcoming kernels.
 func (p *reactive) MakeRoom(need units.Bytes, pinned map[int]bool) bool {
+	return p.evict(p.m.ResidentLRU(), need, pinned)
+}
+
+// evict requests evictions of ids in order until need bytes are on their
+// way out, skipping pinned tensors and those soonNeeded names. Each goes
+// to the host while it has room for the tensor, else to flash (always to
+// flash when ssdOnly). Reports whether anything was requested.
+func (p *reactive) evict(ids []int, need units.Bytes, pinned map[int]bool) bool {
 	avoid := p.soonNeeded()
 	var freed units.Bytes
-	for _, id := range p.m.ResidentLRU() {
+	for _, id := range ids {
 		if freed >= need {
 			break
 		}
@@ -62,6 +70,21 @@ func (p *reactive) MakeRoom(need units.Bytes, pinned map[int]bool) bool {
 		}
 	}
 	return freed > 0
+}
+
+// prefetchAhead requests a prefetch of every tensor that kernels
+// [b, b+window) use and that sits in host memory or flash with no
+// migration in flight.
+func (p *reactive) prefetchAhead(b, window int) {
+	g := p.m.Graph()
+	for j := b; j < b+window && j < len(g.Kernels); j++ {
+		for _, t := range g.Kernels[j].Tensors() {
+			loc := p.m.Loc(t.ID)
+			if (loc == uvm.InHost || loc == uvm.InFlash) && !p.m.InFlight(t.ID) {
+				p.m.RequestFetch(t.ID, uvm.Prefetch)
+			}
+		}
+	}
 }
 
 func (p *reactive) soonNeeded() map[int]bool {
@@ -116,15 +139,7 @@ func DeepUMPlus(lookahead int) gpu.Policy {
 
 func (p *deepUM) AtBoundary(iter, b int) {
 	p.boundary = b
-	g := p.m.Graph()
-	for j := b; j < b+p.lookahead && j < len(g.Kernels); j++ {
-		for _, t := range g.Kernels[j].Tensors() {
-			loc := p.m.Loc(t.ID)
-			if (loc == uvm.InHost || loc == uvm.InFlash) && !p.m.InFlight(t.ID) {
-				p.m.RequestFetch(t.ID, uvm.Prefetch)
-			}
-		}
-	}
+	p.prefetchAhead(b, p.lookahead)
 }
 
 // G10 wraps a planner output as a runtime policy. The planner handles the
@@ -179,24 +194,7 @@ func (p *g10) MakeRoom(need units.Bytes, pinned map[int]bool) bool {
 	sort.Slice(ids, func(i, j int) bool {
 		return p.distanceToUse(ids[i], n) > p.distanceToUse(ids[j], n)
 	})
-	var freed units.Bytes
-	for _, id := range ids {
-		if freed >= need {
-			break
-		}
-		if pinned[id] {
-			continue
-		}
-		t := p.m.Graph().Tensors[id]
-		dst := uvm.InHost
-		if p.ssdOnly || p.m.HostFree() < t.Size {
-			dst = uvm.InFlash
-		}
-		if p.m.RequestEvict(id, dst) {
-			freed += t.Size
-		}
-	}
-	return freed > 0
+	return p.evict(ids, need, pinned)
 }
 
 // distanceToUse is the kernel distance from the current boundary to the
@@ -235,15 +233,7 @@ func (p *g10) OnMiss(k int, t *dnn.Tensor) {
 // already resident or in flight and this is a no-op.
 func (p *g10) AtBoundary(iter, b int) {
 	p.boundary = b
-	g := p.m.Graph()
-	for j := b; j < b+safetyLookahead && j < len(g.Kernels); j++ {
-		for _, t := range g.Kernels[j].Tensors() {
-			loc := p.m.Loc(t.ID)
-			if (loc == uvm.InHost || loc == uvm.InFlash) && !p.m.InFlight(t.ID) {
-				p.m.RequestFetch(t.ID, uvm.Prefetch)
-			}
-		}
-	}
+	p.prefetchAhead(b, safetyLookahead)
 }
 
 // Program runs the smart migration scheduler (Algorithm 1 + §4.4) over the
