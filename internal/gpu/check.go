@@ -176,13 +176,13 @@ func checkWake(t tenant, now units.Time, dig *[2]tenantDigest) error {
 // hostHeld is the host-pool grant st's tenant holds for it: the tensor's
 // size while it is host-resident, evicting to host (reserved when the
 // eviction began) or fetching from host (released when the fetch commits).
-func (st *tensorState) hostHeld() units.Bytes {
-	mig := st.mig
+func (m *Machine) hostHeld(st *tensorState) units.Bytes {
+	mig := st.moving()
 	switch {
 	case mig == nil && st.loc == uvm.InHost,
 		mig != nil && mig.kind == uvm.PreEvict && mig.dst == uvm.InHost,
 		mig != nil && mig.kind != uvm.PreEvict && mig.src == uvm.InHost:
-		return st.t.Size
+		return m.tensor(st).Size
 	}
 	return 0
 }
@@ -243,11 +243,11 @@ func (c *machineCheck) rescan(i int) error {
 	for j := range m.states {
 		st := &m.states[j]
 		if want := st.translation(); st.pte != want {
-			return fmt.Errorf("tenant %d: %s has PTE %+v, its state implies %+v", m.idx, st.t.Name, st.pte, want)
+			return fmt.Errorf("tenant %d: %s has PTE %+v, its state implies %+v", m.idx, m.tensor(st).Name, st.pte, want)
 		}
-		held += st.hostHeld()
-		if st.hasRng {
-			flash += st.flash.Count
+		held += m.hostHeld(st)
+		if st.hasRng() {
+			flash += m.flashRange(st).Count
 		}
 	}
 	if r.hasCkptRng {

@@ -697,7 +697,7 @@ func driveEvents(net *flownet.Network, tenants []tenant, opt driveOptions) error
 				o := f.Owner
 				if f.Done() {
 					// Not succeeded in place: nothing holds the flow any more
-					// (deliver cleared tensorState.fly or runner.ckptFly, and
+					// (deliver cleared migration.fly or runner.ckptFly, and
 					// KV swaps never keep theirs).
 					net.Release(f)
 				}

@@ -455,23 +455,20 @@ func (m *Machine) crashReset() (aborted int) {
 	m.queues.Reset()
 	for id := range m.states {
 		st := &m.states[id]
-		if st.fly != nil {
-			m.net.Abort(st.fly)
-			st.fly = nil
-			aborted++
-		}
-		if st.mig != nil {
-			m.putMigration(st.mig)
+		if mig := st.mig; mig != nil {
+			if mig.fly != nil {
+				m.net.Abort(mig.fly)
+				aborted++
+			}
+			if mig.req != nil {
+				// Queues are reset: nothing references the request anymore.
+				m.putRequest(mig.req)
+			}
 			st.mig = nil
-		}
-		if st.pend != nil {
-			// Queues are reset: nothing references the request anymore.
-			m.putRequest(st.pend)
-			st.pend = nil
+			m.putMigration(mig)
 		}
 		m.unmap(st)
 		st.lastUse = 0
-		st.inLRU = false
 		st.lruPrev, st.lruNext = -1, -1
 	}
 	m.gpuUsed = 0

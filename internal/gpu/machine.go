@@ -114,29 +114,56 @@ func NewShared(net *flownet.Network, cfg Config) (*Shared, error) {
 	return sh, nil
 }
 
-// tensorState tracks one tensor's placement and any in-flight migration.
-// The bools sit together at the end so the struct stays 112 bytes.
+// tensorState tracks one tensor's placement, translation and recency: 64
+// bytes per tensor per tenant. Everything that exists only while a
+// migration is queued or in flight (its request, chunk flow and dying mark)
+// lives in the pooled migration record instead.
 type tensorState struct {
-	t   *dnn.Tensor
-	loc uvm.Location // Unmapped = not allocated
 	// pte is the tensor's page-table entry: the translation of every page
 	// of its span. remap keeps it in step with loc.
 	pte     uvm.PTE
 	va      uint64
-	pend    *uvm.Request // queued or flying request, nil if none
-	fly     *flownet.Flow
-	mig     *migration
-	flash   ssd.LogicalRange
 	lastUse units.Time
+	// mig is the tensor's queued or in-flight migration, nil if none.
+	mig *migration
+	loc uvm.Location // Unmapped = not allocated
+	id  int32
+	// flash is the first page of the tensor's flash range, -1 if it holds
+	// none; the range is always PagesFor(size) long.
+	flash int32
 	// lruPrev/lruNext link the machine's resident-LRU index (tensor ids,
-	// -1 at the ends). The index key is (lastUse, id), so lastUse must only
-	// change while the tensor is untracked.
-	lruPrev, lruNext int
-	// dying marks a tensor freed while its migration was in flight; the
-	// destination space is released on completion. inLRU marks membership
-	// in the resident-LRU index.
-	dying, hasRng, inLRU bool
+	// -1 at the ends and off the list). The index key is (lastUse, id), so
+	// lastUse must only change while the tensor is untracked.
+	lruPrev, lruNext int32
 }
+
+// pend is st's queued or flying request, nil if none.
+func (st *tensorState) pend() *uvm.Request {
+	if st.mig == nil {
+		return nil
+	}
+	return st.mig.req
+}
+
+// fly is the chunk flow st's migration has in flight, nil if none.
+func (st *tensorState) fly() *flownet.Flow {
+	if st.mig == nil {
+		return nil
+	}
+	return st.mig.fly
+}
+
+// moving is st's migration once it has begun transferring, nil while none
+// has (a merely queued request has not).
+func (st *tensorState) moving() *migration {
+	if st.mig == nil || !st.mig.begun {
+		return nil
+	}
+	return st.mig
+}
+
+// hasRng reports whether st holds a flash range.
+func (st *tensorState) hasRng() bool { return st.flash >= 0 }
 
 // Machine is one simulated GPU system: a tenant of a Shared substrate. Its
 // PCIe link, migration metadata queues, page table (the tensor states'
@@ -187,8 +214,8 @@ type Machine struct {
 	//                      (lastUse, id), least recent first
 	pendFetchBytes units.Bytes
 	evictPendBytes units.Bytes
-	lruHead        int
-	lruTail        int
+	lruHead        int32
+	lruTail        int32
 	lruLen         int
 	lruScratch     []int
 
@@ -196,11 +223,12 @@ type Machine struct {
 	// the runner snapshots per-iteration deltas for adaptive policies.
 	lat LatenessSignal
 
-	// migPool recycles migration structs: a migration returns to the pool
-	// when it commits, cancels, or unwinds, so steady-state chunk trains
-	// allocate nothing. routes holds the four possible route slices (fixed
-	// once the policy's DirectFlash choice is known at bind time); every
-	// migration aliases one of them read-only.
+	// migPool recycles migration structs: a migration is taken when its
+	// request is queued and returns to the pool when it commits, cancels,
+	// or unwinds, so steady-state chunk trains allocate nothing. routes
+	// holds the four possible route slices (fixed once the policy's
+	// DirectFlash choice is known at bind time); every migration aliases
+	// one of them read-only.
 	migPool []*migration
 	reqPool []*uvm.Request
 	routes  struct {
@@ -224,16 +252,24 @@ type Machine struct {
 	checkErr error
 }
 
-// migration is one in-progress tensor transfer. Transfers move in chunks
-// of Config.MigrationChunk (the arbiter's transfer sets, Figure 10): each
-// chunk is one flow; evictions release GPU memory chunk by chunk and
-// fetches claim it chunk by chunk, the way page-group migrations do.
+// migration is one queued or in-progress tensor transfer. Transfers move
+// in chunks of Config.MigrationChunk (the arbiter's transfer sets, Figure
+// 10): each chunk is one flow; evictions release GPU memory chunk by chunk
+// and fetches claim it chunk by chunk, the way page-group migrations do.
 type migration struct {
 	owner *Machine // the tenant whose transfer this is
 	id    int
-	kind  uvm.RequestKind
-	src   uvm.Location
-	dst   uvm.Location
+	// req is the tensor's metadata-queue request (nil once cancelled) and
+	// fly the chunk flow in flight. begun marks a migration past
+	// beginMigration; until then only owner, id, size and req are set.
+	// dying marks a tensor freed while a chunk was in flight: the chain
+	// unwinds when it lands.
+	req          *uvm.Request
+	fly          *flownet.Flow
+	begun, dying bool
+	kind         uvm.RequestKind
+	src          uvm.Location
+	dst          uvm.Location
 	// size is the true tensor size; chunk the bytes of the flow currently
 	// in flight; moved the bytes already transferred. inflate models
 	// reduced effective throughput for on-demand or host-mediated paths.
@@ -269,7 +305,7 @@ func newTenantShell(a *vitality.Analysis, cfg Config, net *flownet.Network, tag 
 	m.states = make([]tensorState, len(m.g.Tensors))
 	var va uint64 = 1 << 21 // leave page zero unmapped
 	for id, t := range m.g.Tensors {
-		m.states[id] = tensorState{t: t, loc: uvm.Unmapped, va: va, lruPrev: -1, lruNext: -1}
+		m.states[id] = tensorState{loc: uvm.Unmapped, va: va, id: int32(id), flash: -1, lruPrev: -1, lruNext: -1}
 		va += uint64(m.pagesOf(t)) * uint64(cfg.TranslationGranularity)
 	}
 	return m
@@ -297,6 +333,14 @@ func (m *Machine) pagesOf(t *dnn.Tensor) int64 {
 	return units.PagesFor(t.Size, m.cfg.TranslationGranularity)
 }
 
+// tensor is the graph tensor st tracks.
+func (m *Machine) tensor(st *tensorState) *dnn.Tensor { return m.g.Tensors[st.id] }
+
+// flashRange is the flash range st holds (hasRng).
+func (m *Machine) flashRange(st *tensorState) ssd.LogicalRange {
+	return ssd.LogicalRange{Start: int64(st.flash), Count: m.dev.PagesFor(m.tensor(st).Size)}
+}
+
 // remap sets st's PTE to the translation st.loc implies. It is the one
 // place a translation changes, so it owns the coherence rule: a tensor
 // that had a translation before gets its TLB entry shot down (touch only
@@ -311,7 +355,7 @@ func (m *Machine) remap(st *tensorState) {
 	}
 	if m.check && m.checkErr == nil {
 		if pte, ok := m.tlb.Peek(st.va); ok {
-			m.checkErr = fmt.Errorf("tenant %d: TLB still caches remapped %s as %+v", m.idx, st.t.Name, pte)
+			m.checkErr = fmt.Errorf("tenant %d: TLB still caches remapped %s as %+v", m.idx, m.tensor(st).Name, pte)
 		}
 	}
 }
@@ -324,7 +368,7 @@ func (st *tensorState) translation() uvm.PTE {
 	case uvm.Unmapped:
 		return uvm.PTE{}
 	case uvm.InFlash:
-		return uvm.PTE{Loc: uvm.InFlash, Addr: uint64(st.flash.Start)}
+		return uvm.PTE{Loc: uvm.InFlash, Addr: uint64(st.flash)}
 	default:
 		return uvm.PTE{Loc: st.loc, Addr: st.va >> 21}
 	}
@@ -345,34 +389,34 @@ func (m *Machine) reserveHost(n units.Bytes) bool {
 // ---- Derived-index maintenance ----
 
 // untrack removes st's contributions from the derived indexes. Every
-// mutation of st.loc, st.pend, st.fly, or st.lastUse must be bracketed by
-// untrack/track (never nested).
+// mutation of st.loc, st.lastUse, or st.mig's request or flow must be
+// bracketed by untrack/track (never nested).
 func (m *Machine) untrack(st *tensorState) {
-	if st.pend != nil {
-		if st.pend.Kind == uvm.PreEvict {
-			m.evictPendBytes -= st.t.Size
-		} else if st.fly == nil {
-			m.pendFetchBytes -= st.t.Size
-		}
-	}
-	if st.inLRU {
+	m.pendBytes(st, -1)
+	if st.lruPrev >= 0 || m.lruHead == st.id {
 		m.lruRemove(st)
-		st.inLRU = false
 	}
 }
 
 // track re-adds st's contributions after a mutation.
 func (m *Machine) track(st *tensorState) {
-	if st.pend != nil {
-		if st.pend.Kind == uvm.PreEvict {
-			m.evictPendBytes += st.t.Size
-		} else if st.fly == nil {
-			m.pendFetchBytes += st.t.Size
-		}
-	}
-	if st.loc == uvm.InGPU && st.pend == nil {
+	m.pendBytes(st, 1)
+	if st.loc == uvm.InGPU && st.pend() == nil {
 		m.lruInsert(st)
-		st.inLRU = true
+	}
+}
+
+// pendBytes adds sign times st's size to the pending-byte index its
+// request counts in: queued or flying evictions, and fetches not flying.
+func (m *Machine) pendBytes(st *tensorState, sign units.Bytes) {
+	mig := st.mig
+	if mig == nil || mig.req == nil {
+		return
+	}
+	if mig.req.Kind == uvm.PreEvict {
+		m.evictPendBytes += sign * mig.size
+	} else if mig.fly == nil {
+		m.pendFetchBytes += sign * mig.size
 	}
 }
 
@@ -381,14 +425,14 @@ func (m *Machine) lruBefore(a, b *tensorState) bool {
 	if a.lastUse != b.lastUse {
 		return a.lastUse < b.lastUse
 	}
-	return a.t.ID < b.t.ID
+	return a.id < b.id
 }
 
 // lruInsert links st into the recency list. The simulation clock is
 // monotone, so insertions land at (or within a few same-timestamp entries
 // of) the tail.
 func (m *Machine) lruInsert(st *tensorState) {
-	id := st.t.ID
+	id := st.id
 	after := m.lruTail // walk back to the first entry sorting before st
 	for after >= 0 && m.lruBefore(st, &m.states[after]) {
 		after = m.states[after].lruPrev
@@ -425,14 +469,40 @@ func (m *Machine) lruRemove(st *tensorState) {
 	} else {
 		m.lruTail = st.lruPrev
 	}
+	st.lruPrev, st.lruNext = -1, -1
 	m.lruLen--
 }
 
-// clearPend cancels st's queued request, keeping the indexes consistent.
+// clearPend cancels st's queued request, keeping the indexes consistent. A
+// migration that has not begun goes with it; the request itself stays in
+// its queue until the dispatcher pops it as stale.
 func (m *Machine) clearPend(st *tensorState) {
+	mig := st.mig
+	if mig == nil {
+		return
+	}
 	m.untrack(st)
-	st.pend = nil
+	mig.req = nil
+	if !mig.begun {
+		st.mig = nil
+		m.putMigration(mig)
+	}
 	m.track(st)
+}
+
+// queue makes r st's request, taking a migration record if st has none,
+// and pushes it to the metadata queues.
+func (m *Machine) queue(st *tensorState, r *uvm.Request) {
+	m.untrack(st)
+	if st.mig == nil {
+		mig := m.getMigration()
+		mig.owner, mig.id, mig.size = m, r.TensorID, r.Bytes
+		st.mig = mig
+	}
+	st.mig.req = r
+	m.track(st)
+	m.queues.Push(r)
+	m.dispatch()
 }
 
 // ---- Introspection for policies ----
@@ -465,7 +535,7 @@ func (m *Machine) Now() units.Time { return m.net.Now() }
 func (m *Machine) Loc(id int) uvm.Location { return m.states[id].loc }
 
 // InFlight reports whether tensor id has a queued or flying migration.
-func (m *Machine) InFlight(id int) bool { return m.states[id].pend != nil }
+func (m *Machine) InFlight(id int) bool { return m.states[id].pend() != nil }
 
 // GPUFree reports unreserved GPU memory.
 func (m *Machine) GPUFree() units.Bytes { return m.cfg.GPUCapacity - m.gpuUsed }
@@ -482,7 +552,7 @@ func (m *Machine) HostFree() units.Bytes { return m.host.Free() }
 func (m *Machine) ResidentLRU() []int {
 	out := m.lruScratch[:0]
 	for id := m.lruHead; id >= 0; id = m.states[id].lruNext {
-		out = append(out, id)
+		out = append(out, int(id))
 	}
 	m.lruScratch = out
 	return out
@@ -497,10 +567,11 @@ func (m *Machine) alloc(id int) bool {
 	if st.loc != uvm.Unmapped {
 		return true
 	}
-	if m.gpuUsed+st.t.Size > m.cfg.GPUCapacity {
+	size := m.g.Tensors[id].Size
+	if m.gpuUsed+size > m.cfg.GPUCapacity {
 		return false
 	}
-	m.gpuUsed += st.t.Size
+	m.gpuUsed += size
 	m.untrack(st)
 	m.place(st, uvm.InGPU)
 	return true
@@ -514,7 +585,7 @@ func (m *Machine) seed(id int) error {
 	}
 	st := &m.states[id]
 	if _, err := m.spill(st); err != nil {
-		return fmt.Errorf("gpu: seeding %s: %w", st.t.Name, err)
+		return fmt.Errorf("gpu: seeding %s: %w", m.g.Tensors[id].Name, err)
 	}
 	return nil
 }
@@ -523,12 +594,12 @@ func (m *Machine) seed(id int) error {
 // if it grants, else in a newly written flash range. It reports where.
 func (m *Machine) spill(st *tensorState) (uvm.Location, error) {
 	loc := uvm.InHost
-	if !m.reserveHost(st.t.Size) {
-		rng, err := m.dev.Alloc(m.dev.PagesFor(st.t.Size))
+	if size := m.tensor(st).Size; !m.reserveHost(size) {
+		rng, err := m.dev.Alloc(m.dev.PagesFor(size))
 		if err != nil {
 			return uvm.Unmapped, err
 		}
-		st.flash, st.hasRng = rng, true
+		st.flash = int32(rng.Start)
 		if _, err := m.dev.Write(rng); err != nil {
 			return uvm.Unmapped, err
 		}
@@ -552,24 +623,23 @@ func (m *Machine) place(st *tensorState, loc uvm.Location) {
 	m.remap(st)
 }
 
-// unmap ends a tensor's placement: its flash range frees, it becomes
-// unallocated with no translation, and it is no longer dying.
+// unmap ends a tensor's placement: its flash range frees and it becomes
+// unallocated with no translation.
 func (m *Machine) unmap(st *tensorState) {
-	if st.hasRng {
-		m.dev.Free(st.flash)
-		st.hasRng = false
+	if st.hasRng() {
+		m.dev.Free(m.flashRange(st))
+		st.flash = -1
 	}
 	st.loc = uvm.Unmapped
 	m.remap(st)
-	st.dying = false
 }
 
-// free releases a tensor wherever it lives. In-flight migrations mark the
-// tensor dying and release on completion.
+// free releases a tensor wherever it lives. A migration with a chunk in
+// flight is marked dying instead and releases the tensor when it lands.
 func (m *Machine) free(id int) {
 	st := &m.states[id]
-	if st.fly != nil {
-		st.dying = true
+	if st.fly() != nil {
+		st.mig.dying = true
 		return
 	}
 	m.clearPend(st) // cancel anything queued
@@ -578,7 +648,7 @@ func (m *Machine) free(id int) {
 
 func (m *Machine) release(st *tensorState) {
 	m.untrack(st)
-	if mig := st.mig; mig != nil {
+	if mig := st.moving(); mig != nil {
 		// A tensor freed mid-migration: return whatever the chunks hold.
 		if mig.kind == uvm.PreEvict {
 			m.gpuUsed -= mig.size - mig.moved // chunks still in GPU
@@ -592,15 +662,13 @@ func (m *Machine) release(st *tensorState) {
 			}
 		}
 		st.mig = nil
-		st.fly = nil
-		st.pend = nil
 		m.putMigration(mig)
 	} else {
 		switch st.loc {
 		case uvm.InGPU:
-			m.gpuUsed -= st.t.Size
+			m.gpuUsed -= m.tensor(st).Size
 		case uvm.InHost:
-			m.host.ReleaseFor(m.idx, st.t.Size)
+			m.host.ReleaseFor(m.idx, m.tensor(st).Size)
 		}
 	}
 	m.unmap(st)
@@ -611,19 +679,15 @@ func (m *Machine) release(st *tensorState) {
 // (host or flash). Returns false when the tensor is not evictable now.
 func (m *Machine) RequestEvict(id int, dst uvm.Location) bool {
 	st := &m.states[id]
-	if st.loc != uvm.InGPU || st.pend != nil {
+	if st.loc != uvm.InGPU || st.pend() != nil {
 		return false
 	}
 	if dst != uvm.InHost && dst != uvm.InFlash {
 		return false
 	}
 	r := m.getRequest()
-	*r = uvm.Request{Kind: uvm.PreEvict, TensorID: id, Bytes: st.t.Size, Src: uvm.InGPU, Dst: dst}
-	m.untrack(st)
-	st.pend = r
-	m.track(st)
-	m.queues.Push(r)
-	m.dispatch()
+	*r = uvm.Request{Kind: uvm.PreEvict, TensorID: id, Bytes: m.g.Tensors[id].Size, Src: uvm.InGPU, Dst: dst}
+	m.queue(st, r)
 	return true
 }
 
@@ -643,13 +707,13 @@ func (m *Machine) RequestScheduledFetch(id int) bool {
 
 func (m *Machine) requestFetch(id int, kind uvm.RequestKind, scheduled bool) bool {
 	st := &m.states[id]
-	if st.pend != nil {
-		if st.pend.Kind == uvm.PreEvict && st.fly == nil {
+	if pend := st.pend(); pend != nil {
+		if pend.Kind == uvm.PreEvict && st.fly() == nil {
 			// Still queued, not started: cancel the eviction instead.
 			m.clearPend(st)
 			return true
 		}
-		if kind == uvm.FaultFetch && st.pend.Kind == uvm.Prefetch && st.fly == nil && st.mig == nil {
+		if kind == uvm.FaultFetch && pend.Kind == uvm.Prefetch && st.moving() == nil {
 			// Upgrade a queued (not yet started) prefetch to fault
 			// priority: the kernel is now blocked on it — a planned
 			// migration that missed its deadline.
@@ -662,12 +726,8 @@ func (m *Machine) requestFetch(id int, kind uvm.RequestKind, scheduled bool) boo
 		return false
 	}
 	r := m.getRequest()
-	*r = uvm.Request{Kind: kind, TensorID: id, Bytes: st.t.Size, Src: st.loc, Dst: uvm.InGPU, Scheduled: scheduled}
-	m.untrack(st)
-	st.pend = r
-	m.track(st)
-	m.queues.Push(r)
-	m.dispatch()
+	*r = uvm.Request{Kind: kind, TensorID: id, Bytes: m.g.Tensors[id].Size, Src: st.loc, Dst: uvm.InGPU, Scheduled: scheduled}
+	m.queue(st, r)
 	return true
 }
 
@@ -686,7 +746,7 @@ func (m *Machine) dispatch() {
 		progress := false
 		for _, r := range set {
 			st := &m.states[r.TensorID]
-			if st.pend != r {
+			if st.pend() != r {
 				m.putRequest(r) // stale: cancelled or superseded, and now unreferenced
 				continue
 			}
@@ -708,12 +768,8 @@ func (m *Machine) dispatch() {
 // computes latency and throughput inflation; subsequent calls continue the
 // chunk chain.
 func (m *Machine) startFlow(r *uvm.Request, st *tensorState) bool {
-	if st.mig == nil {
-		mig, ok := m.beginMigration(r, st)
-		if !ok {
-			return false
-		}
-		st.mig = mig
+	if !st.mig.begun && !m.beginMigration(r, st) {
+		return false
 	}
 	return m.startChunk(st, nil)
 }
@@ -752,12 +808,14 @@ func (m *Machine) putRequest(r *uvm.Request) {
 	m.reqPool = append(m.reqPool, r)
 }
 
-// beginMigration performs the once-per-tensor setup of a migration.
-func (m *Machine) beginMigration(r *uvm.Request, st *tensorState) (*migration, bool) {
-	size := st.t.Size
-	mig := m.getMigration()
-	mig.owner, mig.id, mig.kind, mig.src, mig.dst = m, r.TensorID, r.Kind, r.Src, r.Dst
-	mig.size, mig.inflate, mig.latency = size, 1, m.cfg.DMALatency
+// beginMigration performs the once-per-tensor setup of st's queued
+// migration. Reports false, leaving it queued and not begun, when the setup
+// fails.
+func (m *Machine) beginMigration(r *uvm.Request, st *tensorState) bool {
+	mig := st.mig
+	size := mig.size
+	mig.kind, mig.src, mig.dst = r.Kind, r.Src, r.Dst
+	mig.inflate, mig.latency = 1, m.cfg.DMALatency
 
 	switch r.Kind {
 	case uvm.PreEvict:
@@ -765,15 +823,13 @@ func (m *Machine) beginMigration(r *uvm.Request, st *tensorState) (*migration, b
 			mig.dst = uvm.InFlash // host full: fall back to the SSD
 		}
 		if mig.dst == uvm.InFlash {
-			if !st.hasRng {
+			if !st.hasRng() {
 				rng, err := m.dev.Alloc(m.dev.PagesFor(size))
 				if err != nil {
 					m.failf("ssd alloc: %v", err)
-					m.putMigration(mig)
-					return nil, false
+					return false
 				}
-				st.flash = rng
-				st.hasRng = true
+				st.flash = int32(rng.Start)
 			}
 			mig.latency += m.cfg.SSD.WriteLatency
 			if !m.pol.DirectFlash() {
@@ -790,10 +846,9 @@ func (m *Machine) beginMigration(r *uvm.Request, st *tensorState) (*migration, b
 				mig.latency += m.cfg.HostMediationOverhead
 				mig.inflate = 1 / m.cfg.HostMediationEfficiency
 			}
-			if err := m.dev.Read(st.flash); err != nil {
+			if err := m.dev.Read(m.flashRange(st)); err != nil {
 				m.failf("ssd read: %v", err)
-				m.putMigration(mig)
-				return nil, false
+				return false
 			}
 		}
 		if r.Kind == uvm.FaultFetch && !r.Scheduled {
@@ -814,11 +869,11 @@ func (m *Machine) beginMigration(r *uvm.Request, st *tensorState) (*migration, b
 			m.faultedBytes += size
 		}
 	default:
-		m.putMigration(mig)
-		return nil, false
+		return false
 	}
 	mig.route = m.route(mig)
-	return mig, true
+	mig.begun = true
+	return true
 }
 
 // route returns the resources a migration's flows traverse: this tenant's
@@ -872,10 +927,10 @@ func (m *Machine) startChunk(st *tensorState, prev *flownet.Flow) bool {
 	flowBytes := units.Bytes(float64(chunk) * mig.inflate)
 	m.untrack(st)
 	if prev != nil && mig.latency == 0 {
-		st.fly = m.net.Succeed(prev, flowBytes)
+		mig.fly = m.net.Succeed(prev, flowBytes)
 	} else {
-		st.fly = m.net.StartAt(st.t.Name, flowBytes, m.Now()+mig.latency, mig, mig.route...)
-		st.fly.Owner = m.idx
+		mig.fly = m.net.StartAt(m.tensor(st).Name, flowBytes, m.Now()+mig.latency, mig, mig.route...)
+		mig.fly.Owner = m.idx
 		mig.latency = 0
 	}
 	m.inflight++
@@ -920,11 +975,11 @@ func deliver(f *flownet.Flow) {
 func (m *Machine) complete(mig *migration, f *flownet.Flow) {
 	m.inflight--
 	st := &m.states[mig.id]
-	if st.fly != f || st.mig != mig {
+	if st.mig != mig || mig.fly != f {
 		return // superseded (freed tensor)
 	}
 	m.untrack(st)
-	st.fly = nil
+	mig.fly = nil
 	m.track(st)
 	m.noteChunkDone(mig, f)
 	mig.moved += mig.chunk
@@ -944,7 +999,7 @@ func (m *Machine) complete(mig *migration, f *flownet.Flow) {
 	}
 	mig.chunk = 0
 
-	if st.dying {
+	if mig.dying {
 		// Freed mid-migration: unwind partial state and stop the chain.
 		m.release(st)
 		return
@@ -953,17 +1008,17 @@ func (m *Machine) complete(mig *migration, f *flownet.Flow) {
 		// Continue the chain. A blocked fetch chunk goes back to its
 		// metadata queue and resumes when memory frees.
 		if !m.startChunk(st, f) {
-			m.queues.Push(st.pend)
+			m.queues.Push(mig.req)
 		}
 		return
 	}
 
 	// Final chunk: commit. A failed flash write still commits the
-	// location but leaves a dying tensor to the failed run.
+	// location but leaves a tensor freed mid-write unreleased, to the
+	// failed run.
 	m.untrack(st)
-	req := st.pend // committed: provably in no metadata queue
+	req := mig.req // committed: provably in no metadata queue
 	st.mig = nil
-	st.pend = nil
 	if req != nil {
 		m.putRequest(req)
 	}
@@ -972,7 +1027,7 @@ func (m *Machine) complete(mig *migration, f *flownet.Flow) {
 	case uvm.PreEvict:
 		loc = mig.dst
 		if loc == uvm.InFlash {
-			if _, err := m.dev.Write(st.flash); err != nil {
+			if _, err := m.dev.Write(m.flashRange(st)); err != nil {
 				m.failf("ssd write: %v", err)
 				wrote = false
 			} else {
@@ -985,8 +1040,9 @@ func (m *Machine) complete(mig *migration, f *flownet.Flow) {
 		}
 	}
 	m.place(st, loc)
+	dying := mig.dying
 	m.putMigration(mig)
-	if wrote && st.dying {
+	if wrote && dying {
 		m.release(st)
 	}
 }
@@ -1000,8 +1056,8 @@ func (m *Machine) cancelStalledFetches(pinned map[int]bool) units.Bytes {
 	var freed units.Bytes
 	for id := range m.states {
 		st := &m.states[id]
-		mig := st.mig
-		if mig == nil || mig.kind == uvm.PreEvict || st.fly != nil || pinned[id] {
+		mig := st.moving()
+		if mig == nil || mig.kind == uvm.PreEvict || mig.fly != nil || pinned[id] {
 			continue
 		}
 		// Blocked mid-fetch: release landed chunks; the tensor is still
@@ -1012,7 +1068,6 @@ func (m *Machine) cancelStalledFetches(pinned map[int]bool) units.Bytes {
 		freed += mig.moved
 		m.untrack(st)
 		st.mig = nil
-		st.pend = nil
 		m.track(st)
 		m.putMigration(mig)
 	}

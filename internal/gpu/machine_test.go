@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"g10sim/internal/dnn"
 	"g10sim/internal/flownet"
@@ -162,7 +163,7 @@ func TestFetchRoundTripRestoresResidency(t *testing.T) {
 	}
 	// Flash copy space is retained (sticky range) until death.
 	st := &m.states[ids["A"]]
-	if !st.hasRng {
+	if !st.hasRng() {
 		t.Error("flash range released on fetch; should stay for re-eviction")
 	}
 }
@@ -261,7 +262,7 @@ func TestPageTableTracksMigrations(t *testing.T) {
 	for m.Loc(ids["A"]) == uvm.InGPU {
 		m.waitNext()
 	}
-	if want := (uvm.PTE{Loc: uvm.InFlash, Addr: uint64(st.flash.Start)}); !st.hasRng || st.pte != want {
+	if want := (uvm.PTE{Loc: uvm.InFlash, Addr: uint64(st.flash)}); !st.hasRng() || st.pte != want {
 		t.Errorf("PTE after eviction: %+v, want %+v (G10's flash PTEs)", st.pte, want)
 	}
 	m.free(ids["A"])
@@ -373,4 +374,13 @@ func (m *Machine) waitNext() bool {
 	}
 	m.advanceTo(e)
 	return true
+}
+
+// TestTensorStateSize pins the per-tensor, per-tenant state at 64 bytes or
+// less: it is the largest allocation of a many-tenant cluster, so fields
+// that only a migration uses belong in the pooled migration record.
+func TestTensorStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(tensorState{}); got > 64 {
+		t.Fatalf("tensorState is %d bytes, want at most 64", got)
+	}
 }

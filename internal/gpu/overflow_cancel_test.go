@@ -97,13 +97,14 @@ func TestStreamOverflowFailsNonUVM(t *testing.T) {
 func scanPendBytes(m *Machine) (fetch, evict units.Bytes) {
 	for i := range m.states {
 		st := &m.states[i]
-		if st.pend == nil {
+		pend := st.pend()
+		if pend == nil {
 			continue
 		}
-		if st.pend.Kind == uvm.PreEvict {
-			evict += st.t.Size
-		} else if st.fly == nil {
-			fetch += st.t.Size
+		if pend.Kind == uvm.PreEvict {
+			evict += m.g.Tensors[i].Size
+		} else if st.fly() == nil {
+			fetch += m.g.Tensors[i].Size
 		}
 	}
 	return fetch, evict
@@ -149,8 +150,8 @@ func TestCancelStalledFetchesRollsBackExactly(t *testing.T) {
 	for m.waitNext() {
 	}
 	stA := &m.states[ids["A"]]
-	if stA.mig == nil || stA.fly != nil {
-		t.Fatalf("A not blocked mid-fetch: mig=%v fly=%v", stA.mig, stA.fly)
+	if stA.moving() == nil || stA.fly() != nil {
+		t.Fatalf("A not blocked mid-fetch: mig=%v fly=%v", stA.mig, stA.fly())
 	}
 	landed := stA.mig.moved
 	if landed != 80*units.MB {
@@ -168,7 +169,7 @@ func TestCancelStalledFetchesRollsBackExactly(t *testing.T) {
 		t.Errorf("GPU free grew by %v, cancel claimed %v", got, freed)
 	}
 	checkPendCounters(t, m, "after cancel")
-	if stA.pend != nil || stA.mig != nil {
+	if stA.mig != nil {
 		t.Error("cancelled fetch left request/migration state behind")
 	}
 	if m.Loc(ids["A"]) != uvm.InHost {

@@ -277,7 +277,7 @@ func (r *runner) beginMeasurement() {
 	r.faultBytes0 = r.m.faultedBytes
 	r.overflow0 = r.m.overflowBytes
 	r.overflowK0 = r.m.overflowKerns
-	r.kernelEnds = r.kernelEnds[:0]
+	r.kernelEnds = make([]units.Time, 0, len(r.m.g.Kernels))
 }
 
 // boundary executes the program's instrumentation at boundary b, then the
@@ -394,8 +394,8 @@ func (r *runner) scanWorkingSet(kern *dnn.Kernel) (bool, units.Bytes) {
 	for _, t := range kern.Tensors() {
 		st := &m.states[t.ID]
 		switch {
-		case st.loc == uvm.InGPU && st.fly == nil:
-			if st.pend != nil && st.pend.Kind == uvm.PreEvict {
+		case st.loc == uvm.InGPU && st.fly() == nil:
+			if pend := st.pend(); pend != nil && pend.Kind == uvm.PreEvict {
 				m.clearPend(st) // cancel a queued eviction of a needed tensor
 			}
 		case st.loc == uvm.InGPU: // eviction in flight; must drain first
@@ -407,7 +407,7 @@ func (r *runner) scanWorkingSet(kern *dnn.Kernel) (bool, units.Bytes) {
 			}
 		default: // InHost or InFlash
 			ready = false
-			if st.pend == nil {
+			if st.pend() == nil {
 				m.pol.OnMiss(r.k, t)
 			}
 		}
@@ -520,9 +520,12 @@ func (r *runner) result() Result {
 		if res.StallTime < 0 {
 			res.StallTime = 0
 		}
-		res.KernelTimes = make([]units.Duration, len(r.kernelEnds))
+		// Kernel times are the differences of the kernel ends, taken in
+		// place: the run is over, so the ends are not needed again.
+		res.KernelTimes = r.kernelEnds
+		r.kernelEnds = nil
 		prev := r.iterStart
-		for i, e := range r.kernelEnds {
+		for i, e := range res.KernelTimes {
 			res.KernelTimes[i] = e - prev
 			prev = e
 		}

@@ -241,6 +241,22 @@ func TestEmptyProgramHasNoMigrations(t *testing.T) {
 	}
 }
 
+// TestEmitBoundariesDoNotAlias: the boundaries share one backing list, so
+// appending to one boundary must not overwrite the next.
+func TestEmitBoundariesDoNotAlias(t *testing.T) {
+	a := pressureGraph(t)
+	prog := New(a, testConfig()).Program
+	for b := 0; b+1 < len(prog.Boundaries); b++ {
+		next := append([]Instr(nil), prog.Boundaries[b+1]...)
+		_ = append(prog.Boundaries[b], Instr{Kind: OpFree, Tensor: a.Graph.Tensors[0]})
+		for i, in := range prog.Boundaries[b+1] {
+			if in != next[i] {
+				t.Fatalf("appending to boundary %d rewrote boundary %d's instruction %d: %v, was %v", b, b+1, i, in, next[i])
+			}
+		}
+	}
+}
+
 func TestPlanOnRealModelFitsCapacity(t *testing.T) {
 	g := models.TinyCNN(256)
 	// Stretch kernel times (as the calibrated paper models do) so the

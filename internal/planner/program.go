@@ -82,42 +82,48 @@ type retimeState struct {
 
 // emit lowers vitality analysis plus migration decisions into the
 // instruction stream, ordering each boundary as: frees, pre-evictions,
-// allocations, prefetches (release memory before claiming it).
+// allocations, prefetches (release memory before claiming it). Instruction
+// class c of boundary b goes to slot 4b+c: a counting pass sizes the slots,
+// and a second fills one exactly sized list that every boundary slices
+// with its capacity capped, so appending to one cannot overwrite the next.
 func emit(a *vitality.Analysis, decisions []Decision) *Program {
 	n := len(a.Graph.Kernels)
-	frees := make([][]Instr, n+1)
-	evicts := make([][]Instr, n+1)
-	allocs := make([][]Instr, n+1)
-	fetches := make([][]Instr, n+1)
-
-	for id := range a.Infos {
-		info := &a.Infos[id]
-		t := info.Tensor
-		if t.Kind == dnn.Global {
-			continue // allocated once at program start, never freed
+	each := func(put func(slot int, in Instr)) {
+		for id := range a.Infos {
+			info := &a.Infos[id]
+			t := info.Tensor
+			if t.Kind == dnn.Global {
+				continue // allocated once at program start, never freed
+			}
+			put(4*info.BornAt+2, Instr{Kind: OpAlloc, Tensor: t})
+			if info.DeadAt <= n {
+				put(4*info.DeadAt, Instr{Kind: OpFree, Tensor: t})
+			}
 		}
-		allocs[info.BornAt] = append(allocs[info.BornAt], Instr{Kind: OpAlloc, Tensor: t})
-		if info.DeadAt <= n {
-			frees[info.DeadAt] = append(frees[info.DeadAt], Instr{Kind: OpFree, Tensor: t})
+		for i := range decisions {
+			d := &decisions[i]
+			put(4*d.EvictBoundary+1, Instr{Kind: OpPreEvict, Tensor: d.Period.Tensor, Target: d.Target})
+			put(4*d.PrefetchBoundary+3, Instr{Kind: OpPrefetch, Tensor: d.Period.Tensor})
 		}
 	}
-	for i := range decisions {
-		d := &decisions[i]
-		evicts[d.EvictBoundary] = append(evicts[d.EvictBoundary],
-			Instr{Kind: OpPreEvict, Tensor: d.Period.Tensor, Target: d.Target})
-		fetches[d.PrefetchBoundary] = append(fetches[d.PrefetchBoundary],
-			Instr{Kind: OpPrefetch, Tensor: d.Period.Tensor})
-	}
 
+	// next[s] counts slot s's instructions into next[s+1], then holds the
+	// list index of its next instruction.
+	next := make([]int, 4*(n+1)+1)
+	each(func(s int, _ Instr) { next[s+1]++ })
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	list := make([]Instr, next[len(next)-1])
 	p := &Program{Boundaries: make([][]Instr, n+1)}
-	for b := 0; b <= n; b++ {
-		var list []Instr
-		list = append(list, frees[b]...)
-		list = append(list, evicts[b]...)
-		list = append(list, allocs[b]...)
-		list = append(list, fetches[b]...)
-		p.Boundaries[b] = list
+	for b := range p.Boundaries {
+		lo, hi := next[4*b], next[4*b+4]
+		p.Boundaries[b] = list[lo:hi:hi]
 	}
+	each(func(s int, in Instr) {
+		list[next[s]] = in
+		next[s]++
+	})
 	return p
 }
 
